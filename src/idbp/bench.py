@@ -5,11 +5,13 @@ from a per-image seed (master seed + corpus index), restores it with the
 requested solver, and reports PSNR of the degraded input, PSNR of the
 restoration, their difference (ISNR), and for deblurring the BSNR of the
 blurred input.  All CSV output uses fixed 6-decimal formatting with LF
-line endings and parses back losslessly at that precision.
+line endings and parses back losslessly at that precision; summary fields
+holding a comma, quote or line break are quoted.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -395,45 +397,53 @@ def parse_trace_csv(path) -> IterationTrace:
     return trace
 
 
-def _format_row(row: ImageRow) -> str:
-    return (
-        f"{row.name},{row.psnr_in_db:.6f},{row.psnr_out_db:.6f},"
-        f"{row.isnr_db:.6f},{row.bsnr_db:.6f},{row.error}"
-    )
+def _format_row(row: ImageRow) -> list[str]:
+    return [
+        row.name,
+        f"{row.psnr_in_db:.6f}",
+        f"{row.psnr_out_db:.6f}",
+        f"{row.isnr_db:.6f}",
+        f"{row.bsnr_db:.6f}",
+        row.error,
+    ]
 
 
 def write_summary_csv(report: RunReport, path) -> None:
-    lines = [f"# {key}={value}" for key, value in sorted(report.config.items())]
-    lines.append(SUMMARY_HEADER)
-    lines.extend(_format_row(row) for row in report.rows)
-    lines.append(_format_row(report.averages()))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write ``# key=value`` config lines, then the rows as minimally quoted CSV."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {key}={value}\n" for key, value in sorted(report.config.items()))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SUMMARY_HEADER.split(","))
+        writer.writerows(_format_row(row) for row in report.rows)
+        writer.writerow(_format_row(report.averages()))
 
 
 def parse_summary_csv(path) -> RunReport:
     config: dict[str, str] = {}
     rows: list[ImageRow] = []
     with open(path, "r", newline="") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    body = []
-    for line in lines:
+        lines = fh.readlines()
+    start = 0
+    for start, line in enumerate(lines):
         if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
+            key, _, value = line[2:].rstrip("\r\n").partition("=")
             config[key] = value
-        else:
-            body.append(line)
-    if not body or body[0] != SUMMARY_HEADER:
+        elif line.strip():
+            break
+    records = [record for record in csv.reader(lines[start:]) if record]
+    if not records or records[0] != SUMMARY_HEADER.split(","):
         raise ValueError("unexpected summary header")
-    for line in body[1:]:
-        name, *numbers, error = line.split(",")
+    for record in records[1:]:
+        if len(record) != 6:
+            raise ValueError(f"summary row has {len(record)} fields, expected 6: {record!r}")
+        name, psnr_in, psnr_out, isnr, bsnr_value, error = record
         rows.append(
             ImageRow(
                 name=name,
-                psnr_in_db=float(numbers[0]),
-                psnr_out_db=float(numbers[1]),
-                isnr_db=float(numbers[2]),
-                bsnr_db=float(numbers[3]),
+                psnr_in_db=float(psnr_in),
+                psnr_out_db=float(psnr_out),
+                isnr_db=float(isnr),
+                bsnr_db=float(bsnr_value),
                 error=error,
             )
         )

@@ -77,6 +77,11 @@ def _separable_convolve(z: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return sliding_window_view(padded, taps.size, axis=1) @ taps
 
 
+# Patch rows per strip of the horizontal pass of DctDenoiser: the fastest
+# measured at both 256^2 and 512^2 with one BLAS thread.
+_STRIP_ROWS = 4
+
+
 class DctDenoiser:
     """Sliding-patch DCT hard thresholding with full-overlap uniform aggregation.
 
@@ -105,20 +110,30 @@ class DctDenoiser:
         if z.shape[0] < p or z.shape[1] < p:
             raise ValueError(f"image {z.shape} smaller than patch {p}x{p}")
         basis = self._basis
-        patches = sliding_window_view(z, (p, p))
-        coeffs = np.einsum("ab,ijbc,dc->ijad", basis, patches, basis, optimize=True)
-        keep = np.abs(coeffs) > self.threshold_factor * sigma
-        keep[:, :, 0, 0] = True
-        coeffs *= keep
-        recon = np.einsum("ba,ijbc,cd->ijad", basis, coeffs, basis, optimize=True)
-        out = np.zeros_like(z)
-        weight = np.zeros_like(z)
-        rows, cols = recon.shape[:2]
-        for di in range(p):
+        rows, cols = z.shape[0] - p + 1, z.shape[1] - p + 1
+        threshold = self.threshold_factor * sigma
+        # The 2-D patch DCT is separable: transform every vertical window
+        # once, stored as (patch row, vertical frequency, image column), then
+        # finish the transform, threshold and invert horizontally a strip of
+        # patch rows at a time so the per-patch coefficients stay in cache.
+        vertical = np.ascontiguousarray((sliding_window_view(z, p, axis=0) @ basis.T).transpose(0, 2, 1))
+        column_sums = np.zeros((rows, p, z.shape[1]))
+        for top in range(0, rows, _STRIP_ROWS):
+            coeffs = sliding_window_view(vertical[top : top + _STRIP_ROWS], p, axis=2) @ basis.T
+            keep = np.abs(coeffs) > threshold
+            keep[:, 0, :, 0] = True
+            coeffs *= keep
+            recon = coeffs @ basis
+            strip = column_sums[top : top + _STRIP_ROWS]
             for dj in range(p):
-                out[di : di + rows, dj : dj + cols] += recon[:, :, di, dj]
-                weight[di : di + rows, dj : dj + cols] += 1.0
-        return out / weight
+                strip[:, :, dj : dj + cols] += recon[..., dj]
+        recon = basis.T @ column_sums
+        out = np.zeros_like(z)
+        for di in range(p):
+            out[di : di + rows] += recon[:, di]
+        # every pixel is covered by (row overlaps) x (column overlaps) patches
+        ones = np.ones(p)
+        return out / np.outer(np.convolve(np.ones(rows), ones), np.convolve(np.ones(cols), ones))
 
 
 def _dct_matrix(size: int) -> np.ndarray:

@@ -295,7 +295,7 @@ def idbp_auto_tuned(
                 f"restart budget exhausted after {config.restart_cap} restarts: "
                 f"margin {config.condition_margin_tau} unattainable (epsilon reached {epsilon:g})"
             )
-        epsilon += config.epsilon_increment
+        epsilon = config.epsilon + restarts * config.epsilon_increment
         current = current.with_epsilon(epsilon)
     estimate = y_tilde if config.output_mode == "last_y" else x_tilde
     return estimate, trace

@@ -189,6 +189,24 @@ def test_summary_csv_round_trip(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_summary_csv_round_trips_commas_in_names_and_errors(tmp_path):
+    report = RunReport(
+        rows=[
+            ImageRow("a,b", 20.0, 25.5, 5.5, float("nan")),
+            ImageRow("c", error="ValueError: shape mismatch: (3, 4) vs (5, 6)"),
+        ],
+        config={"task": "inpaint"},
+    )
+    p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+    write_summary_csv(report, p1)
+    parsed = parse_summary_csv(p1)
+    assert [r.name for r in parsed.rows] == ["a,b", "c"]
+    assert parsed.rows[0].psnr_out_db == 25.5
+    assert parsed.rows[1].error == "ValueError: shape mismatch: (3, 4) vs (5, 6)"
+    write_summary_csv(parsed, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from idbp.denoisers import (
     DctDenoiser,
@@ -18,6 +20,7 @@ from idbp.denoisers import (
     estimate_conditions,
     external_denoise,
 )
+from idbp.denoisers import _dct_matrix
 from idbp.grid import add_gaussian_noise
 from idbp.operators import generate_random_mask
 from idbp.rng import RngState
@@ -101,6 +104,51 @@ def test_dct_preserves_strong_structure():
     out = DctDenoiser()(z, 5.0)
     assert abs(float(out[:, :8].mean())) < 2.0
     assert abs(float(out[:, 24:].mean()) - 200.0) < 2.0
+
+
+def _reference_dct(z, sigma, patch=8, threshold_factor=3.0):
+    """The 4-D einsum and 64-slice overlap-add DctDenoiser, kept as the oracle."""
+    p = patch
+    basis = _dct_matrix(p)
+    patches = sliding_window_view(z, (p, p))
+    coeffs = np.einsum("ab,ijbc,dc->ijad", basis, patches, basis, optimize=True)
+    keep = np.abs(coeffs) > threshold_factor * sigma
+    keep[:, :, 0, 0] = True
+    coeffs *= keep
+    recon = np.einsum("ba,ijbc,cd->ijad", basis, coeffs, basis, optimize=True)
+    out = np.zeros_like(z)
+    weight = np.zeros_like(z)
+    rows, cols = recon.shape[:2]
+    for di in range(p):
+        for dj in range(p):
+            out[di : di + rows, dj : dj + cols] += recon[:, :, di, dj]
+            weight[di : di + rows, dj : dj + cols] += 1.0
+    return out / weight
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (37, 53), (8, 8), (8, 40), (40, 8)])
+@pytest.mark.parametrize("patch", [2, 5, 8])
+@pytest.mark.parametrize("threshold_factor", [0.0, 3.0])
+def test_dct_matches_reference(shape, patch, threshold_factor):
+    # float operations are reordered, so agreement is bounded, not bit-exact
+    sigma = 10.0
+    z = add_gaussian_noise(_random_grid(21, *shape), sigma, RngState(22))
+    out = DctDenoiser(patch, threshold_factor)(z, sigma)
+    ref = _reference_dct(z, sigma, patch, threshold_factor)
+    assert np.max(np.abs(out - ref)) <= 1e-9
+
+
+def test_dct_allocates_no_four_dimensional_patch_tensor():
+    z = _random_grid(23, 128, 128)
+    denoiser = DctDenoiser()
+    patch_tensor_bytes = (128 - 7) ** 2 * 8 * 8 * z.itemsize
+    tracemalloc.start()
+    try:
+        denoiser(z, 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < patch_tensor_bytes
 
 
 def test_dct_rejects_images_smaller_than_patch():

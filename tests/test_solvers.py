@@ -300,6 +300,19 @@ def test_auto_tune_restarts_and_clears_margin():
     assert np.allclose(np.diff(epsilons), 2e-3, atol=1e-12)
 
 
+def test_auto_tune_epsilon_is_exact_multiple_of_increment():
+    # repeated addition drifts (0.0001 + 7 * 0.0001 steps reads 0.0008000000000000001);
+    # every pass must run at exactly epsilon_0 + restarts * increment
+    truth, kernel, sigma_n, y = _blurred_instance(17)
+    op = BlurOperator(kernel, y.shape, epsilon=1e-4, sigma_n=sigma_n)
+    cfg = IdbpConfig(delta=5.0, iterations=8, epsilon=1e-4, condition_margin_tau=3.0,
+                     epsilon_increment=1e-4, restart_cap=50)
+    _, trace = idbp_auto_tuned(op, y, sigma_n, GaussianDenoiser(), cfg, y)
+    assert trace.restart_count >= 7
+    for r in trace.records:
+        assert r.epsilon == cfg.epsilon + r.restarts * cfg.epsilon_increment
+
+
 def test_auto_tune_trace_indices_restart_from_one():
     truth, kernel, sigma_n, y = _blurred_instance(18)
     op = BlurOperator(kernel, y.shape, epsilon=1e-6, sigma_n=sigma_n)
