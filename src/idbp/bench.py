@@ -160,16 +160,6 @@ class ExperimentSpec:
 
     # -- resolution helpers -------------------------------------------------
 
-    def _sigma_n_for(self, blurred: np.ndarray | None) -> float:
-        if self.sigma_n is not None:
-            return float(self.sigma_n)
-        if self.task == "inpaint":
-            return 0.0
-        variance = SCENARIO_NOISE_VARIANCE[self.scenario]
-        if variance is None:
-            return sigma_for_bsnr(blurred, 40.0)
-        return float(np.sqrt(variance))
-
     def _idbp_config(self) -> IdbpConfig:
         overrides = dict(
             delta=self.delta,
@@ -182,7 +172,7 @@ class ExperimentSpec:
             if self.epsilon is None:
                 overrides["epsilon"] = 1e-3  # auto-tune starts small and grows
         if self.task == "inpaint":
-            return default_inpaint_idbp_config(self._sigma_n_for(None), **overrides)
+            return default_inpaint_idbp_config(self.sigma_n or 0.0, **overrides)
         return default_deblur_idbp_config(self.scenario, **overrides)
 
     def _pnp_tuple(self) -> tuple[float, float, int]:

@@ -246,11 +246,11 @@ def cli_main(argv) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
+    if args.command == "verify":  # uses no setting, so ./idbp.cfg is not read
+        return 0 if verify_mod.run_all() else 2
     try:
         file_cfg = load_config_file(CONFIG_FILENAME) if Path(CONFIG_FILENAME).exists() else {}
         settings = _Settings(args, file_cfg)
-        if args.command == "verify":
-            return 0 if verify_mod.run_all() else 2
         handler = {
             "inpaint": _cmd_inpaint,
             "deblur": _cmd_deblur,

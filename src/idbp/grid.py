@@ -9,8 +9,6 @@ public entry point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .rng import RngState
@@ -33,15 +31,6 @@ def as_grid(data) -> np.ndarray:
 def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-@dataclass
-class MetricReport:
-    """Quality numbers for one restoration: PSNR, and where defined ISNR/BSNR."""
-
-    psnr_db: float
-    isnr_db: float | None = None
-    bsnr_db: float | None = None
 
 
 def psnr(reference, estimate) -> float:

@@ -121,9 +121,6 @@ class IterationTrace:
     def restart_count(self) -> int:
         return self.records[-1].restarts if self.records else 0
 
-    def psnr_series(self) -> list[float]:
-        return [r.psnr_db for r in self.records]
-
     def final_pass(self) -> list[TraceRecord]:
         """Records of the last (accepted) pass, i.e. after the final restart."""
         last = self.restart_count

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from idbp import verify
 from idbp.bench import (
     ExperimentSpec,
     ImageRow,
@@ -354,3 +355,37 @@ def test_cli_external_denoiser_via_env(scene_pgm, monkeypatch, capsys):
 def test_cli_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
     assert "subcommand" in capsys.readouterr().out.lower() or True
+
+
+def _raise_check():
+    raise RuntimeError("boom")
+
+
+_STUB_CHECKS = [("first", lambda: (True, "fine")), ("second", lambda: (True, "also fine"))]
+
+
+def test_cli_verify_reports_each_check(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "ALL_CHECKS", _STUB_CHECKS)
+    assert cli_main(["verify"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["PASS first: fine", "PASS second: also fine"]
+
+
+@pytest.mark.parametrize("failing", [
+    ("bad", lambda: (False, "off by 1e-3"), "FAIL bad: off by 1e-3"),
+    ("boom", _raise_check, "FAIL boom: RuntimeError: boom"),
+])
+def test_cli_verify_failing_check_exits_2_and_battery_continues(failing, monkeypatch, capsys):
+    name, check, line = failing
+    monkeypatch.setattr(verify, "ALL_CHECKS", [(name, check)] + _STUB_CHECKS)
+    assert cli_main(["verify"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        line, "PASS first: fine", "PASS second: also fine",
+    ]
+
+
+def test_cli_verify_ignores_malformed_config_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "idbp.cfg").write_text("this line has no equals sign\n")
+    assert cli_main(["inpaint", "--input", "x.pgm"]) == 1  # other commands read the file
+    monkeypatch.setattr(verify, "ALL_CHECKS", _STUB_CHECKS)
+    assert cli_main(["verify"]) == 0
