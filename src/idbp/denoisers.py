@@ -147,8 +147,9 @@ class NlmDenoiser:
     """Non-local means: 7x7 patches compared over a 21x21 search window.
 
     Weights follow exp(-max(d2 - 2 sigma^2, 0) / h^2) with bandwidth
-    h = 0.6 sigma, where d2 is the mean squared patch difference.  Cost
-    grows with the squared search radius, so prefer small images in tests.
+    h = 0.6 sigma, where d2 is the mean squared difference of reflect-padded
+    patches.  Each search offset costs a separable box sum, linear in the
+    patch size, and the number of offsets is quadratic in the search radius.
     """
 
     kind = "nlm"
@@ -166,27 +167,54 @@ class NlmDenoiser:
         z = as_grid(z)
         if sigma == 0:
             return z.copy()
-        radius = self.search // 2
-        h2 = (self.h_factor * sigma) ** 2
-        noise_floor = 2.0 * sigma * sigma
-        padded = np.pad(z, radius, mode="reflect")
+        p = self.patch
+        r = p // 2
+        height, width = z.shape
+        # patch sums stand in for patch means: the floor and the bandwidth
+        # are scaled by the patch area instead
+        area = float(p * p)
+        noise_floor = 2.0 * sigma * sigma * area
+        scale = -1.0 / ((self.h_factor * sigma) ** 2 * area)
+        padded = np.pad(z, self.search // 2 + r, mode="reflect")
+        z_padded = np.pad(z, r, mode="reflect")
+        # Patch sums run over the squared difference reflect-padded by r.
+        # Each offset differences whole slices of the two padded images, so
+        # every pass streams contiguous rows; the 2r border rows and columns,
+        # which hold the difference of unrelated pixels, are then overwritten
+        # with the rows and columns they reflect.  Reflection is an index
+        # map, so this matches np.pad even for images smaller than the patch.
+        rows = np.pad(np.arange(height), r, mode="reflect")
+        cols = np.pad(np.arange(width), r, mode="reflect")
+        border_rows = np.r_[:r, r + height : height + 2 * r]
+        border_cols = np.r_[:r, r + width : width + 2 * r]
+        row_sources = r + rows[border_rows]
+        col_sources = r + cols[border_cols]
+        square = np.empty_like(z_padded)
+        vertical = np.empty((height, width + 2 * r))
+        w = np.empty_like(z)
         numerator = np.zeros_like(z)
         weight_sum = np.zeros_like(z)
-        height, width = z.shape
-        for di in range(-radius, radius + 1):
-            for dj in range(-radius, radius + 1):
-                shifted = padded[radius + di : radius + di + height, radius + dj : radius + dj + width]
-                d2 = _box_mean((z - shifted) ** 2, self.patch)
-                w = np.exp(-np.maximum(d2 - noise_floor, 0.0) / h2)
-                numerator += w * shifted
+        for di in range(self.search):
+            for dj in range(self.search):
+                np.subtract(z_padded, padded[di : di + height + 2 * r, dj : dj + width + 2 * r], out=square)
+                square[border_rows] = square[row_sources]
+                square[:, border_cols] = square[:, col_sources]
+                np.square(square, out=square)
+                np.copyto(vertical, square[:height])
+                for k in range(1, p):
+                    vertical += square[k : k + height]
+                np.copyto(w, vertical[:, :width])
+                for k in range(1, p):
+                    w += vertical[:, k : k + width]
+                w -= noise_floor
+                np.maximum(w, 0.0, out=w)
+                w *= scale
+                np.exp(w, out=w)
                 weight_sum += w
-        return numerator / weight_sum
-
-
-def _box_mean(a: np.ndarray, size: int) -> np.ndarray:
-    r = size // 2
-    padded = np.pad(a, r, mode="reflect")
-    return sliding_window_view(padded, (size, size)).mean(axis=(2, 3))
+                w *= padded[di + r : di + r + height, dj + r : dj + r + width]
+                numerator += w
+        numerator /= weight_sum
+        return numerator
 
 
 class ShrinkDenoiser:

@@ -156,6 +156,59 @@ def test_dct_rejects_images_smaller_than_patch():
         DctDenoiser()(np.zeros((4, 4)), 5.0)
 
 
+def _box_mean(a, size):
+    r = size // 2
+    padded = np.pad(a, r, mode="reflect")
+    return sliding_window_view(padded, (size, size)).mean(axis=(2, 3))
+
+
+def _reference_nlm(z, sigma, patch=7, search=21, h_factor=0.6):
+    """The sliding-view NlmDenoiser, one full patch mean per offset, kept as the oracle."""
+    radius = search // 2
+    h2 = (h_factor * sigma) ** 2
+    noise_floor = 2.0 * sigma * sigma
+    padded = np.pad(z, radius, mode="reflect")
+    numerator = np.zeros_like(z)
+    weight_sum = np.zeros_like(z)
+    height, width = z.shape
+    for di in range(-radius, radius + 1):
+        for dj in range(-radius, radius + 1):
+            shifted = padded[radius + di : radius + di + height, radius + dj : radius + dj + width]
+            d2 = _box_mean((z - shifted) ** 2, patch)
+            w = np.exp(-np.maximum(d2 - noise_floor, 0.0) / h2)
+            numerator += w * shifted
+            weight_sum += w
+    return numerator / weight_sum
+
+
+# the small shapes fall below the search window, the patch, or both
+@pytest.mark.parametrize(
+    "shape", [(48, 48), (37, 53), (1, 20), (20, 1), (2, 2), (1, 1), (5, 5), (11, 11)]
+)
+@pytest.mark.parametrize("patch, search", [(7, 21), (3, 5), (5, 7)])
+@pytest.mark.parametrize("sigma", [2.0, 10.0, 50.0])
+def test_nlm_matches_reference(shape, patch, search, sigma):
+    # float operations are reordered, so agreement is bounded, not bit-exact
+    z = add_gaussian_noise(_random_grid(24, *shape), sigma, RngState(25))
+    out = NlmDenoiser(patch, search)(z, sigma)
+    ref = _reference_nlm(z, sigma, patch, search)
+    assert np.max(np.abs(out - ref)) <= 1e-9
+
+
+def test_nlm_allocates_no_batch_of_offsets():
+    # one float64 image per search row of offsets: what batching offsets would hold
+    z = _random_grid(26, 128, 128)
+    denoiser = NlmDenoiser()
+    offset_batch_bytes = denoiser.search * 128 * 128 * z.itemsize
+    tracemalloc.start()
+    try:
+        denoiser(z, 20.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < offset_batch_bytes
+
+
 def test_nlm_averages_repeating_texture():
     # noisy constant image: plenty of similar patches, noise should shrink
     sigma = 20.0
