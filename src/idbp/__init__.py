@@ -11,11 +11,8 @@ from .operators import (
     BlurOperator,
     InpaintingOperator,
     SCENARIO_NOISE_VARIANCE,
-    SpectralInverse,
-    fft2,
     generate_random_mask,
     generate_scenario_kernel,
-    ifft2,
 )
 from .denoisers import (
     DenoiserDiagnostics,
@@ -51,11 +48,8 @@ __all__ = [
     "BlurOperator",
     "InpaintingOperator",
     "SCENARIO_NOISE_VARIANCE",
-    "SpectralInverse",
-    "fft2",
     "generate_random_mask",
     "generate_scenario_kernel",
-    "ifft2",
     "DenoiserDiagnostics",
     "ExternalDenoiserError",
     "build_denoiser",

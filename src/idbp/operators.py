@@ -11,7 +11,8 @@ Masks use pure element selection, so their projection algebra (H H+ = I on
 observations, Q idempotent, row/null orthogonality) holds bit-exactly.
 Blur runs in the frequency domain with circular boundaries; its
 pseudoinverse is only approximate, with a regularisation weight
-``epsilon * sigma_n**2`` added to the squared kernel spectrum.
+w = ``epsilon * sigma_n**2`` added to the squared kernel spectrum:
+H+ = (H^T H + w I)^-1 H^T and Q = w (H^T H + w I)^-1.
 """
 
 from __future__ import annotations
@@ -24,16 +25,6 @@ from .rng import RngState
 # ---------------------------------------------------------------------------
 # Spectral engine
 # ---------------------------------------------------------------------------
-
-
-def fft2(x: np.ndarray) -> np.ndarray:
-    """2-D DFT on any rectangular size (mixed radix via numpy.fft)."""
-    return np.fft.fft2(x)
-
-
-def ifft2(x: np.ndarray) -> np.ndarray:
-    """Inverse 2-D DFT; inverse of :func:`fft2` to ~1e-15 relative."""
-    return np.fft.ifft2(x)
 
 
 def kernel_spectrum(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -49,12 +40,12 @@ def kernel_spectrum(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     padded = np.zeros(shape)
     padded[:kh, :kw] = kernel
     padded = np.roll(padded, shift=(-(kh // 2), -(kw // 2)), axis=(0, 1))
-    return fft2(padded)
+    return np.fft.fft2(padded)
 
 
 def circular_convolve(x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """Periodic-boundary convolution by a precomputed kernel spectrum."""
-    return np.real(ifft2(fft2(x) * spectrum))
+    return np.real(np.fft.ifft2(np.fft.fft2(x) * spectrum))
 
 
 # ---------------------------------------------------------------------------
@@ -123,34 +114,14 @@ def generate_random_mask(
 # ---------------------------------------------------------------------------
 
 
-class SpectralInverse:
-    """Regularised inverse filter conj(F{h}) / (|F{h}|^2 + epsilon * sigma_n^2)."""
-
-    def __init__(self, spectrum: np.ndarray, epsilon: float, sigma_n: float) -> None:
-        if epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if sigma_n < 0:
-            raise ValueError("sigma_n must be nonnegative")
-        self.epsilon = float(epsilon)
-        self.sigma_n = float(sigma_n)
-        denom = np.abs(spectrum) ** 2 + self.epsilon * self.sigma_n**2
-        if np.any(denom == 0.0):
-            raise ValueError(
-                "kernel spectrum has zeros and regularisation weight is zero; "
-                "the inverse filter is undefined"
-            )
-        self.g_tilde = np.conj(spectrum) / denom
-        self.g_tilde.setflags(write=False)
-
-
 class BlurOperator:
     """Circular shift-invariant blur on a fixed grid shape.
 
-    The kernel spectrum is precomputed at construction.  The regularised
-    inverse filter and its product with the spectrum (used by the
-    null-space projector) are built on first use, so a forward-only
-    operator never requires an invertible spectrum; the lazy fill is
-    idempotent and the instance is otherwise immutable.
+    The kernel spectrum S is precomputed at construction.  The regularised
+    inverse filter conj(S) / (|S|^2 + epsilon * sigma_n^2) and the null
+    filter (its product with S) are built together on first use, so a
+    forward-only operator never requires an invertible spectrum; the lazy
+    fill is idempotent and the instance is otherwise immutable.
     """
 
     def __init__(self, kernel, shape: tuple[int, int], epsilon: float = 0.0, sigma_n: float = 0.0) -> None:
@@ -173,18 +144,31 @@ class BlurOperator:
         self.sigma_n = float(sigma_n)
         self.spectrum = kernel_spectrum(kernel, self.shape)
         self.spectrum.setflags(write=False)
-        self._inverse: SpectralInverse | None = None
-        self._null_filter: np.ndarray | None = None
-
-    @property
-    def inverse(self) -> SpectralInverse:
-        if self._inverse is None:
-            self._inverse = SpectralInverse(self.spectrum, self.epsilon, self.sigma_n)
-        return self._inverse
+        self._filters: tuple[np.ndarray, np.ndarray] | None = None
 
     def with_epsilon(self, epsilon: float) -> "BlurOperator":
-        """Same blur with a different regularisation weight."""
-        return BlurOperator(self.kernel, self.shape, epsilon=epsilon, sigma_n=self.sigma_n)
+        """Same blur with a different regularisation weight; shares this
+        operator's kernel and spectrum and builds its own filters."""
+        if epsilon < 0:
+            raise ValueError("epsilon must be nonnegative")
+        other = BlurOperator.__new__(BlurOperator)  # subclasses re-wrap the result themselves
+        vars(other).update(vars(self), epsilon=float(epsilon), _filters=None)
+        return other
+
+    def _inverse_and_null_filters(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._filters is None:
+            denom = np.abs(self.spectrum) ** 2 + self.epsilon * self.sigma_n**2
+            if np.any(denom == 0.0):
+                raise ValueError(
+                    "kernel spectrum has zeros and regularisation weight is zero; "
+                    "the inverse filter is undefined"
+                )
+            inverse = np.conj(self.spectrum) / denom
+            null = inverse * self.spectrum
+            inverse.setflags(write=False)
+            null.setflags(write=False)
+            self._filters = (inverse, null)
+        return self._filters
 
     def _check(self, x) -> np.ndarray:
         x = as_grid(x)
@@ -196,15 +180,11 @@ class BlurOperator:
         return circular_convolve(self._check(x), self.spectrum)
 
     def pseudoinverse(self, y) -> np.ndarray:
-        return circular_convolve(self._check(y), self.inverse.g_tilde)
+        return circular_convolve(self._check(y), self._inverse_and_null_filters()[0])
 
     def project_null(self, x) -> np.ndarray:
         x = self._check(x)
-        if self._null_filter is None:
-            null_filter = self.inverse.g_tilde * self.spectrum
-            null_filter.setflags(write=False)
-            self._null_filter = null_filter
-        return x - circular_convolve(x, self._null_filter)
+        return x - circular_convolve(x, self._inverse_and_null_filters()[1])
 
 
 # ---------------------------------------------------------------------------

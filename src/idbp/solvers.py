@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import as_grid, psnr, require_same_shape
-from .operators import BlurOperator, InpaintingOperator, fft2, ifft2
+from .operators import BlurOperator, InpaintingOperator
 
 # ---------------------------------------------------------------------------
 # Configuration and traces
@@ -315,10 +315,11 @@ def pnp_run(
 ) -> tuple[np.ndarray, IterationTrace]:
     """ADMM with the prior handled by the denoiser.
 
-    Per iteration: a regularised least-squares solve against the
-    observations (closed form per pixel for masks, one FFT solve for
-    blur), a denoising step at noise level sqrt(beta / lambda), and the
-    dual update.  Returns the last least-squares iterate.
+    Per iteration: the least-squares solve (H^T H + w I)^-1 (H^T y + w z)
+    with w = lam * sigma_n^2 (closed form per pixel for masks; for blur
+    the backward projection H+ y + Q z at epsilon = lam), a denoising
+    step at noise level sqrt(beta / lambda), and the dual update.
+    Returns the last least-squares iterate.
     """
     if sigma_n < 0:
         raise ValueError("sigma_n must be nonnegative")
@@ -326,18 +327,18 @@ def pnp_run(
     init = as_grid(init)
     require_same_shape(y, init)
     sigma_eff = sigma_n if sigma_n > 0 else config.sigma_floor
-    weight = config.lam * sigma_eff * sigma_eff
     sigma_denoise = config.denoiser_sigma
 
     if isinstance(operator, BlurOperator):
-        spectrum_conj_y = np.conj(operator.spectrum) * fft2(y)
-        denom = np.abs(operator.spectrum) ** 2 + weight
+        data_op = BlurOperator(operator.kernel, operator.shape, epsilon=config.lam, sigma_n=sigma_eff)
+        pinv_y = data_op.pseudoinverse(y)
 
         def data_solve(z: np.ndarray) -> np.ndarray:
-            return np.real(ifft2((spectrum_conj_y + weight * fft2(z)) / denom))
+            return pinv_y + data_op.project_null(z)
 
     elif isinstance(operator, InpaintingOperator):
         mask = operator.mask
+        weight = config.lam * sigma_eff * sigma_eff
 
         def data_solve(z: np.ndarray) -> np.ndarray:
             return np.where(mask, (y + weight * z) / (1.0 + weight), z)

@@ -15,7 +15,7 @@ import numpy as np
 from .bench import ExperimentSpec, run_single
 from .denoisers import DctDenoiser, OracleLinearDenoiser, ShrinkDenoiser, estimate_conditions
 from .grid import add_gaussian_noise
-from .operators import BlurOperator, fft2, generate_random_mask, generate_scenario_kernel, ifft2
+from .operators import BlurOperator, generate_random_mask, generate_scenario_kernel
 from .rng import RngState
 from .scenes import synthetic_scene
 from .solvers import (
@@ -220,8 +220,8 @@ def check_fft_engine() -> tuple[bool, str]:
     kernel = generate_scenario_kernel(4)
     for size in (15, 64, 100, 256):
         x = rng.gaussians(size * size).reshape(size, size) * 45 + 125
-        spectrum = fft2(x)
-        rel = _max_dev(ifft2(spectrum), x) / np.max(np.abs(x))
+        spectrum = np.fft.fft2(x)
+        rel = _max_dev(np.fft.ifft2(spectrum), x) / np.max(np.abs(x))
         if not rel <= 1e-9:
             return False, f"round trip failed at {size}: rel={rel:.2e}"
         space = float(np.sum(x * x))
@@ -230,13 +230,13 @@ def check_fft_engine() -> tuple[bool, str]:
             return False, f"Parseval failed at {size}: rel={rel:.2e}"
         op = BlurOperator(kernel, x.shape)
         want = op.spectrum * spectrum
-        rel = _max_dev(fft2(op.forward(x)), want) / np.max(np.abs(want))
+        rel = _max_dev(np.fft.fft2(op.forward(x)), want) / np.max(np.abs(want))
         if not rel <= 1e-9:
             return False, f"convolution theorem failed at {size}: rel={rel:.2e}"
     for size in (8, 15, 31, 32):
         x = rng.gaussians(size * size).reshape(size, size)
         want = _direct_dft2(x)
-        rel = _max_dev(fft2(x), want) / np.max(np.abs(want))
+        rel = _max_dev(np.fft.fft2(x), want) / np.max(np.abs(want))
         if not rel <= 1e-9:
             return False, f"direct DFT mismatch at {size}: rel={rel:.2e}"
     return True, ("round trip, Parseval, convolution theorem at 15/64/100/256; "

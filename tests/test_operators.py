@@ -6,14 +6,12 @@ from idbp.operators import (
     SCENARIO_NOISE_VARIANCE,
     BlurOperator,
     InpaintingOperator,
-    SpectralInverse,
-    fft2,
     generate_random_mask,
     generate_scenario_kernel,
-    ifft2,
     kernel_spectrum,
 )
 from idbp.rng import RngState
+from idbp.solvers import PnpConfig, pnp_run
 
 
 def _random_grid(seed, h, w, scale=40.0, offset=128.0):
@@ -41,7 +39,7 @@ def _direct_dft2(x):
 @pytest.mark.parametrize("shape", [(8, 8), (15, 15), (12, 17), (32, 32)])
 def test_fft2_matches_direct_dft(shape):
     x = _random_grid(1, *shape)
-    got = fft2(x)
+    got = np.fft.fft2(x)
     want = _direct_dft2(x)
     assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
 
@@ -49,8 +47,8 @@ def test_fft2_matches_direct_dft(shape):
 @pytest.mark.parametrize("size", [15, 64, 100, 256])
 def test_fft2_round_trip_and_parseval(size):
     x = _random_grid(2, size, size)
-    spectrum = fft2(x)
-    back = ifft2(spectrum)
+    spectrum = np.fft.fft2(x)
+    back = np.fft.ifft2(spectrum)
     assert np.max(np.abs(back - x)) < 1e-10 * np.max(np.abs(x))
     space = float(np.sum(x * x))
     freq = float(np.sum(np.abs(spectrum) ** 2)) / x.size
@@ -58,7 +56,7 @@ def test_fft2_round_trip_and_parseval(size):
 
 
 def test_constant_image_concentrates_in_dc_bin():
-    spectrum = fft2(np.full((16, 16), 7.0))
+    spectrum = np.fft.fft2(np.full((16, 16), 7.0))
     dc = spectrum[0, 0]
     assert dc == pytest.approx(7.0 * 256)
     spectrum[0, 0] = 0
@@ -83,7 +81,8 @@ def test_convolution_theorem_against_explicit_circular_sum():
             want[i, j] = acc
     assert np.max(np.abs(got - want)) < 1e-10
     # and in the frequency domain: F{h * x} = F{h} . F{x}
-    assert np.max(np.abs(fft2(got) - op.spectrum * fft2(x))) < 1e-9 * np.max(np.abs(fft2(x)))
+    spectrum = np.fft.fft2(x)
+    assert np.max(np.abs(np.fft.fft2(got) - op.spectrum * spectrum)) < 1e-9 * np.max(np.abs(spectrum))
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +185,81 @@ def test_tikhonov_damping_is_monotone_in_epsilon():
     assert all(a >= b for a, b in zip(norms, norms[1:]))
 
 
-def test_spectral_inverse_flat_spectrum_invariant():
-    spectrum = np.exp(1j * RngState(10).uniforms(64).reshape(8, 8) * 2 * np.pi)  # |.| = 1
-    inv = SpectralInverse(spectrum, epsilon=0.5, sigma_n=2.0)  # weight = 2.0
-    assert np.allclose(inv.g_tilde, np.conj(spectrum) / 3.0, atol=1e-14)
+def _asymmetric_kernel(seed, shape):
+    # a lopsided kernel has a general complex spectrum, not |S| = 1 or real S
+    kernel = RngState(seed).uniforms(shape[0] * shape[1]).reshape(shape) + 0.1
+    return kernel / kernel.sum()
+
+
+def _dense_matrix(op):
+    n = op.shape[0] * op.shape[1]
+    return np.stack([op.forward(e.reshape(op.shape)).ravel() for e in np.eye(n)], axis=1)
+
+
+DENSE_CASES = {
+    "1x20-row-kernel": ((1, 20), np.array([[0.2, 0.5, 0.3]])),
+    "20x1-column-kernel": ((20, 1), np.array([[0.3], [0.5], [0.2]])),
+    "9x9-box": ((9, 9), generate_scenario_kernel(3)),
+    "15x15-scenario-1": ((15, 15), generate_scenario_kernel(1)),
+    "6x8-random-3x5": ((6, 8), _asymmetric_kernel(12, (3, 5))),
+    "1x1": ((1, 1), np.ones((1, 1))),
+}
+
+
+@pytest.mark.parametrize("shape, kernel", DENSE_CASES.values(), ids=list(DENSE_CASES))
+def test_blur_filters_match_dense_regularised_solve(shape, kernel):
+    # H+ y = (H^T H + w I)^-1 H^T y and Q x = x - (H^T H + w I)^-1 H^T H x, with
+    # H built column by column; PnP's first least-squares iterate is the same
+    # solve at w = lam sigma_n^2
+    epsilon, sigma_n = 0.01, 1.5
+    op = BlurOperator(kernel, shape, epsilon=epsilon, sigma_n=sigma_n)
+    h = _dense_matrix(op)
+    n = h.shape[1]
+
+    def regularised_solve(weight, rhs):
+        return np.linalg.solve(h.T @ h + weight * np.eye(n), rhs).reshape(shape)
+
+    def rel_dev(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    x = _random_grid(13, *shape)
+    y = _random_grid(14, *shape)
+    z = _random_grid(15, *shape)
+    w = epsilon * sigma_n**2
+    assert rel_dev(op.pseudoinverse(y), regularised_solve(w, h.T @ y.ravel())) < 1e-9
+    assert rel_dev(op.project_null(x), x - regularised_solve(w, h.T @ h @ x.ravel())) < 1e-9
+
+    config = PnpConfig(beta=1.0, lam=0.05, iterations=1)
+    first, _ = pnp_run(op, y, sigma_n, lambda v, sigma: v, config, init=z)
+    w_pnp = config.lam * sigma_n**2
+    assert rel_dev(first, regularised_solve(w_pnp, h.T @ y.ravel() + w_pnp * z.ravel())) < 1e-9
+
+
+def test_with_epsilon_shares_spectrum_and_rebuilds_filters():
+    kernel = generate_scenario_kernel(1)
+    op = BlurOperator(kernel, (16, 16), epsilon=1e-3, sigma_n=2.0)
+    x = _random_grid(16, 16, 16)
+    pinv_before, null_before = op.pseudoinverse(x), op.project_null(x)  # builds op's filters
+    op2 = op.with_epsilon(0.5)
+    fresh = BlurOperator(kernel, (16, 16), epsilon=0.5, sigma_n=2.0)
+    assert op2.spectrum is op.spectrum
+    assert np.array_equal(op2.pseudoinverse(x), fresh.pseudoinverse(x))
+    assert np.array_equal(op2.project_null(x), fresh.project_null(x))
+    assert np.array_equal(op.pseudoinverse(x), pinv_before)
+    assert np.array_equal(op.project_null(x), null_before)
+    with pytest.raises(ValueError, match="nonnegative"):
+        op.with_epsilon(-1e-3)
 
 
 def test_forward_only_operator_tolerates_spectral_zeros():
     # the 5-tap binomial kernel has an exact zero at Nyquist on even sizes
     op = BlurOperator(generate_scenario_kernel(4), (16, 16))
-    op.forward(np.ones((16, 16)))
+    x = np.ones((16, 16))
+    op.forward(x)
     with pytest.raises(ValueError, match="undefined"):
-        _ = op.inverse
+        op.pseudoinverse(x)
+    with pytest.raises(ValueError, match="undefined"):
+        op.project_null(x)
 
 
 def test_blur_operator_validates_kernel():

@@ -9,7 +9,7 @@ from idbp.denoisers import (
     ShrinkDenoiser,
 )
 from idbp.grid import add_gaussian_noise, psnr
-from idbp.operators import BlurOperator, InpaintingOperator, generate_random_mask
+from idbp.operators import BlurOperator, InpaintingOperator, generate_random_mask, generate_scenario_kernel
 from idbp.rng import RngState
 from idbp.solvers import (
     IdbpConfig,
@@ -426,6 +426,35 @@ def test_pnp_reaches_fixed_point():
     pnp_run(op, y, 10.0, ShrinkDenoiser(0.01),
             PnpConfig(beta=1.0, lam=0.05, iterations=300), op.pseudoinverse(y), observer=watch)
     assert gaps[-1] < 1e-9
+
+
+def _reference_pnp_blur_solve(operator, y, sigma_n, denoiser, config, init):
+    """PnP-ADMM whose blur data step is the closed-form FFT solve
+    (conj(S) Y + w Z) / (|S|^2 + w), w = lam * sigma^2, kept as the oracle
+    for the backward-projection form H+ y + Q z."""
+    sigma_eff = sigma_n if sigma_n > 0 else config.sigma_floor
+    weight = config.lam * sigma_eff * sigma_eff
+    spectrum_conj_y = np.conj(operator.spectrum) * np.fft.fft2(y)
+    denom = np.abs(operator.spectrum) ** 2 + weight
+    v = init.copy()
+    u = np.zeros_like(init)
+    for _ in range(config.iterations):
+        x = np.real(np.fft.ifft2((spectrum_conj_y + weight * np.fft.fft2(v - u)) / denom))
+        v = denoiser(x + u, config.denoiser_sigma)
+        u = u + (x - v)
+    return x
+
+
+@pytest.mark.parametrize("scenario", [1, 4])
+@pytest.mark.parametrize("sigma_n", [3.0, 0.0], ids=["noisy", "sigma-floor"])
+def test_pnp_blur_step_matches_reference_solve(scenario, sigma_n):
+    truth = _random_grid(27, 32, 32)
+    op = BlurOperator(generate_scenario_kernel(scenario), (32, 32))
+    y = add_gaussian_noise(op.forward(truth), sigma_n, RngState(28))  # sigma_n = 0 adds nothing
+    config = PnpConfig(beta=0.85, lam=2.0 / 255.0, iterations=10)
+    est, _ = pnp_run(op, y, sigma_n, GaussianDenoiser(), config, y)
+    want = _reference_pnp_blur_solve(op, y, sigma_n, GaussianDenoiser(), config, y)
+    assert np.max(np.abs(est - want)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
