@@ -73,12 +73,16 @@ def default_deblur_idbp_config(scenario: int, **overrides) -> IdbpConfig:
     return IdbpConfig(**base)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     """Fully deterministic description of one experiment.
 
-    Optional fields left as None resolve to protocol defaults for the task
-    (see the default_* helpers); `resolved()` echoes the final values.
+    Building a spec validates it and resolves its solver settings once, into
+    ``config``: fields left as None take the task's protocol defaults (the
+    default_* helpers and DEFAULT_PNP_* tables).  An inpainting ``sigma_n``
+    of None becomes 0.0; a deblurring one means the scenario's noise level.
+    Specs are frozen, so ``config`` cannot go stale.  ``resolved()`` echoes
+    the final values.
     """
 
     task: str
@@ -92,25 +96,54 @@ class ExperimentSpec:
     delta: float | None = None
     epsilon: float | None = None
     iterations: int | None = None
-    output_mode: str | None = None
     tau: float | None = None
     eps_increment: float | None = None
     beta: float | None = None
     lam: float | None = None
-    emit_traces: bool = True
+    config: IdbpConfig | PnpConfig = dataclass_field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
+        if self.sigma_n is not None and self.sigma_n < 0:
+            raise ValueError("sigma_n must be nonnegative")
         if self.task == "deblur":
             if self.scenario not in SCENARIO_NOISE_VARIANCE:
                 raise ValueError("deblur requires scenario in 1..4")
             if self.solver == "idbp_auto" and self.sigma_n == 0:
                 raise ValueError("auto-tuning requires noise")
-        if self.task == "inpaint" and not 0.0 <= self.mask_fraction < 1.0:
-            raise ValueError("mask_fraction must lie in [0, 1)")
+        else:
+            if self.solver == "idbp_auto":
+                raise ValueError("auto-tuning applies to deblurring only; it needs a scenario")
+            if not 0.0 <= self.mask_fraction < 1.0:
+                raise ValueError("mask_fraction must lie in [0, 1)")
+            if self.sigma_n is None:
+                object.__setattr__(self, "sigma_n", 0.0)
+        if self.solver == "pnp":
+            if self.task == "deblur":
+                beta, lam, iterations = DEFAULT_PNP_DEBLUR[self.scenario]
+            elif self.sigma_n > 0:
+                beta, lam, iterations = DEFAULT_PNP_INPAINT_NOISY
+            else:
+                beta, lam, iterations = DEFAULT_PNP_INPAINT_NOISELESS
+            config = PnpConfig(
+                beta=beta if self.beta is None else self.beta,
+                lam=lam if self.lam is None else self.lam,
+                iterations=iterations if self.iterations is None else self.iterations,
+            )
+        else:
+            overrides = dict(delta=self.delta, iterations=self.iterations, epsilon=self.epsilon)
+            if self.solver == "idbp_auto":
+                # auto-tune starts small and grows
+                overrides.update(condition_margin_tau=self.tau, epsilon_increment=self.eps_increment,
+                                 epsilon=1e-3 if self.epsilon is None else self.epsilon)
+            if self.task == "inpaint":
+                config = default_inpaint_idbp_config(self.sigma_n, **overrides)
+            else:
+                config = default_deblur_idbp_config(self.scenario, **overrides)
+        object.__setattr__(self, "config", config)
 
     def build_denoiser(self):
         if self.denoiser == "external":
@@ -131,62 +164,23 @@ class ExperimentSpec:
             items["external_cmd"] = self.external_cmd
         if self.task == "inpaint":
             items["mask_fraction"] = repr(self.mask_fraction)
-            items["sigma_n"] = repr(self.sigma_n if self.sigma_n is not None else 0.0)
+            items["sigma_n"] = repr(self.sigma_n)
         else:
             items["scenario"] = str(self.scenario)
             variance = SCENARIO_NOISE_VARIANCE[self.scenario]
-            if self.sigma_n is not None:
-                items["sigma_n"] = repr(self.sigma_n)
-            elif variance is None:
-                items["sigma_n"] = "bsnr40"
-            else:
-                items["sigma_n"] = repr(float(np.sqrt(variance)))
-        if self.solver == "pnp":
-            beta, lam, iters = self._pnp_tuple()
-            items.update(beta=repr(beta), **{"lambda": repr(lam)}, iterations=str(iters))
-        else:
-            cfg = self._idbp_config()
-            items.update(
-                delta=repr(cfg.delta),
-                iterations=str(cfg.iterations),
-                output_mode=cfg.output_mode,
-            )
-            if self.task == "deblur":
-                items["epsilon"] = repr(cfg.epsilon)
-            if self.solver == "idbp_auto":
-                items["tau"] = repr(cfg.condition_margin_tau)
-                items["eps_increment"] = repr(cfg.epsilon_increment)
-        return items
-
-    # -- resolution helpers -------------------------------------------------
-
-    def _idbp_config(self) -> IdbpConfig:
-        overrides = dict(
-            delta=self.delta,
-            iterations=self.iterations,
-            output_mode=self.output_mode,
-            epsilon=self.epsilon,
-        )
-        if self.solver == "idbp_auto":
-            overrides.update(condition_margin_tau=self.tau, epsilon_increment=self.eps_increment)
-            if self.epsilon is None:
-                overrides["epsilon"] = 1e-3  # auto-tune starts small and grows
-        if self.task == "inpaint":
-            return default_inpaint_idbp_config(self.sigma_n or 0.0, **overrides)
-        return default_deblur_idbp_config(self.scenario, **overrides)
-
-    def _pnp_tuple(self) -> tuple[float, float, int]:
+            default = "bsnr40" if variance is None else repr(float(np.sqrt(variance)))
+            items["sigma_n"] = default if self.sigma_n is None else repr(self.sigma_n)
+        cfg = self.config
+        if isinstance(cfg, PnpConfig):
+            items.update(beta=repr(cfg.beta), **{"lambda": repr(cfg.lam)}, iterations=str(cfg.iterations))
+            return items
+        items.update(delta=repr(cfg.delta), iterations=str(cfg.iterations), output_mode=cfg.output_mode)
         if self.task == "deblur":
-            beta, lam, iters = DEFAULT_PNP_DEBLUR[self.scenario]
-        elif (self.sigma_n or 0.0) > 0:
-            beta, lam, iters = DEFAULT_PNP_INPAINT_NOISY
-        else:
-            beta, lam, iters = DEFAULT_PNP_INPAINT_NOISELESS
-        return (
-            self.beta if self.beta is not None else beta,
-            self.lam if self.lam is not None else lam,
-            self.iterations if self.iterations is not None else iters,
-        )
+            items["epsilon"] = repr(cfg.epsilon)
+        if self.solver == "idbp_auto":
+            items["tau"] = repr(cfg.condition_margin_tau)
+            items["eps_increment"] = repr(cfg.epsilon_increment)
+        return items
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +207,13 @@ def synthesize_deblurring(
     scenario-table default, which for scenario 3 calibrates the noise so
     the BSNR is 40 dB for this particular image.
     """
-    kernel = generate_scenario_kernel(scenario)
-    blurred = BlurOperator(kernel, x.shape).forward(x)
+    blur = BlurOperator(generate_scenario_kernel(scenario), x.shape)
+    blurred = blur.forward(x)
     if sigma_n is None:
         variance = SCENARIO_NOISE_VARIANCE[scenario]
         sigma_n = sigma_for_bsnr(blurred, 40.0) if variance is None else float(np.sqrt(variance))
     y = add_gaussian_noise(blurred, sigma_n, rng)
-    operator = BlurOperator(kernel, x.shape, epsilon=epsilon, sigma_n=sigma_n)
-    return operator, y, blurred, sigma_n
+    return blur._with_regularisation(epsilon, sigma_n), y, blurred, sigma_n
 
 
 @dataclass
@@ -242,32 +235,24 @@ def run_single(spec: ExperimentSpec, image, rng: RngState) -> SingleRunResult:
     """
     x = as_grid(image)
     denoiser = spec.build_denoiser()
+    config = spec.config
 
     if spec.task == "inpaint":
-        sigma_n = float(spec.sigma_n) if spec.sigma_n is not None else 0.0
+        sigma_n = spec.sigma_n
         operator, y = synthesize_inpainting(x, spec.mask_fraction, sigma_n, rng)
         init = median_initialize(operator, y)
         baseline = init
         bsnr_db = float("nan")
     else:
-        cfg_probe = spec._idbp_config()
-        operator, y, blurred, sigma_n = synthesize_deblurring(
-            x, spec.scenario, spec.sigma_n, rng, cfg_probe.epsilon
-        )
+        # pnp_run ignores the operator's epsilon and projects at epsilon = lambda
+        epsilon = config.lam if isinstance(config, PnpConfig) else config.epsilon
+        operator, y, blurred, sigma_n = synthesize_deblurring(x, spec.scenario, spec.sigma_n, rng, epsilon)
         init = y.copy()
         baseline = y
         bsnr_db = bsnr(blurred, sigma_n)
 
-    if spec.solver == "pnp":
-        beta, lam, iters = spec._pnp_tuple()
-        config = PnpConfig(beta=beta, lam=lam, iterations=iters)
-        estimate, trace = pnp_run(operator, y, sigma_n, denoiser, config, init, ground_truth=x)
-    elif spec.solver == "idbp_auto":
-        config = spec._idbp_config()
-        estimate, trace = idbp_auto_tuned(operator, y, sigma_n, denoiser, config, init, ground_truth=x)
-    else:
-        config = spec._idbp_config()
-        estimate, trace = idbp_run(operator, y, sigma_n, denoiser, config, init, ground_truth=x)
+    solve = {"idbp": idbp_run, "idbp_auto": idbp_auto_tuned, "pnp": pnp_run}[spec.solver]
+    estimate, trace = solve(operator, y, sigma_n, denoiser, config, init, ground_truth=x)
 
     psnr_in = psnr(x, baseline)
     psnr_out = psnr(x, estimate)

@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
     sub.add_parser("deblur", parents=[common], help="restore a blurred noisy image")
     sub.add_parser("pnp", parents=[common], help="restore with the ADMM solver")
     bench = sub.add_parser("bench", parents=[common], help="run a corpus benchmark")
-    bench.add_argument("solver", nargs="?", default="idbp", choices=("idbp", "idbp_auto", "pnp"),
+    bench.add_argument("solver", nargs="?", choices=("idbp", "idbp_auto", "pnp"),
                        help="solver for the batch (default idbp)")
     sub.add_parser("verify", help="run the numerical verification battery")
     return parser
@@ -116,30 +116,25 @@ class _Settings:
         return builtin
 
 
-def _spec_from_settings(settings: _Settings, task: str, solver: str) -> ExperimentSpec:
-    denoiser = settings.get("denoiser", "dct_threshold")
-    external_cmd = settings.get("external_cmd")
-    if denoiser == "external" and not external_cmd:
-        external_cmd = os.environ.get("IDBP_EXTERNAL_DENOISER")
-        if not external_cmd:
+# ExperimentSpec field -> (setting name, type)
+_SPEC_SETTINGS = {
+    "denoiser": ("denoiser", str), "external_cmd": ("external_cmd", str), "seed": ("seed", int),
+    "mask_fraction": ("mask_frac", float), "sigma_n": ("sigma_n", float), "scenario": ("scenario", int),
+    "delta": ("delta", float), "epsilon": ("epsilon", float), "iterations": ("iters", int),
+    "tau": ("tau", float), "eps_increment": ("eps_increment", float), "beta": ("beta", float),
+    "lam": ("lam", float),
+}
+
+
+def _spec_from_settings(settings: _Settings, task: str, solver: str | None) -> ExperimentSpec:
+    """The spec of what a flag or ./idbp.cfg sets; the spec's defaults cover the rest."""
+    fields = {name: settings.get(key, cast=cast) for name, (key, cast) in _SPEC_SETTINGS.items()}
+    if fields["denoiser"] == "external" and not fields["external_cmd"]:
+        fields["external_cmd"] = os.environ.get("IDBP_EXTERNAL_DENOISER")
+        if not fields["external_cmd"]:
             raise UsageError("--denoiser external needs --external-cmd or IDBP_EXTERNAL_DENOISER")
-    return ExperimentSpec(
-        task=task,
-        solver=solver,
-        denoiser=denoiser,
-        external_cmd=external_cmd,
-        seed=settings.get("seed", 0, int),
-        mask_fraction=settings.get("mask_frac", 0.8, float),
-        sigma_n=settings.get("sigma_n", cast=float),
-        scenario=settings.get("scenario", cast=int),
-        delta=settings.get("delta", cast=float),
-        epsilon=settings.get("epsilon", cast=float),
-        iterations=settings.get("iters", cast=int),
-        tau=settings.get("tau", cast=float),
-        eps_increment=settings.get("eps_increment", cast=float),
-        beta=settings.get("beta", cast=float),
-        lam=settings.get("lam", cast=float),
-    )
+    fields.update(task=task, solver=solver)
+    return ExperimentSpec(**{name: value for name, value in fields.items() if value is not None})
 
 
 def _require_input(settings: _Settings) -> str:
@@ -209,9 +204,7 @@ def _cmd_bench(settings: _Settings) -> int:
         raise FileNotFoundError(f"no .pgm files in {corpus_dir}")
     corpus = [(p.stem, load_pgm(p)) for p in paths]
 
-    solver = getattr(settings.args, "solver", "idbp")
-    if settings.get("auto_tune", False, bool):
-        solver = "idbp_auto"
+    solver = "idbp_auto" if settings.get("auto_tune", False, bool) else settings.args.solver
     task = "deblur" if settings.get("scenario", cast=int) is not None else "inpaint"
     spec = _spec_from_settings(settings, task, solver)
 

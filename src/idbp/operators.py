@@ -133,10 +133,7 @@ class BlurOperator:
         total = float(kernel.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"kernel must sum to 1, got {total!r}")
-        if epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if sigma_n < 0:
-            raise ValueError("sigma_n must be nonnegative")
+        _check_regularisation(epsilon, sigma_n)
         self.kernel = kernel
         self.kernel.setflags(write=False)
         self.shape = (int(shape[0]), int(shape[1]))
@@ -149,10 +146,13 @@ class BlurOperator:
     def with_epsilon(self, epsilon: float) -> "BlurOperator":
         """Same blur with a different regularisation weight; shares this
         operator's kernel and spectrum and builds its own filters."""
-        if epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        return self._with_regularisation(epsilon, self.sigma_n)
+
+    def _with_regularisation(self, epsilon: float, sigma_n: float) -> "BlurOperator":
+        """Same kernel and spectrum object, new (epsilon, sigma_n), empty filter cache."""
+        _check_regularisation(epsilon, sigma_n)
         other = BlurOperator.__new__(BlurOperator)  # subclasses re-wrap the result themselves
-        vars(other).update(vars(self), epsilon=float(epsilon), _filters=None)
+        vars(other).update(vars(self), epsilon=float(epsilon), sigma_n=float(sigma_n), _filters=None)
         return other
 
     def _inverse_and_null_filters(self) -> tuple[np.ndarray, np.ndarray]:
@@ -185,6 +185,13 @@ class BlurOperator:
     def project_null(self, x) -> np.ndarray:
         x = self._check(x)
         return x - circular_convolve(x, self._inverse_and_null_filters()[1])
+
+
+def _check_regularisation(epsilon: float, sigma_n: float) -> None:
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    if sigma_n < 0:
+        raise ValueError("sigma_n must be nonnegative")
 
 
 # ---------------------------------------------------------------------------

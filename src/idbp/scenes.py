@@ -34,10 +34,3 @@ def synthetic_scene(height: int = 256, width: int = 256) -> np.ndarray:
     image += 8.0 * np.sin(2.0 * np.pi * 2.5 * yy) * np.cos(2.0 * np.pi * 1.5 * xx)
     return np.clip(image, 0.0, 255.0)
 
-
-def smooth_blob(height: int, width: int) -> np.ndarray:
-    """Single soft bump on a dark background; spectrally compact."""
-    i, j = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-    yy = (i - (height - 1) / 2.0) / height
-    xx = (j - (width - 1) / 2.0) / width
-    return 30.0 + 200.0 * np.exp(-(yy**2 + xx**2) / 0.08)

@@ -330,7 +330,7 @@ def pnp_run(
     sigma_denoise = config.denoiser_sigma
 
     if isinstance(operator, BlurOperator):
-        data_op = BlurOperator(operator.kernel, operator.shape, epsilon=config.lam, sigma_n=sigma_eff)
+        data_op = operator._with_regularisation(config.lam, sigma_eff)
         pinv_y = data_op.pseudoinverse(y)
 
         def data_solve(z: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ from idbp.grid import psnr
 from idbp.pgm import load_pgm, save_pgm
 from idbp.rng import RngState
 from idbp.scenes import synthetic_scene
-from idbp.solvers import IterationTrace, TraceRecord
+from idbp.solvers import IterationTrace, PnpConfig, TraceRecord
 
 
 def _tiny_corpus(n=3, size=48):
@@ -58,6 +59,96 @@ def test_deblur_defaults_per_scenario():
         assert (cfg.delta, cfg.iterations, cfg.epsilon) == (5.0, 30, eps)
 
 
+def _echo(task, solver, **settings):
+    return {"task": task, "solver": solver, "denoiser": "dct_threshold", "seed": "0", **settings}
+
+
+_IDBP_NOISELESS_INPAINT = dict(delta="5.0", iterations="150", output_mode="last_y")
+_IDBP_NOISY_INPAINT = dict(delta="0.0", iterations="75", output_mode="last_x")
+_PNP_NOISELESS_INPAINT = {"beta": "1.0", "lambda": "0.0392156862745098", "iterations": "150"}
+_PNP_NOISY_INPAINT = {"beta": "0.8", "lambda": "0.0196078431372549", "iterations": "150"}
+_IDBP_DEBLUR_1 = dict(delta="5.0", iterations="30", output_mode="last_x", epsilon="0.007")
+_IDBP_AUTO_DEBLUR = dict(delta="5.0", iterations="30", output_mode="last_x", epsilon="0.001",
+                         tau="3.0", eps_increment="0.0001")
+_PNP_DEBLUR_1 = {"beta": "0.85", "lambda": "0.00784313725490196", "iterations": "50"}
+
+RESOLVED_CASES = {
+    "inpaint-idbp-default": (
+        dict(task="inpaint"),
+        _echo("inpaint", "idbp", mask_fraction="0.8", sigma_n="0.0", **_IDBP_NOISELESS_INPAINT)),
+    "inpaint-idbp-sigma0": (
+        dict(task="inpaint", sigma_n=0),
+        _echo("inpaint", "idbp", mask_fraction="0.8", sigma_n="0", **_IDBP_NOISELESS_INPAINT)),
+    "inpaint-idbp-sigma10": (
+        dict(task="inpaint", sigma_n=10),
+        _echo("inpaint", "idbp", mask_fraction="0.8", sigma_n="10", **_IDBP_NOISY_INPAINT)),
+    "inpaint-pnp-default": (
+        dict(task="inpaint", solver="pnp"),
+        _echo("inpaint", "pnp", mask_fraction="0.8", sigma_n="0.0", **_PNP_NOISELESS_INPAINT)),
+    "inpaint-pnp-sigma0": (
+        dict(task="inpaint", solver="pnp", sigma_n=0),
+        _echo("inpaint", "pnp", mask_fraction="0.8", sigma_n="0", **_PNP_NOISELESS_INPAINT)),
+    "inpaint-pnp-sigma10": (
+        dict(task="inpaint", solver="pnp", sigma_n=10),
+        _echo("inpaint", "pnp", mask_fraction="0.8", sigma_n="10", **_PNP_NOISY_INPAINT)),
+    "deblur-idbp-default": (
+        dict(task="deblur", scenario=1),
+        _echo("deblur", "idbp", scenario="1", sigma_n="1.4142135623730951", **_IDBP_DEBLUR_1)),
+    "deblur-idbp-sigma0": (
+        dict(task="deblur", scenario=1, sigma_n=0),
+        _echo("deblur", "idbp", scenario="1", sigma_n="0", **_IDBP_DEBLUR_1)),
+    "deblur-idbp-sigma10": (
+        dict(task="deblur", scenario=1, sigma_n=10),
+        _echo("deblur", "idbp", scenario="1", sigma_n="10", **_IDBP_DEBLUR_1)),
+    "deblur-idbp-scenario3": (
+        dict(task="deblur", scenario=3),
+        _echo("deblur", "idbp", scenario="3", sigma_n="bsnr40",
+              **{**_IDBP_DEBLUR_1, "epsilon": "0.008"})),
+    "deblur-idbp_auto-default": (
+        dict(task="deblur", solver="idbp_auto", scenario=1),
+        _echo("deblur", "idbp_auto", scenario="1", sigma_n="1.4142135623730951", **_IDBP_AUTO_DEBLUR)),
+    "deblur-idbp_auto-sigma10": (
+        dict(task="deblur", solver="idbp_auto", scenario=1, sigma_n=10),
+        _echo("deblur", "idbp_auto", scenario="1", sigma_n="10", **_IDBP_AUTO_DEBLUR)),
+    "deblur-idbp_auto-scenario3": (
+        dict(task="deblur", solver="idbp_auto", scenario=3),
+        _echo("deblur", "idbp_auto", scenario="3", sigma_n="bsnr40", **_IDBP_AUTO_DEBLUR)),
+    "deblur-pnp-default": (
+        dict(task="deblur", solver="pnp", scenario=1),
+        _echo("deblur", "pnp", scenario="1", sigma_n="1.4142135623730951", **_PNP_DEBLUR_1)),
+    "deblur-pnp-sigma0": (
+        dict(task="deblur", solver="pnp", scenario=1, sigma_n=0),
+        _echo("deblur", "pnp", scenario="1", sigma_n="0", **_PNP_DEBLUR_1)),
+    "deblur-pnp-sigma10": (
+        dict(task="deblur", solver="pnp", scenario=1, sigma_n=10),
+        _echo("deblur", "pnp", scenario="1", sigma_n="10", **_PNP_DEBLUR_1)),
+    "deblur-pnp-scenario3": (
+        dict(task="deblur", solver="pnp", scenario=3),
+        _echo("deblur", "pnp", scenario="3", sigma_n="bsnr40",
+              **{"beta": "0.9", "lambda": "0.011764705882352941", "iterations": "50"})),
+    "deblur-idbp_auto-every-field": (
+        dict(task="deblur", solver="idbp_auto", denoiser="external", external_cmd="cat", seed=9,
+             mask_fraction=0.5, sigma_n=3.5, scenario=2, delta=2.5, epsilon=5e-4, iterations=12,
+             tau=4.0, eps_increment=2e-4, beta=0.7, lam=0.02),
+        {"task": "deblur", "solver": "idbp_auto", "denoiser": "external", "seed": "9",
+         "external_cmd": "cat", "scenario": "2", "sigma_n": "3.5", "delta": "2.5",
+         "iterations": "12", "output_mode": "last_x", "epsilon": "0.0005", "tau": "4.0",
+         "eps_increment": "0.0002"}),
+    "inpaint-pnp-every-field": (
+        dict(task="inpaint", solver="pnp", denoiser="median", seed=4, mask_fraction=0.6,
+             sigma_n=5.0, delta=1.0, epsilon=1e-2, iterations=7, tau=2.0, eps_increment=1e-3,
+             beta=0.9, lam=0.05),
+        {"task": "inpaint", "solver": "pnp", "denoiser": "median", "seed": "4",
+         "mask_fraction": "0.6", "sigma_n": "5.0", "beta": "0.9", "lambda": "0.05",
+         "iterations": "7"}),
+}
+
+
+@pytest.mark.parametrize("fields, expected", RESOLVED_CASES.values(), ids=RESOLVED_CASES.keys())
+def test_resolved_echoes_protocol_defaults_exactly(fields, expected):
+    assert ExperimentSpec(**fields).resolved() == expected
+
+
 def test_experiment_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(task="sharpen")
@@ -67,6 +158,51 @@ def test_experiment_spec_validation():
         ExperimentSpec(task="inpaint", solver="sgd")
     with pytest.raises(ValueError):
         ExperimentSpec(task="inpaint", mask_fraction=1.0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(task="inpaint", solver="idbp_auto"), "auto-tuning"),
+    (dict(task="deblur", solver="idbp_auto", scenario=1, sigma_n=0), "noise"),
+    (dict(task="deblur", scenario=1, sigma_n=-1.0), "sigma_n"),
+    (dict(task="inpaint", iterations=0), "iterations"),
+    (dict(task="deblur", scenario=2, delta=-1.0), "delta"),
+    (dict(task="deblur", solver="idbp_auto", scenario=1, tau=1.0), "condition_margin_tau"),
+    (dict(task="inpaint", solver="pnp", beta=-1.0), "beta"),
+    (dict(task="deblur", solver="pnp", scenario=4, lam=0.0), "lam"),
+])
+def test_experiment_spec_rejects_unusable_settings_when_built(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(**fields)
+
+
+def test_experiment_spec_is_frozen():
+    spec = ExperimentSpec(task="inpaint", iterations=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.iterations = 4
+    assert spec.config.iterations == 3
+
+
+def test_experiment_spec_resolves_its_solver_config():
+    assert ExperimentSpec(task="deblur", solver="pnp", scenario=2, iterations=7).config == PnpConfig(
+        beta=0.85, lam=1.0 / 255.0, iterations=7)
+    assert ExperimentSpec(task="inpaint", sigma_n=10.0).config == default_inpaint_idbp_config(10.0)
+    auto = ExperimentSpec(task="deblur", solver="idbp_auto", scenario=3, tau=4.0)
+    assert auto.config == default_deblur_idbp_config(3, epsilon=1e-3, condition_margin_tau=4.0)
+    assert ExperimentSpec(task="inpaint").sigma_n == 0.0
+    assert ExperimentSpec(task="deblur", scenario=3).sigma_n is None  # calibrated per image
+
+
+def test_run_single_hands_the_spec_config_to_the_solver(monkeypatch):
+    seen = []
+
+    def fake_solver(operator, y, sigma_n, denoiser, config, init, ground_truth=None):
+        seen.append((config, sigma_n))
+        return init, IterationTrace()
+
+    monkeypatch.setattr("idbp.bench.pnp_run", fake_solver)
+    spec = ExperimentSpec(task="inpaint", solver="pnp", denoiser="median", iterations=2)
+    run_single(spec, _tiny_corpus(1)[0][1], RngState(0))
+    assert seen == [(spec.config, 0.0)] and seen[0][0] is spec.config
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +452,23 @@ def test_cli_bench_deblur_scenario(tmp_path, capsys):
     assert report.config["task"] == "deblur"
     assert report.config["solver"] == "pnp"
     assert all(np.isfinite(r.bsnr_db) for r in report.rows)
+
+
+@pytest.mark.parametrize("flags", [
+    ["idbp_auto"],  # auto-tuning without --scenario would restore every image to an error row
+    ["--iters", "0"],
+    ["pnp", "--beta", "-1"],
+])
+def test_cli_bench_rejects_a_bad_spec_before_any_image(flags, tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    for name, img in _tiny_corpus(2):
+        save_pgm(img, corpus_dir / f"{name}.pgm")
+    out_dir = tmp_path / "out"
+    code = cli_main(["bench", *flags, "--input", str(corpus_dir), "--output", str(out_dir)])
+    assert code == 2
+    assert "ValueError" in capsys.readouterr().err
+    assert not (out_dir / "summary.csv").exists()
 
 
 def test_cli_pnp_deblur(scene_pgm, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from idbp.bench import synthesize_deblurring
 from idbp.grid import add_gaussian_noise
 from idbp.operators import (
     SCENARIO_NOISE_VARIANCE,
@@ -249,6 +250,40 @@ def test_with_epsilon_shares_spectrum_and_rebuilds_filters():
     assert np.array_equal(op.project_null(x), null_before)
     with pytest.raises(ValueError, match="nonnegative"):
         op.with_epsilon(-1e-3)
+    # the private variant behind it also takes a new sigma_n
+    op3 = op._with_regularisation(0.5, 3.0)
+    fresh = BlurOperator(kernel, (16, 16), epsilon=0.5, sigma_n=3.0)
+    assert op3.spectrum is op.spectrum
+    assert np.array_equal(op3.pseudoinverse(x), fresh.pseudoinverse(x))
+    assert np.array_equal(op3.project_null(x), fresh.project_null(x))
+    with pytest.raises(ValueError, match="sigma_n must be nonnegative"):
+        op._with_regularisation(0.5, -3.0)
+
+
+def _count_fft2(monkeypatch) -> list:
+    calls = []
+    fft2 = np.fft.fft2
+    monkeypatch.setattr(np.fft, "fft2", lambda *args, **kw: calls.append(1) or fft2(*args, **kw))
+    return calls
+
+
+def test_deblur_synthesis_transforms_the_kernel_once(monkeypatch):
+    x = _random_grid(18, 16, 16)
+    expected_op = BlurOperator(generate_scenario_kernel(1), (16, 16), epsilon=7e-3, sigma_n=2.0)
+    calls = _count_fft2(monkeypatch)
+    operator, y, blurred, sigma_n = synthesize_deblurring(x, 1, 2.0, RngState(3), 7e-3)
+    assert len(calls) == 2  # the kernel spectrum and the image it blurs
+    assert (operator.epsilon, operator.sigma_n) == (7e-3, 2.0)
+    assert np.array_equal(operator.spectrum, expected_op.spectrum)
+    assert np.array_equal(blurred, expected_op.forward(x))
+
+
+def test_pnp_blur_run_reuses_the_operator_spectrum(monkeypatch):
+    op = BlurOperator(generate_scenario_kernel(1), (16, 16), epsilon=7e-3, sigma_n=2.0)
+    y = _random_grid(19, 16, 16)
+    calls = _count_fft2(monkeypatch)
+    pnp_run(op, y, 2.0, lambda z, sigma: z, PnpConfig(beta=0.85, lam=2.0 / 255.0, iterations=1), y)
+    assert len(calls) == 2  # H+ y, then one null-space projection
 
 
 def test_forward_only_operator_tolerates_spectral_zeros():
