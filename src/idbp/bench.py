@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .denoisers import build_denoiser
+from .denoisers import build_denoiser, denoiser_class
 from .grid import add_gaussian_noise, as_grid, bsnr, psnr, sigma_for_bsnr
 from .operators import (
     SCENARIO_NOISE_VARIANCE,
@@ -107,6 +107,9 @@ class ExperimentSpec:
             raise ValueError(f"task must be one of {TASKS}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
+        denoiser_class(self.denoiser)
+        if self.denoiser == "external" and not self.external_cmd:
+            raise ValueError("external denoiser requires a command")
         if self.sigma_n is not None and self.sigma_n < 0:
             raise ValueError("sigma_n must be nonnegative")
         if self.task == "deblur":
@@ -147,8 +150,6 @@ class ExperimentSpec:
 
     def build_denoiser(self):
         if self.denoiser == "external":
-            if not self.external_cmd:
-                raise ValueError("external denoiser requires a command")
             return build_denoiser("external", command=self.external_cmd)
         return build_denoiser(self.denoiser)
 

@@ -183,14 +183,14 @@ def _idbp_pass(
     sigma_n: float,
     denoiser,
     config: IdbpConfig,
-    init: np.ndarray,
+    x_first: np.ndarray,
     ground_truth,
     observer,
     trace: IterationTrace,
     restarts: int,
     margin_tau: float | None,
 ):
-    """One uninterrupted IDBP pass.
+    """One uninterrupted IDBP pass, starting from x_first = D(init; sigma_n + delta).
 
     Appends one trace record per completed iteration.  If `margin_tau` is
     set, returns early with violated=True as soon as an iteration k > 1
@@ -201,10 +201,10 @@ def _idbp_pass(
     sigma = sigma_n + config.delta
     epsilon = getattr(operator, "epsilon", 0.0)
     pinv_y = operator.pseudoinverse(y)
-    y_tilde = init.copy()
-    x_tilde = init.copy()
+    x_tilde = x_first
     for k in range(1, config.iterations + 1):
-        x_tilde = denoiser(y_tilde, sigma)
+        if k > 1:
+            x_tilde = denoiser(y_tilde, sigma)
         _require_finite(x_tilde, "denoiser output", k)
         y_tilde = _backward_project(operator, pinv_y, y, x_tilde)
         _require_finite(y_tilde, "projected iterate", k)
@@ -244,8 +244,9 @@ def idbp_run(
     init = as_grid(init)
     require_same_shape(y, init)
     trace = IterationTrace()
+    x_first = denoiser(init, sigma_n + config.delta)
     x_tilde, y_tilde, _ = _idbp_pass(
-        operator, y, sigma_n, denoiser, config, init, ground_truth, observer, trace, 0, None
+        operator, y, sigma_n, denoiser, config, x_first, ground_truth, observer, trace, 0, None
     )
     estimate = y_tilde if config.output_mode == "last_y" else x_tilde
     return estimate, trace
@@ -268,6 +269,12 @@ def idbp_auto_tuned(
     grows by ``config.epsilon_increment``, the inverse filter is rebuilt,
     and the pass restarts from the initialization.  The returned trace
     keeps the aborted passes; indices restart at 1 after each restart.
+
+    The first denoised iterate D(init; sigma_n + delta) does not depend on
+    the weight, so it is computed once and every pass starts from its own
+    copy: a run with r restarts makes r fewer denoiser calls than it has
+    trace records.  This assumes a deterministic denoiser, which every
+    native kind is.
     """
     if not isinstance(operator, BlurOperator):
         raise TypeError("auto-tuning applies to blur operators only")
@@ -280,9 +287,11 @@ def idbp_auto_tuned(
     epsilon = config.epsilon
     restarts = 0
     current = operator.with_epsilon(epsilon)
+    x_first = denoiser(init, sigma_n + config.delta)
     while True:
         x_tilde, y_tilde, violated = _idbp_pass(
-            current, y, sigma_n, denoiser, config, init, ground_truth, observer, trace, restarts, config.condition_margin_tau
+            current, y, sigma_n, denoiser, config, x_first.copy(), ground_truth, observer, trace, restarts,
+            config.condition_margin_tau,
         )
         if not violated:
             break

@@ -169,6 +169,8 @@ def test_experiment_spec_validation():
     (dict(task="deblur", solver="idbp_auto", scenario=1, tau=1.0), "condition_margin_tau"),
     (dict(task="inpaint", solver="pnp", beta=-1.0), "beta"),
     (dict(task="deblur", solver="pnp", scenario=4, lam=0.0), "lam"),
+    (dict(task="inpaint", denoiser="foo"), "unknown denoiser kind 'foo'"),
+    (dict(task="inpaint", denoiser="external"), "external denoiser requires a command"),
 ])
 def test_experiment_spec_rejects_unusable_settings_when_built(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -458,6 +460,7 @@ def test_cli_bench_deblur_scenario(tmp_path, capsys):
     ["idbp_auto"],  # auto-tuning without --scenario would restore every image to an error row
     ["--iters", "0"],
     ["pnp", "--beta", "-1"],
+    ["--denoiser", "foo"],  # an unknown kind would fail once per image, as error rows
 ])
 def test_cli_bench_rejects_a_bad_spec_before_any_image(flags, tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"

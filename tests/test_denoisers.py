@@ -89,6 +89,51 @@ def test_median_removes_isolated_outlier():
     assert out[4, 4] == 50.0
 
 
+def _reference_median(z, window):
+    """The np.median-over-a-sliding-view MedianDenoiser, kept as the oracle."""
+    padded = np.pad(z, window // 2, mode="edge")
+    return np.median(sliding_window_view(padded, (window, window)), axis=(2, 3))
+
+
+def _median_inputs(seed, shape):
+    size = shape[0] * shape[1]
+    picks = RngState(seed).raw(size).reshape(shape) % 4
+    return {
+        "noise": _random_grid(seed, *shape),
+        # a handful of integers: most windows hold ties
+        "integers": np.round(_random_grid(seed, *shape, scale=1.5, offset=0.0)),
+        "signed_zeros": np.array([-1.0, -0.0, 0.0, 1.0])[picks],
+    }
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 3), (37, 53), (64, 64)])
+@pytest.mark.parametrize("window", [1, 3, 5, 7])
+@pytest.mark.parametrize("kind", ["noise", "integers", "signed_zeros"])
+def test_median_matches_reference(shape, window, kind):
+    # selection only compares and copies, so the result is exact, down to
+    # the sign of zero
+    z = _median_inputs(27, shape)[kind]
+    out = MedianDenoiser(window)(z, 5.0)
+    ref = _reference_median(z, window)
+    assert np.array_equal(out, ref)
+    assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("window, limit_mib", [(3, 6.0), (5, 12.5)])
+def test_median_allocates_no_stack_of_windows(window, limit_mib):
+    # 12.5 MiB is one (256, 256, 25) float64 stack; np.median over the
+    # sliding view peaks at 10.6 MiB (window 3) and 26.6 MiB (window 5)
+    z = _random_grid(28, 256, 256)
+    denoiser = MedianDenoiser(window)
+    tracemalloc.start()
+    try:
+        denoiser(z, 5.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
+
+
 def test_dct_suppresses_pure_noise():
     # Monte-Carlo noise-only oracle: thresholding at 3 sigma should kill
     # nearly all AC energy, leaving well under half the input deviation

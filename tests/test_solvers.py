@@ -13,7 +13,9 @@ from idbp.operators import BlurOperator, InpaintingOperator, generate_random_mas
 from idbp.rng import RngState
 from idbp.solvers import (
     IdbpConfig,
+    IterationTrace,
     PnpConfig,
+    TraceRecord,
     condition_ratio,
     idbp_auto_tuned,
     idbp_run,
@@ -328,6 +330,63 @@ def test_auto_tune_trace_indices_restart_from_one():
         else:
             assert cur.iteration == prev.iteration + 1
     assert saw_restart
+
+
+def _uncached_auto_tuned(operator, y, sigma_n, denoiser, config, init, ground_truth, observer):
+    """idbp_auto_tuned denoising the initialization again on every pass, kept as the oracle."""
+    trace = IterationTrace()
+    sigma = sigma_n + config.delta
+    restarts = 0
+    current = operator.with_epsilon(config.epsilon)
+    while True:
+        pinv_y = current.pseudoinverse(y)
+        y_tilde = init.copy()
+        violated = False
+        for k in range(1, config.iterations + 1):
+            x_tilde = denoiser(y_tilde, sigma)
+            y_tilde = pinv_y + current.project_null(x_tilde)
+            ratio = condition_ratio(current, y, x_tilde, sigma_n, config.delta)
+            trace.append(TraceRecord(k, psnr(ground_truth, x_tilde), ratio, current.epsilon, restarts))
+            observer(k, x_tilde, y_tilde)
+            if k > 1 and ratio < config.condition_margin_tau:
+                violated = True
+                break
+        if not violated:
+            return x_tilde, trace
+        restarts += 1
+        current = current.with_epsilon(config.epsilon + restarts * config.epsilon_increment)
+
+
+def test_auto_tune_denoises_the_initialization_once():
+    truth, kernel, sigma_n, y = _blurred_instance(17)
+    op = BlurOperator(kernel, y.shape, epsilon=1e-4, sigma_n=sigma_n)
+    cfg = IdbpConfig(delta=5.0, iterations=8, epsilon=1e-4, condition_margin_tau=3.0,
+                     epsilon_increment=1e-4, restart_cap=50)
+    runs = []
+    for solve in (idbp_auto_tuned, _uncached_auto_tuned):
+        calls = []
+        seen = []
+
+        def counting(z, sigma):
+            calls.append(sigma)
+            return GaussianDenoiser()(z, sigma)
+
+        def scribbling(k, x, y_tilde):
+            seen.append((k, x.copy(), y_tilde.copy()))
+            x[...] = -1.0  # must not reach a later pass
+
+        est, trace = solve(op, y, sigma_n, counting, cfg, y, truth, scribbling)
+        runs.append((est, trace, len(calls), seen))
+    (est, trace, calls, seen), (ref_est, ref_trace, ref_calls, ref_seen) = runs
+    assert trace.restart_count >= 2
+    assert trace.restart_count == ref_trace.restart_count
+    assert trace.records == ref_trace.records
+    assert est.tobytes() == ref_est.tobytes()
+    assert len(seen) == len(ref_seen)
+    for (k, x, y_tilde), (ref_k, ref_x, ref_y) in zip(seen, ref_seen):
+        assert k == ref_k and x.tobytes() == ref_x.tobytes() and y_tilde.tobytes() == ref_y.tobytes()
+    assert ref_calls == len(trace)
+    assert calls == len(trace) - trace.restart_count
 
 
 def test_auto_tune_restart_budget():
