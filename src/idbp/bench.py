@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .denoisers import build_denoiser, denoiser_class
+from .denoisers import build_denoiser
 from .grid import add_gaussian_noise, as_grid, bsnr, psnr, sigma_for_bsnr
 from .operators import (
     SCENARIO_NOISE_VARIANCE,
@@ -39,6 +39,9 @@ from .solvers import (
 
 TASKS = ("inpaint", "deblur")
 SOLVERS = ("idbp", "idbp_auto", "pnp")
+# Kinds a spec can build from its own fields; shrink and the oracle
+# denoisers need constructor arguments (gamma, a ground truth) it does not carry.
+DENOISERS = ("median", "gaussian", "nlm", "dct_threshold", "external")
 
 # Manual per-scenario inverse-filter weights that pair well with delta = 5.
 DEFAULT_SCENARIO_EPSILON = {1: 7e-3, 2: 4e-3, 3: 8e-3, 4: 2e-3}
@@ -79,10 +82,11 @@ class ExperimentSpec:
 
     Building a spec validates it and resolves its solver settings once, into
     ``config``: fields left as None take the task's protocol defaults (the
-    default_* helpers and DEFAULT_PNP_* tables).  An inpainting ``sigma_n``
-    of None becomes 0.0; a deblurring one means the scenario's noise level.
-    Specs are frozen, so ``config`` cannot go stale.  ``resolved()`` echoes
-    the final values.
+    default_* helpers and DEFAULT_PNP_* tables).  A ``sigma_n`` of None
+    means noiseless (0.0) for inpainting and the scenario's noise level for
+    deblurring; the field keeps None either way, so a ``replace`` that
+    changes the task resolves it afresh.  Specs are frozen, so ``config``
+    cannot go stale.  ``resolved()`` echoes the final values.
     """
 
     task: str
@@ -107,7 +111,8 @@ class ExperimentSpec:
             raise ValueError(f"task must be one of {TASKS}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
-        denoiser_class(self.denoiser)
+        if self.denoiser not in DENOISERS:
+            raise ValueError(f"unknown denoiser kind {self.denoiser!r} for an experiment; choose from {DENOISERS}")
         if self.denoiser == "external" and not self.external_cmd:
             raise ValueError("external denoiser requires a command")
         if self.sigma_n is not None and self.sigma_n < 0:
@@ -122,12 +127,10 @@ class ExperimentSpec:
                 raise ValueError("auto-tuning applies to deblurring only; it needs a scenario")
             if not 0.0 <= self.mask_fraction < 1.0:
                 raise ValueError("mask_fraction must lie in [0, 1)")
-            if self.sigma_n is None:
-                object.__setattr__(self, "sigma_n", 0.0)
         if self.solver == "pnp":
             if self.task == "deblur":
                 beta, lam, iterations = DEFAULT_PNP_DEBLUR[self.scenario]
-            elif self.sigma_n > 0:
+            elif self.sigma_n:  # None and 0.0 both mean noiseless
                 beta, lam, iterations = DEFAULT_PNP_INPAINT_NOISY
             else:
                 beta, lam, iterations = DEFAULT_PNP_INPAINT_NOISELESS
@@ -143,7 +146,7 @@ class ExperimentSpec:
                 overrides.update(condition_margin_tau=self.tau, epsilon_increment=self.eps_increment,
                                  epsilon=1e-3 if self.epsilon is None else self.epsilon)
             if self.task == "inpaint":
-                config = default_inpaint_idbp_config(self.sigma_n, **overrides)
+                config = default_inpaint_idbp_config(self.sigma_n or 0.0, **overrides)
             else:
                 config = default_deblur_idbp_config(self.scenario, **overrides)
         object.__setattr__(self, "config", config)
@@ -165,12 +168,12 @@ class ExperimentSpec:
             items["external_cmd"] = self.external_cmd
         if self.task == "inpaint":
             items["mask_fraction"] = repr(self.mask_fraction)
-            items["sigma_n"] = repr(self.sigma_n)
+            default = "0.0"
         else:
             items["scenario"] = str(self.scenario)
             variance = SCENARIO_NOISE_VARIANCE[self.scenario]
             default = "bsnr40" if variance is None else repr(float(np.sqrt(variance)))
-            items["sigma_n"] = default if self.sigma_n is None else repr(self.sigma_n)
+        items["sigma_n"] = default if self.sigma_n is None else repr(self.sigma_n)
         cfg = self.config
         if isinstance(cfg, PnpConfig):
             items.update(beta=repr(cfg.beta), **{"lambda": repr(cfg.lam)}, iterations=str(cfg.iterations))
@@ -239,7 +242,7 @@ def run_single(spec: ExperimentSpec, image, rng: RngState) -> SingleRunResult:
     config = spec.config
 
     if spec.task == "inpaint":
-        sigma_n = spec.sigma_n
+        sigma_n = spec.sigma_n or 0.0
         operator, y = synthesize_inpainting(x, spec.mask_fraction, sigma_n, rng)
         init = median_initialize(operator, y)
         baseline = init
@@ -349,27 +352,23 @@ SUMMARY_HEADER = "image,psnr_in_db,psnr_out_db,isnr_db,bsnr_db,error"
 
 
 def emit_trace_csv(trace: IterationTrace, path) -> None:
-    lines = [TRACE_HEADER]
-    for r in trace.records:
-        lines.append(
-            f"{r.iteration},{r.psnr_db:.6f},{r.condition_ratio:.6f},{r.epsilon:.6f},{r.restarts}"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_HEADER.split(","))
+        writer.writerows(
+            [r.iteration, f"{r.psnr_db:.6f}", f"{r.condition_ratio:.6f}", f"{r.epsilon:.6f}", r.restarts]
+            for r in trace.records
         )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def parse_trace_csv(path) -> IterationTrace:
-    trace = IterationTrace()
     with open(path, "r", newline="") as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            it, quality, ratio, eps, restarts = line.split(",")
-            trace.append(TraceRecord(int(it), float(quality), float(ratio), float(eps), int(restarts)))
+        records = [record for record in csv.reader(fh) if record]
+    if not records or records[0] != TRACE_HEADER.split(","):
+        raise ValueError("unexpected trace header")
+    trace = IterationTrace()
+    for it, quality, ratio, eps, restarts in records[1:]:
+        trace.append(TraceRecord(int(it), float(quality), float(ratio), float(eps), int(restarts)))
     return trace
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import verify as verify_mod
 from .bench import (
+    DENOISERS,
     ExperimentSpec,
     ImageRow,
     RunReport,
@@ -75,7 +76,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--eps-increment", type=float, dest="eps_increment",
                         help="epsilon growth step for auto-tuning")
     common.add_argument("--iters", type=int, help="iteration count")
-    common.add_argument("--denoiser", help="median|gaussian|nlm|dct_threshold|shrink|external")
+    common.add_argument("--denoiser", help="|".join(DENOISERS))
     common.add_argument("--external-cmd", dest="external_cmd",
                         help="command line for the external denoiser bridge")
     common.add_argument("--scenario", type=int, help="deblurring scenario 1-4")

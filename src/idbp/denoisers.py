@@ -414,17 +414,13 @@ _KINDS = {
 }
 
 
-def denoiser_class(kind: str) -> type:
-    """The denoiser class of a kind name; see _KINDS for the vocabulary."""
+def build_denoiser(kind: str, **params):
+    """Instantiate a denoiser by kind name; see _KINDS for the vocabulary."""
     try:
-        return _KINDS[kind]
+        cls = _KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown denoiser kind {kind!r}; choose from {sorted(_KINDS)}") from None
-
-
-def build_denoiser(kind: str, **params):
-    """Instantiate a denoiser by kind name."""
-    return denoiser_class(kind)(**params)
+    return cls(**params)
 
 
 @dataclass

@@ -3,16 +3,17 @@
 Both operator families expose the same surface:
 
 * ``forward(x)``        -- the degradation H x
-* ``pseudoinverse(y)``  -- H+ y (exact transpose for masks, Tikhonov-
-                           regularised inverse filter for blur)
+* ``pseudoinverse(y)``  -- H+ y = (H^T H + w I)^-1 H^T y
 * ``project_null(x)``   -- Q x = x - H+ H x, the component invisible to H
 
-Masks use pure element selection, so their projection algebra (H H+ = I on
+with regularisation weight w = ``epsilon * sigma_n**2``, zero by default, so
+a backward projection H+ y + Q x is one call for both families.
+
+Masks are elementwise: H+ y = y / (1 + w) on observed pixels.  At w = 0 the
+divisions are by exactly 1, so their projection algebra (H H+ = I on
 observations, Q idempotent, row/null orthogonality) holds bit-exactly.
-Blur runs in the frequency domain with circular boundaries; its
-pseudoinverse is only approximate, with a regularisation weight
-w = ``epsilon * sigma_n**2`` added to the squared kernel spectrum:
-H+ = (H^T H + w I)^-1 H^T and Q = w (H^T H + w I)^-1.
+Blur runs in the frequency domain with circular boundaries; its inverse
+filter conj(S) / (|S|^2 + w) is only approximate.
 """
 
 from __future__ import annotations
@@ -57,9 +58,13 @@ class InpaintingOperator:
     """Row selection of the identity: keeps the pixels where `mask` is True.
 
     Observations are carried as full grids with unobserved entries zero,
-    which makes H+ (zero-padding transpose) and H coincide as maps on full
-    grids and keeps every projection an exact element copy.
+    which makes H^T (zero-padding transpose) and H coincide as maps on full
+    grids.  At the default regularisation weight w = 0 every projection is
+    an exact element copy.
     """
+
+    epsilon = 0.0
+    sigma_n = 0.0
 
     def __init__(self, mask) -> None:
         mask = np.ascontiguousarray(mask, dtype=bool)
@@ -69,6 +74,13 @@ class InpaintingOperator:
             raise ValueError("mask observes no pixels")
         self.mask = mask
         self.mask.setflags(write=False)
+
+    def _with_regularisation(self, epsilon: float, sigma_n: float) -> "InpaintingOperator":
+        """Same mask object, new (epsilon, sigma_n)."""
+        _check_regularisation(epsilon, sigma_n)
+        other = InpaintingOperator.__new__(InpaintingOperator)
+        vars(other).update(vars(self), epsilon=float(epsilon), sigma_n=float(sigma_n))
+        return other
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -86,12 +98,12 @@ class InpaintingOperator:
     def pseudoinverse(self, y) -> np.ndarray:
         y = as_grid(y)
         require_same_shape(y, self.mask)
-        return np.where(self.mask, y, 0.0)
+        return np.where(self.mask, y / (1.0 + self.epsilon * self.sigma_n**2), 0.0)
 
     def project_null(self, x) -> np.ndarray:
         x = as_grid(x)
         require_same_shape(x, self.mask)
-        return np.where(self.mask, 0.0, x)
+        return np.where(self.mask, x - x / (1.0 + self.epsilon * self.sigma_n**2), x)
 
 
 def generate_random_mask(

@@ -11,9 +11,12 @@ Three algorithms:
 * ``pnp_run``         -- ADMM with the prior step replaced by the denoiser
                          (noise level sqrt(beta / lambda)).
 
-Inpainting observations are full grids whose unobserved entries are zero;
-all inpainting projections are exact element copies, so the measurement
-constraint holds bitwise at every iteration.
+Both solvers enforce the data through one call for every operator, the
+backward projection H+ y + Q z: IDBP at the operator's own weight, PnP's
+least-squares step at weight lambda * sigma_n^2.  Inpainting observations
+are full grids whose unobserved entries are zero; at weight zero the mask
+projection is an exact element copy, so IDBP keeps the measurement
+constraint bitwise at every iteration.
 """
 
 from __future__ import annotations
@@ -166,17 +169,6 @@ def _require_finite(arr: np.ndarray, what: str, iteration: int) -> None:
         raise RuntimeError(f"non-finite {what} at iteration {iteration}")
 
 
-def _backward_project(operator, pinv_y: np.ndarray, y: np.ndarray, x_tilde: np.ndarray) -> np.ndarray:
-    """Projection of x_tilde onto {H y_tilde = y}: pinv_y + null component.
-
-    The inpainting path copies observed pixels from y and missing pixels
-    from x_tilde, which is the same formula with zero rounding error.
-    """
-    if isinstance(operator, InpaintingOperator):
-        return np.where(operator.mask, y, x_tilde)
-    return pinv_y + operator.project_null(x_tilde)
-
-
 def _idbp_pass(
     operator,
     y: np.ndarray,
@@ -199,18 +191,17 @@ def _idbp_pass(
     Returns (x_tilde, y_tilde, violated).
     """
     sigma = sigma_n + config.delta
-    epsilon = getattr(operator, "epsilon", 0.0)
     pinv_y = operator.pseudoinverse(y)
     x_tilde = x_first
     for k in range(1, config.iterations + 1):
         if k > 1:
             x_tilde = denoiser(y_tilde, sigma)
         _require_finite(x_tilde, "denoiser output", k)
-        y_tilde = _backward_project(operator, pinv_y, y, x_tilde)
+        y_tilde = pinv_y + operator.project_null(x_tilde)  # projection onto {H y_tilde = y}
         _require_finite(y_tilde, "projected iterate", k)
         ratio = _trace_ratio(operator, y, x_tilde, sigma_n, config.delta)
         quality = psnr(ground_truth, x_tilde) if ground_truth is not None else float("nan")
-        trace.append(TraceRecord(k, quality, ratio, epsilon, restarts))
+        trace.append(TraceRecord(k, quality, ratio, operator.epsilon, restarts))
         if observer is not None:
             observer(k, x_tilde, y_tilde)
         if margin_tau is not None and k > 1 and ratio < margin_tau:
@@ -325,9 +316,9 @@ def pnp_run(
     """ADMM with the prior handled by the denoiser.
 
     Per iteration: the least-squares solve (H^T H + w I)^-1 (H^T y + w z)
-    with w = lam * sigma_n^2 (closed form per pixel for masks; for blur
-    the backward projection H+ y + Q z at epsilon = lam), a denoising
-    step at noise level sqrt(beta / lambda), and the dual update.
+    with w = lam * sigma_n^2, which is the backward projection H+ y + Q z
+    of the operator at epsilon = lam; a denoising step at noise level
+    sqrt(beta / lambda); and the dual update.
     Returns the last least-squares iterate.
     """
     if sigma_n < 0:
@@ -337,30 +328,14 @@ def pnp_run(
     require_same_shape(y, init)
     sigma_eff = sigma_n if sigma_n > 0 else config.sigma_floor
     sigma_denoise = config.denoiser_sigma
-
-    if isinstance(operator, BlurOperator):
-        data_op = operator._with_regularisation(config.lam, sigma_eff)
-        pinv_y = data_op.pseudoinverse(y)
-
-        def data_solve(z: np.ndarray) -> np.ndarray:
-            return pinv_y + data_op.project_null(z)
-
-    elif isinstance(operator, InpaintingOperator):
-        mask = operator.mask
-        weight = config.lam * sigma_eff * sigma_eff
-
-        def data_solve(z: np.ndarray) -> np.ndarray:
-            return np.where(mask, (y + weight * z) / (1.0 + weight), z)
-
-    else:
-        raise TypeError(f"unsupported operator type {type(operator).__name__}")
-
+    data_op = operator._with_regularisation(config.lam, sigma_eff)
+    pinv_y = data_op.pseudoinverse(y)
     v = init.copy()
     u = np.zeros_like(init)
     x = init.copy()
     trace = IterationTrace()
     for k in range(1, config.iterations + 1):
-        x = data_solve(v - u)
+        x = pinv_y + data_op.project_null(v - u)
         _require_finite(x, "least-squares iterate", k)
         v = denoiser(x + u, sigma_denoise)
         _require_finite(v, "denoiser output", k)

@@ -171,6 +171,7 @@ def test_experiment_spec_validation():
     (dict(task="deblur", solver="pnp", scenario=4, lam=0.0), "lam"),
     (dict(task="inpaint", denoiser="foo"), "unknown denoiser kind 'foo'"),
     (dict(task="inpaint", denoiser="external"), "external denoiser requires a command"),
+    (dict(task="inpaint", denoiser="shrink"), "unknown denoiser kind 'shrink' for an experiment"),
 ])
 def test_experiment_spec_rejects_unusable_settings_when_built(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -190,8 +191,14 @@ def test_experiment_spec_resolves_its_solver_config():
     assert ExperimentSpec(task="inpaint", sigma_n=10.0).config == default_inpaint_idbp_config(10.0)
     auto = ExperimentSpec(task="deblur", solver="idbp_auto", scenario=3, tau=4.0)
     assert auto.config == default_deblur_idbp_config(3, epsilon=1e-3, condition_margin_tau=4.0)
-    assert ExperimentSpec(task="inpaint").sigma_n == 0.0
+    assert ExperimentSpec(task="inpaint").sigma_n is None  # noiseless
+    assert ExperimentSpec(task="inpaint").resolved()["sigma_n"] == "0.0"
     assert ExperimentSpec(task="deblur", scenario=3).sigma_n is None  # calibrated per image
+
+
+def test_experiment_spec_replace_resolves_an_unset_sigma_n_for_the_new_task():
+    spec = dataclasses.replace(ExperimentSpec(task="inpaint"), task="deblur", scenario=3)
+    assert spec.resolved()["sigma_n"] == "bsnr40"
 
 
 def test_run_single_hands_the_spec_config_to_the_solver(monkeypatch):
@@ -461,6 +468,7 @@ def test_cli_bench_deblur_scenario(tmp_path, capsys):
     ["--iters", "0"],
     ["pnp", "--beta", "-1"],
     ["--denoiser", "foo"],  # an unknown kind would fail once per image, as error rows
+    ["--denoiser", "shrink"],  # so would a kind that needs constructor arguments
 ])
 def test_cli_bench_rejects_a_bad_spec_before_any_image(flags, tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"

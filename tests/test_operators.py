@@ -197,28 +197,33 @@ def _dense_matrix(op):
     return np.stack([op.forward(e.reshape(op.shape)).ravel() for e in np.eye(n)], axis=1)
 
 
+EPSILON, SIGMA_N = 0.01, 1.5
+_MASK = generate_random_mask(6, 8, 0.5, RngState(16))
+
 DENSE_CASES = {
-    "1x20-row-kernel": ((1, 20), np.array([[0.2, 0.5, 0.3]])),
-    "20x1-column-kernel": ((20, 1), np.array([[0.3], [0.5], [0.2]])),
-    "9x9-box": ((9, 9), generate_scenario_kernel(3)),
-    "15x15-scenario-1": ((15, 15), generate_scenario_kernel(1)),
-    "6x8-random-3x5": ((6, 8), _asymmetric_kernel(12, (3, 5))),
-    "1x1": ((1, 1), np.ones((1, 1))),
+    "1x20-row-kernel": BlurOperator(np.array([[0.2, 0.5, 0.3]]), (1, 20), EPSILON, SIGMA_N),
+    "20x1-column-kernel": BlurOperator(np.array([[0.3], [0.5], [0.2]]), (20, 1), EPSILON, SIGMA_N),
+    "9x9-box": BlurOperator(generate_scenario_kernel(3), (9, 9), EPSILON, SIGMA_N),
+    "15x15-scenario-1": BlurOperator(generate_scenario_kernel(1), (15, 15), EPSILON, SIGMA_N),
+    "6x8-random-3x5": BlurOperator(_asymmetric_kernel(12, (3, 5)), (6, 8), EPSILON, SIGMA_N),
+    "1x1": BlurOperator(np.ones((1, 1)), (1, 1), EPSILON, SIGMA_N),
+    "6x8-mask": _MASK._with_regularisation(EPSILON, SIGMA_N),
+    "6x8-mask-unregularised": _MASK,
 }
 
 
-@pytest.mark.parametrize("shape, kernel", DENSE_CASES.values(), ids=list(DENSE_CASES))
-def test_blur_filters_match_dense_regularised_solve(shape, kernel):
-    # H+ y = (H^T H + w I)^-1 H^T y and Q x = x - (H^T H + w I)^-1 H^T H x, with
-    # H built column by column; PnP's first least-squares iterate is the same
-    # solve at w = lam sigma_n^2
-    epsilon, sigma_n = 0.01, 1.5
-    op = BlurOperator(kernel, shape, epsilon=epsilon, sigma_n=sigma_n)
+@pytest.mark.parametrize("op", DENSE_CASES.values(), ids=list(DENSE_CASES))
+def test_blur_filters_match_dense_regularised_solve(op):
+    # H+ y = (H^T H + w I)^+ H^T y and Q x = x - (H^T H + w I)^+ H^T H x, with
+    # H built column by column; (.)^+ is the inverse for w > 0 and the
+    # Moore-Penrose pseudoinverse of the singular mask system at w = 0.
+    # PnP's first least-squares iterate is the same solve at w = lam sigma_n^2
+    shape = op.shape
     h = _dense_matrix(op)
     n = h.shape[1]
 
     def regularised_solve(weight, rhs):
-        return np.linalg.solve(h.T @ h + weight * np.eye(n), rhs).reshape(shape)
+        return (np.linalg.pinv(h.T @ h + weight * np.eye(n)) @ rhs).reshape(shape)
 
     def rel_dev(got, want):
         return np.max(np.abs(got - want)) / np.max(np.abs(want))
@@ -226,13 +231,13 @@ def test_blur_filters_match_dense_regularised_solve(shape, kernel):
     x = _random_grid(13, *shape)
     y = _random_grid(14, *shape)
     z = _random_grid(15, *shape)
-    w = epsilon * sigma_n**2
+    w = op.epsilon * op.sigma_n**2
     assert rel_dev(op.pseudoinverse(y), regularised_solve(w, h.T @ y.ravel())) < 1e-9
     assert rel_dev(op.project_null(x), x - regularised_solve(w, h.T @ h @ x.ravel())) < 1e-9
 
     config = PnpConfig(beta=1.0, lam=0.05, iterations=1)
-    first, _ = pnp_run(op, y, sigma_n, lambda v, sigma: v, config, init=z)
-    w_pnp = config.lam * sigma_n**2
+    first, _ = pnp_run(op, y, SIGMA_N, lambda v, sigma: v, config, init=z)
+    w_pnp = config.lam * SIGMA_N**2
     assert rel_dev(first, regularised_solve(w_pnp, h.T @ y.ravel() + w_pnp * z.ravel())) < 1e-9
 
 

@@ -110,9 +110,12 @@ def test_constraint_and_null_space_invariants_every_iteration():
     checks = []
 
     def watch(k, xt, yt):
+        # the backward projection H+ y + Q x at w = 0 is exactly the element
+        # copy of observed pixels from y and missing pixels from x
         checks.append(
             np.array_equal(op.forward(yt), y)
             and np.array_equal(op.project_null(yt), op.project_null(xt))
+            and np.array_equal(yt, np.where(op.mask, y, xt))
         )
 
     idbp_run(op, y, 10.0, DctDenoiser(), IdbpConfig(delta=0.0, iterations=6),
@@ -513,6 +516,33 @@ def test_pnp_blur_step_matches_reference_solve(scenario, sigma_n):
     config = PnpConfig(beta=0.85, lam=2.0 / 255.0, iterations=10)
     est, _ = pnp_run(op, y, sigma_n, GaussianDenoiser(), config, y)
     want = _reference_pnp_blur_solve(op, y, sigma_n, GaussianDenoiser(), config, y)
+    assert np.max(np.abs(est - want)) < 1e-9
+
+
+def _reference_pnp_mask_solve(operator, y, sigma_n, denoiser, config, init):
+    """PnP-ADMM whose mask data step is the per-pixel closed form
+    (y + w z) / (1 + w) on observed pixels and z elsewhere, w = lam * sigma^2,
+    kept as the oracle for the backward-projection form H+ y + Q z."""
+    sigma_eff = sigma_n if sigma_n > 0 else config.sigma_floor
+    weight = config.lam * sigma_eff * sigma_eff
+    v = init.copy()
+    u = np.zeros_like(init)
+    for _ in range(config.iterations):
+        z = v - u
+        x = np.where(operator.mask, (y + weight * z) / (1.0 + weight), z)
+        v = denoiser(x + u, config.denoiser_sigma)
+        u = u + (x - v)
+    return x
+
+
+@pytest.mark.parametrize("sigma_n, beta, lam", [(10.0, 0.8, 5.0 / 255.0), (0.0, 1.0, 10.0 / 255.0)],
+                         ids=["noisy", "noiseless"])
+def test_pnp_mask_step_matches_reference_solve(sigma_n, beta, lam):
+    truth, op, _, y = _noisy_inpainting_instance(29, sigma_n=sigma_n)
+    init = median_initialize(op, y)
+    config = PnpConfig(beta=beta, lam=lam, iterations=30)
+    est, _ = pnp_run(op, y, sigma_n, MedianDenoiser(), config, init)
+    want = _reference_pnp_mask_solve(op, y, sigma_n, MedianDenoiser(), config, init)
     assert np.max(np.abs(est - want)) < 1e-9
 
 
