@@ -86,7 +86,8 @@ class ExperimentSpec:
     means noiseless (0.0) for inpainting and the scenario's noise level for
     deblurring; the field keeps None either way, so a ``replace`` that
     changes the task resolves it afresh.  Specs are frozen, so ``config``
-    cannot go stale.  ``resolved()`` echoes the final values.
+    cannot go stale.  ``resolved()`` echoes the final values; setting a
+    solver field it would not echo, one the run never reads, is an error.
     """
 
     task: str
@@ -140,16 +141,19 @@ class ExperimentSpec:
                 iterations=iterations if self.iterations is None else self.iterations,
             )
         else:
-            overrides = dict(delta=self.delta, iterations=self.iterations, epsilon=self.epsilon)
-            if self.solver == "idbp_auto":
-                # auto-tune starts small and grows
-                overrides.update(condition_margin_tau=self.tau, epsilon_increment=self.eps_increment,
-                                 epsilon=1e-3 if self.epsilon is None else self.epsilon)
+            overrides = dict(delta=self.delta, iterations=self.iterations, epsilon=self.epsilon,
+                             condition_margin_tau=self.tau, epsilon_increment=self.eps_increment)
+            if self.solver == "idbp_auto" and self.epsilon is None:
+                overrides["epsilon"] = 1e-3  # auto-tune starts small and grows
             if self.task == "inpaint":
                 config = default_inpaint_idbp_config(self.sigma_n or 0.0, **overrides)
             else:
                 config = default_deblur_idbp_config(self.scenario, **overrides)
         object.__setattr__(self, "config", config)
+        echoed = self.resolved()
+        for name in ("delta", "epsilon", "tau", "eps_increment", "beta", "lam"):
+            if getattr(self, name) is not None and ("lambda" if name == "lam" else name) not in echoed:
+                raise ValueError(f"the {self.solver} solver does not read {name} for {self.task}; leave it unset")
 
     def build_denoiser(self):
         if self.denoiser == "external":

@@ -12,8 +12,9 @@ a backward projection H+ y + Q x is one call for both families.
 Masks are elementwise: H+ y = y / (1 + w) on observed pixels.  At w = 0 the
 divisions are by exactly 1, so their projection algebra (H H+ = I on
 observations, Q idempotent, row/null orthogonality) holds bit-exactly.
-Blur runs in the frequency domain with circular boundaries; its inverse
-filter conj(S) / (|S|^2 + w) is only approximate.
+Blur runs in the frequency domain with circular boundaries, one real
+transform pair (rfft2, irfft2) per call, so it is exact only to rounding;
+its inverse filter conj(S) / (|S|^2 + w) is only approximate.
 """
 
 from __future__ import annotations
@@ -42,11 +43,6 @@ def kernel_spectrum(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     padded[:kh, :kw] = kernel
     padded = np.roll(padded, shift=(-(kh // 2), -(kw // 2)), axis=(0, 1))
     return np.fft.fft2(padded)
-
-
-def circular_convolve(x: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """Periodic-boundary convolution by a precomputed kernel spectrum."""
-    return np.real(np.fft.ifft2(np.fft.fft2(x) * spectrum))
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +125,11 @@ def generate_random_mask(
 class BlurOperator:
     """Circular shift-invariant blur on a fixed grid shape.
 
-    The kernel spectrum S is precomputed at construction.  The regularised
-    inverse filter conj(S) / (|S|^2 + epsilon * sigma_n^2) and the null
-    filter (its product with S) are built together on first use, so a
+    The kernel spectrum S (a full ``fft2``) is precomputed at construction.
+    Each apply is irfft2(rfft2(x) * F, s=shape), F on S's half spectrum
+    (columns 0..W//2; ``s=`` keeps odd widths).  The regularised inverse
+    filter conj(S) / (|S|^2 + epsilon * sigma_n^2) and the null filter
+    (its product with S) are built together on first use, so a
     forward-only operator never requires an invertible spectrum; the lazy
     fill is idempotent and the instance is otherwise immutable.
     """
@@ -153,6 +151,7 @@ class BlurOperator:
         self.sigma_n = float(sigma_n)
         self.spectrum = kernel_spectrum(kernel, self.shape)
         self.spectrum.setflags(write=False)
+        self._half_spectrum = self.spectrum[:, : self.shape[1] // 2 + 1]
         self._filters: tuple[np.ndarray, np.ndarray] | None = None
 
     def with_epsilon(self, epsilon: float) -> "BlurOperator":
@@ -169,14 +168,14 @@ class BlurOperator:
 
     def _inverse_and_null_filters(self) -> tuple[np.ndarray, np.ndarray]:
         if self._filters is None:
-            denom = np.abs(self.spectrum) ** 2 + self.epsilon * self.sigma_n**2
+            denom = np.abs(self._half_spectrum) ** 2 + self.epsilon * self.sigma_n**2
             if np.any(denom == 0.0):
                 raise ValueError(
                     "kernel spectrum has zeros and regularisation weight is zero; "
                     "the inverse filter is undefined"
                 )
-            inverse = np.conj(self.spectrum) / denom
-            null = inverse * self.spectrum
+            inverse = np.conj(self._half_spectrum) / denom
+            null = inverse * self._half_spectrum
             inverse.setflags(write=False)
             null.setflags(write=False)
             self._filters = (inverse, null)
@@ -188,15 +187,18 @@ class BlurOperator:
             raise ValueError(f"shape mismatch: {x.shape} vs operator {self.shape}")
         return x
 
+    def _filter(self, x: np.ndarray, half_filter: np.ndarray) -> np.ndarray:
+        return np.fft.irfft2(np.fft.rfft2(x) * half_filter, s=self.shape)
+
     def forward(self, x) -> np.ndarray:
-        return circular_convolve(self._check(x), self.spectrum)
+        return self._filter(self._check(x), self._half_spectrum)
 
     def pseudoinverse(self, y) -> np.ndarray:
-        return circular_convolve(self._check(y), self._inverse_and_null_filters()[0])
+        return self._filter(self._check(y), self._inverse_and_null_filters()[0])
 
     def project_null(self, x) -> np.ndarray:
         x = self._check(x)
-        return x - circular_convolve(x, self._inverse_and_null_filters()[1])
+        return x - self._filter(x, self._inverse_and_null_filters()[1])
 
 
 def _check_regularisation(epsilon: float, sigma_n: float) -> None:

@@ -138,25 +138,26 @@ class IterationTrace:
 def condition_ratio(operator, y, x_tilde, sigma_n: float, delta: float) -> float:
     """Feasibility margin of the current iterate.
 
-    Ratio of the residual norm weighted by 1/sigma_n^2 to the
-    pseudoinverse-mapped residual norm weighted by 1/(sigma_n + delta)^2.
-    A value below 1 certifies that `delta` is too small; +inf when the
-    mapped residual vanishes.
+    Ratio of the residual norm ||y - H x_tilde|| weighted by 1/sigma_n^2 to
+    the mapped residual norm ||H+ (y - H x_tilde)|| weighted by
+    1/(sigma_n + delta)^2; +inf when the mapped residual vanishes.  A value
+    below 1 certifies that `delta` is too small.  Inside IDBP the mapped
+    residual is y_tilde - x_tilde, since y_tilde = H+ y + Q x_tilde.
     """
     if sigma_n <= 0:
         raise ValueError("sigma_n must be positive")
-    y = as_grid(y)
-    residual = y - operator.forward(x_tilde)
+    residual = as_grid(y) - operator.forward(x_tilde)
+    return _feasibility_ratio(residual, operator.pseudoinverse(residual), sigma_n, delta)
+
+
+def _feasibility_ratio(residual: np.ndarray, mapped: np.ndarray, sigma_n: float, delta: float) -> float:
+    """(||residual|| / sigma_n^2) / (||mapped|| / (sigma_n + delta)^2), mapped = H+ residual; +inf if it is 0."""
     numerator = float(np.linalg.norm(residual)) / (sigma_n * sigma_n)
     sigma_total = sigma_n + delta
-    denominator = float(np.linalg.norm(operator.pseudoinverse(residual))) / (sigma_total * sigma_total)
+    denominator = float(np.linalg.norm(mapped)) / (sigma_total * sigma_total)
     if denominator == 0.0:
         return float("inf")
     return numerator / denominator
-
-
-def _trace_ratio(operator, y, x_tilde, sigma_n: float, delta: float) -> float:
-    return condition_ratio(operator, y, x_tilde, sigma_n, delta) if sigma_n > 0 else float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +185,12 @@ def _idbp_pass(
 ):
     """One uninterrupted IDBP pass, starting from x_first = D(init; sigma_n + delta).
 
-    Appends one trace record per completed iteration.  If `margin_tau` is
-    set, returns early with violated=True as soon as an iteration k > 1
-    sees a condition ratio below the margin (the first iteration is never
-    checked: it mostly reflects the initialization).
+    Appends one trace record per completed iteration.  Its condition ratio
+    (+inf when sigma_n = 0) takes the mapped residual from the projection,
+    H+ (y - H x_tilde) = y_tilde - x_tilde, so H+ is not applied again.
+    If `margin_tau` is set, returns early with violated=True as soon as an
+    iteration k > 1 sees a condition ratio below the margin (the first
+    iteration is never checked: it mostly reflects the initialization).
     Returns (x_tilde, y_tilde, violated).
     """
     sigma = sigma_n + config.delta
@@ -199,7 +202,8 @@ def _idbp_pass(
         _require_finite(x_tilde, "denoiser output", k)
         y_tilde = pinv_y + operator.project_null(x_tilde)  # projection onto {H y_tilde = y}
         _require_finite(y_tilde, "projected iterate", k)
-        ratio = _trace_ratio(operator, y, x_tilde, sigma_n, config.delta)
+        ratio = (_feasibility_ratio(y - operator.forward(x_tilde), y_tilde - x_tilde, sigma_n, config.delta)
+                 if sigma_n > 0 else float("inf"))
         quality = psnr(ground_truth, x_tilde) if ground_truth is not None else float("nan")
         trace.append(TraceRecord(k, quality, ratio, operator.epsilon, restarts))
         if observer is not None:

@@ -129,15 +129,14 @@ RESOLVED_CASES = {
     "deblur-idbp_auto-every-field": (
         dict(task="deblur", solver="idbp_auto", denoiser="external", external_cmd="cat", seed=9,
              mask_fraction=0.5, sigma_n=3.5, scenario=2, delta=2.5, epsilon=5e-4, iterations=12,
-             tau=4.0, eps_increment=2e-4, beta=0.7, lam=0.02),
+             tau=4.0, eps_increment=2e-4),
         {"task": "deblur", "solver": "idbp_auto", "denoiser": "external", "seed": "9",
          "external_cmd": "cat", "scenario": "2", "sigma_n": "3.5", "delta": "2.5",
          "iterations": "12", "output_mode": "last_x", "epsilon": "0.0005", "tau": "4.0",
          "eps_increment": "0.0002"}),
     "inpaint-pnp-every-field": (
         dict(task="inpaint", solver="pnp", denoiser="median", seed=4, mask_fraction=0.6,
-             sigma_n=5.0, delta=1.0, epsilon=1e-2, iterations=7, tau=2.0, eps_increment=1e-3,
-             beta=0.9, lam=0.05),
+             sigma_n=5.0, iterations=7, beta=0.9, lam=0.05),
         {"task": "inpaint", "solver": "pnp", "denoiser": "median", "seed": "4",
          "mask_fraction": "0.6", "sigma_n": "5.0", "beta": "0.9", "lambda": "0.05",
          "iterations": "7"}),
@@ -172,6 +171,16 @@ def test_experiment_spec_validation():
     (dict(task="inpaint", denoiser="foo"), "unknown denoiser kind 'foo'"),
     (dict(task="inpaint", denoiser="external"), "external denoiser requires a command"),
     (dict(task="inpaint", denoiser="shrink"), "unknown denoiser kind 'shrink' for an experiment"),
+    # a setting the solver never reads would be dropped without a trace in resolved()
+    (dict(task="deblur", solver="pnp", scenario=1, sigma_n=5, delta=3, tau=9), "pnp solver does not read delta"),
+    (dict(task="deblur", solver="pnp", scenario=1, epsilon=1e-3), "pnp solver does not read epsilon"),
+    (dict(task="inpaint", solver="pnp", eps_increment=1e-3), "pnp solver does not read eps_increment"),
+    (dict(task="deblur", scenario=1, beta=0.9), "idbp solver does not read beta"),
+    (dict(task="deblur", scenario=1, tau=9.0), "idbp solver does not read tau"),
+    (dict(task="deblur", scenario=1, eps_increment=1e-3), "idbp solver does not read eps_increment"),
+    (dict(task="inpaint", lam=0.05), "idbp solver does not read lam"),
+    (dict(task="inpaint", epsilon=1e-3), "idbp solver does not read epsilon for inpaint"),
+    (dict(task="deblur", solver="idbp_auto", scenario=1, lam=0.05), "idbp_auto solver does not read lam"),
 ])
 def test_experiment_spec_rejects_unusable_settings_when_built(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -469,6 +478,7 @@ def test_cli_bench_deblur_scenario(tmp_path, capsys):
     ["pnp", "--beta", "-1"],
     ["--denoiser", "foo"],  # an unknown kind would fail once per image, as error rows
     ["--denoiser", "shrink"],  # so would a kind that needs constructor arguments
+    ["pnp", "--scenario", "1", "--delta", "3", "--tau", "9"],  # settings PnP never reads
 ])
 def test_cli_bench_rejects_a_bad_spec_before_any_image(flags, tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from idbp.operators import (
     kernel_spectrum,
 )
 from idbp.rng import RngState
-from idbp.solvers import PnpConfig, pnp_run
+from idbp.solvers import IdbpConfig, PnpConfig, idbp_run, pnp_run
 
 
 def _random_grid(seed, h, w, scale=40.0, offset=128.0):
@@ -265,17 +267,68 @@ def test_with_epsilon_shares_spectrum_and_rebuilds_filters():
         op._with_regularisation(0.5, -3.0)
 
 
-def _count_fft2(monkeypatch) -> list:
+def _reference_blur(op, x):
+    """The complex-FFT path the blur operators took before real transforms,
+    real(ifft2(fft2(x) * filter)) with full-spectrum filters, kept as the
+    oracle.  Returns (forward, pseudoinverse, project_null) of x."""
+    spectrum = op.spectrum
+    inverse = np.conj(spectrum) / (np.abs(spectrum) ** 2 + op.epsilon * op.sigma_n**2)
+
+    def apply(spectral_filter):
+        return np.real(np.fft.ifft2(np.fft.fft2(x) * spectral_filter))
+
+    return apply(spectrum), apply(inverse), x - apply(inverse * spectrum)
+
+
+_ORACLE_KERNELS = {
+    "scenario-1": generate_scenario_kernel(1),
+    "scenario-3": generate_scenario_kernel(3),
+    "scenario-4": generate_scenario_kernel(4),
+    "lopsided-3x5": _asymmetric_kernel(12, (3, 5)),
+}
+# w = 0 only where the spectrum stays away from zero: the box and binomial
+# kernels have (near-)zeros on these grids, so they run regularised only
+_ORACLE_WEIGHTS = {
+    "w0": ((0.0, 0.0), ("scenario-1", "lopsided-3x5")),
+    "w0.0225": ((EPSILON, SIGMA_N), tuple(_ORACLE_KERNELS)),
+    "w0.002": ((5e-4, 2.0), tuple(_ORACLE_KERNELS)),
+}
+ORACLE_CASES = [
+    pytest.param(shape, kernel, regularisation, id=f"{shape[0]}x{shape[1]}-{kernel}-{weight}")
+    for shape in ((16, 16), (15, 16), (16, 15), (37, 53))
+    for weight, (regularisation, kernels) in _ORACLE_WEIGHTS.items()
+    for kernel in kernels
+]
+
+
+@pytest.mark.parametrize("shape, kernel, regularisation", ORACLE_CASES)
+def test_real_transform_blur_matches_complex_reference(shape, kernel, regularisation):
+    # odd widths need irfft2's s=: W//2 + 1 columns also fit a width of W - 1
+    op = BlurOperator(_ORACLE_KERNELS[kernel], shape, *regularisation)
+    x = _random_grid(20, *shape)
+    for got, want in zip((op.forward(x), op.pseudoinverse(x), op.project_null(x)), _reference_blur(op, x)):
+        # relative to x as well: at w = 0 an invertible blur has Q = 0, so Q x is rounding noise
+        assert got.shape == shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), np.max(np.abs(x)))
+
+
+def _count_transforms(monkeypatch, names=("fft2", "rfft2")) -> list:
+    """Record the name of each call to the named np.fft functions; by
+    default the forward 2-D transforms, complex and real."""
     calls = []
-    fft2 = np.fft.fft2
-    monkeypatch.setattr(np.fft, "fft2", lambda *args, **kw: calls.append(1) or fft2(*args, **kw))
+
+    def counted(name, transform):
+        return lambda *args, **kw: calls.append(name) or transform(*args, **kw)
+
+    for name in names:
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     return calls
 
 
 def test_deblur_synthesis_transforms_the_kernel_once(monkeypatch):
     x = _random_grid(18, 16, 16)
     expected_op = BlurOperator(generate_scenario_kernel(1), (16, 16), epsilon=7e-3, sigma_n=2.0)
-    calls = _count_fft2(monkeypatch)
+    calls = _count_transforms(monkeypatch)
     operator, y, blurred, sigma_n = synthesize_deblurring(x, 1, 2.0, RngState(3), 7e-3)
     assert len(calls) == 2  # the kernel spectrum and the image it blurs
     assert (operator.epsilon, operator.sigma_n) == (7e-3, 2.0)
@@ -286,9 +339,30 @@ def test_deblur_synthesis_transforms_the_kernel_once(monkeypatch):
 def test_pnp_blur_run_reuses_the_operator_spectrum(monkeypatch):
     op = BlurOperator(generate_scenario_kernel(1), (16, 16), epsilon=7e-3, sigma_n=2.0)
     y = _random_grid(19, 16, 16)
-    calls = _count_fft2(monkeypatch)
+    calls = _count_transforms(monkeypatch)
     pnp_run(op, y, 2.0, lambda z, sigma: z, PnpConfig(beta=0.85, lam=2.0 / 255.0, iterations=1), y)
     assert len(calls) == 2  # H+ y, then one null-space projection
+
+
+@pytest.mark.parametrize("solver", ["idbp", "pnp"])
+def test_blur_iterations_make_only_real_transforms(monkeypatch, solver):
+    # a steady IDBP iteration: Q x (one pair) and H x for the monitor (one
+    # pair), since the monitor reads H+ (y - H x) off the projection; PnP: Q z
+    op = BlurOperator(generate_scenario_kernel(1), (16, 16), epsilon=7e-3, sigma_n=2.0)
+    y = _random_grid(21, 16, 16)
+    calls = _count_transforms(monkeypatch, ("fft2", "ifft2", "rfft2", "irfft2"))
+    counts = []
+    for iterations in (2, 5):
+        calls.clear()
+        if solver == "idbp":
+            idbp_run(op, y, 2.0, lambda z, sigma: z, IdbpConfig(iterations=iterations), y)
+        else:
+            pnp_run(op, y, 2.0, lambda z, sigma: z, PnpConfig(beta=0.85, lam=2.0 / 255.0, iterations=iterations), y)
+        counts.append(Counter(calls))
+    per_iteration = {name: (counts[1][name] - counts[0][name]) / 3 for name in ("fft2", "ifft2", "rfft2", "irfft2")}
+    pairs = 2 if solver == "idbp" else 1
+    assert per_iteration == {"fft2": 0, "ifft2": 0, "rfft2": pairs, "irfft2": pairs}
+    assert counts[0] == Counter(rfft2=1 + 2 * pairs, irfft2=1 + 2 * pairs)  # plus H+ y once per run
 
 
 def test_forward_only_operator_tolerates_spectral_zeros():

@@ -16,6 +16,7 @@ from idbp.solvers import (
     IterationTrace,
     PnpConfig,
     TraceRecord,
+    _feasibility_ratio,
     condition_ratio,
     idbp_auto_tuned,
     idbp_run,
@@ -250,6 +251,39 @@ def test_condition_ratio_delta_kernel_blur():
     assert condition_ratio(op, y, x, sigma_n, delta) == pytest.approx(expected, rel=1e-10)
 
 
+def _ratios_seen(operator, y, sigma_n, config, init):
+    """(trace ratios, condition_ratio recomputed from scratch at each iterate)."""
+    direct = []
+
+    def recompute(k, x, y_tilde):
+        direct.append(condition_ratio(operator, y, x, sigma_n, config.delta))
+
+    _, trace = idbp_run(operator, y, sigma_n, MedianDenoiser(), config, init, observer=recompute)
+    return [r.condition_ratio for r in trace.records], direct
+
+
+@pytest.mark.parametrize("scenario, shape", [(1, (64, 64)), (2, (64, 64)), (3, (64, 64)), (4, (64, 64)),
+                                             (1, (37, 53))])
+def test_idbp_blur_monitor_matches_condition_ratio(scenario, shape):
+    # the loop reads H+ (y - H x) as y_tilde - x, which rounds differently from H+ applied to the residual
+    truth = _random_grid(30 + scenario, *shape)
+    sigma_n = 2.0
+    op = BlurOperator(generate_scenario_kernel(scenario), shape, epsilon=4e-3, sigma_n=sigma_n)
+    y = add_gaussian_noise(op.forward(truth), sigma_n, RngState(40 + scenario))
+    ratios, direct = _ratios_seen(op, y, sigma_n, IdbpConfig(delta=5.0, iterations=8), y)
+    assert len(ratios) == len(direct) == 8
+    for got, want in zip(ratios, direct):
+        assert abs(got - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("delta", [0.0, 5.0])
+def test_idbp_mask_monitor_equals_condition_ratio_exactly(delta):
+    truth, op, _, y = _noisy_inpainting_instance(22)
+    init = median_initialize(op, y)
+    ratios, direct = _ratios_seen(op, y, 10.0, IdbpConfig(delta=delta, iterations=6), init)
+    assert len(ratios) == 6 and ratios == direct
+
+
 def test_condition_ratio_zero_residual_is_infinite():
     op = InpaintingOperator(np.ones((4, 4), dtype=bool))
     y = _random_grid(15, 4, 4)
@@ -348,7 +382,8 @@ def _uncached_auto_tuned(operator, y, sigma_n, denoiser, config, init, ground_tr
         for k in range(1, config.iterations + 1):
             x_tilde = denoiser(y_tilde, sigma)
             y_tilde = pinv_y + current.project_null(x_tilde)
-            ratio = condition_ratio(current, y, x_tilde, sigma_n, config.delta)
+            # the loop's own ratio arithmetic on ||y - H x||, ||y_tilde - x||, so records compare exactly
+            ratio = _feasibility_ratio(y - current.forward(x_tilde), y_tilde - x_tilde, sigma_n, config.delta)
             trace.append(TraceRecord(k, psnr(ground_truth, x_tilde), ratio, current.epsilon, restarts))
             observer(k, x_tilde, y_tilde)
             if k > 1 and ratio < config.condition_margin_tau:
