@@ -88,6 +88,10 @@ class ExperimentSpec:
     changes the task resolves it afresh.  Specs are frozen, so ``config``
     cannot go stale.  ``resolved()`` echoes the final values; setting a
     solver field it would not echo, one the run never reads, is an error.
+    So is a task field of the other task: a ``scenario`` for inpainting, or
+    a ``mask_fraction`` for deblurring other than its default 0.8.  That
+    field keeps a float default, so an explicit 0.8 on a deblurring spec
+    cannot be told from an unset one and passes.
     """
 
     task: str
@@ -123,9 +127,13 @@ class ExperimentSpec:
                 raise ValueError("deblur requires scenario in 1..4")
             if self.solver == "idbp_auto" and self.sigma_n == 0:
                 raise ValueError("auto-tuning requires noise")
+            if self.mask_fraction != 0.8:
+                raise ValueError("deblurring does not read mask_fraction; leave it unset")
         else:
             if self.solver == "idbp_auto":
                 raise ValueError("auto-tuning applies to deblurring only; it needs a scenario")
+            if self.scenario is not None:
+                raise ValueError("inpainting does not read scenario; leave it unset")
             if not 0.0 <= self.mask_fraction < 1.0:
                 raise ValueError("mask_fraction must lie in [0, 1)")
         if self.solver == "pnp":

@@ -79,18 +79,18 @@ class RngState:
         """First `k` entries of a Fisher-Yates shuffle of range(n).
 
         Runs only the first `k` swap steps, which is enough to make the
-        prefix a uniform k-subset in uniform order.
+        prefix a uniform k-subset in uniform order.  Step i swaps i with
+        j = i + floor(u_i * (n - i)); all k targets are computed up front, one
+        float64 product and truncation each, and only the swaps run in a
+        loop, on a Python list.
         """
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
-        idx = np.arange(n, dtype=np.int64)
-        if k == 0:
-            return idx[:0]
-        u = self.uniforms(k)
-        for i in range(k):
-            j = i + int(u[i] * (n - i))
+        targets = np.arange(k) + (self.uniforms(k) * np.arange(n, n - k, -1)).astype(np.int64)
+        idx = list(range(n))
+        for i, j in enumerate(targets.tolist()):
             idx[i], idx[j] = idx[j], idx[i]
-        return idx[:k]
+        return np.array(idx[:k], dtype=np.int64)
 
     def spawn(self, stream: int) -> "RngState":
         """Independent child stream derived from this seed and a stream id."""

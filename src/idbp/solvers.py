@@ -362,7 +362,20 @@ def median_initialize(operator: InpaintingOperator, y) -> np.ndarray:
     Each sweep visits pixels in row-major order and replaces a still-empty
     pixel with the median of its neighbours that are observed or were
     filled earlier (including earlier in the same sweep), so values
-    propagate until the grid is full.
+    propagate until the grid is full.  Pixels with no filled neighbour wait
+    for the next sweep.
+
+    A sweep runs one anti-diagonal 2i + j at a time.  Of the 8 neighbours
+    of (i, j), the four the raster order visits first, (i-1, j-1..j+1) and
+    (i, j-1), lie on diagonals 2i + j - 3 .. 2i + j - 1; the four it
+    visits later lie on 2i + j + 1 .. 2i + j + 3.  So stepping through the
+    diagonals in increasing order shows each pixel exactly the state the
+    raster sweep shows it, and no two pixels of one diagonal are
+    neighbours, so a whole diagonal is filled in one vectorised step.  Each
+    step gathers the neighbours in row-major order, stable-sorts them with
+    empty ones as +inf, and takes the middle filled value or the mean
+    0.5 * (a + b) of the middle two: bit for bit the sweep's own
+    arithmetic, signed zeros included.
     """
     if not isinstance(operator, InpaintingOperator):
         raise TypeError("median initialization is defined for inpainting only")
@@ -371,36 +384,49 @@ def median_initialize(operator: InpaintingOperator, y) -> np.ndarray:
     if operator.mask.all():
         return y.copy()
     height, width = y.shape
-    values = y.tolist()
-    filled = operator.mask.tolist()
-    remaining = [(i, j) for i in range(height) for j in range(width) if not filled[i][j]]
+    # flat grids with a one-pixel border that is never filled, so every
+    # pixel has 8 neighbour slots at fixed offsets
+    stride = width + 2
+    values = np.zeros((height + 2, stride))
+    values[1:-1, 1:-1] = y
+    filled = np.zeros((height + 2, stride), dtype=bool)
+    filled[1:-1, 1:-1] = operator.mask
+    values = values.reshape(-1)
+    filled = filled.reshape(-1)
+    offsets = np.array([-stride - 1, -stride, -stride + 1, -1, 1, stride - 1, stride, stride + 1])
+    rows, cols = np.nonzero(~operator.mask)
+    diagonal = 2 * rows + cols
+    order = np.argsort(diagonal, kind="stable")
+    diagonal = diagonal[order]
+    pending = ((rows + 1) * stride + cols + 1)[order]
+    slots = np.arange(min(height, (width + 1) // 2))  # one per pixel of the longest diagonal
     sweeps = 0
-    while remaining:
+    while pending.size:
         sweeps += 1
         if sweeps > height * width:
             raise RuntimeError("median initialization failed to converge")
-        still_missing = []
-        for i, j in remaining:
-            neighbours = []
-            for ni in range(max(i - 1, 0), min(i + 2, height)):
-                row_vals = values[ni]
-                row_filled = filled[ni]
-                for nj in range(max(j - 1, 0), min(j + 2, width)):
-                    if (ni != i or nj != j) and row_filled[nj]:
-                        neighbours.append(row_vals[nj])
-            if neighbours:
-                neighbours.sort()
-                count = len(neighbours)
-                half = count // 2
-                if count % 2:
-                    values[i][j] = neighbours[half]
-                else:
-                    values[i][j] = 0.5 * (neighbours[half - 1] + neighbours[half])
-                filled[i][j] = True
-            else:
-                still_missing.append((i, j))
-        remaining = still_missing
-    return np.array(values)
+        cuts = (np.flatnonzero(diagonal[1:] != diagonal[:-1]) + 1).tolist()
+        neighbours = pending[:, None] + offsets
+        still_missing = np.zeros(pending.size, dtype=bool)
+        for start, stop in zip([0] + cuts, cuts + [pending.size]):
+            pixels = pending[start:stop]
+            around = neighbours[start:stop]
+            known = filled[around]
+            count = known.sum(axis=1)
+            ranked = np.where(known, values[around], np.inf)
+            ranked.sort(axis=1, kind="stable")
+            half = count // 2
+            at = slots[:stop - start]
+            upper = ranked[at, half]
+            lower = ranked[at, half - 1]  # used only where count is even
+            # a pixel with no filled neighbour gets inf, which no one reads
+            # before a later sweep overwrites it
+            values[pixels] = np.where(count % 2 == 1, upper, 0.5 * (lower + upper))
+            filled[pixels] = count > 0
+            still_missing[start:stop] = count == 0
+        pending = pending[still_missing]
+        diagonal = diagonal[still_missing]
+    return values.reshape(height + 2, stride)[1:-1, 1:-1].copy()
 
 
 def improved_measurements(x_true, operator, noise) -> np.ndarray:

@@ -128,7 +128,7 @@ RESOLVED_CASES = {
               **{"beta": "0.9", "lambda": "0.011764705882352941", "iterations": "50"})),
     "deblur-idbp_auto-every-field": (
         dict(task="deblur", solver="idbp_auto", denoiser="external", external_cmd="cat", seed=9,
-             mask_fraction=0.5, sigma_n=3.5, scenario=2, delta=2.5, epsilon=5e-4, iterations=12,
+             sigma_n=3.5, scenario=2, delta=2.5, epsilon=5e-4, iterations=12,
              tau=4.0, eps_increment=2e-4),
         {"task": "deblur", "solver": "idbp_auto", "denoiser": "external", "seed": "9",
          "external_cmd": "cat", "scenario": "2", "sigma_n": "3.5", "delta": "2.5",
@@ -181,6 +181,11 @@ def test_experiment_spec_validation():
     (dict(task="inpaint", lam=0.05), "idbp solver does not read lam"),
     (dict(task="inpaint", epsilon=1e-3), "idbp solver does not read epsilon for inpaint"),
     (dict(task="deblur", solver="idbp_auto", scenario=1, lam=0.05), "idbp_auto solver does not read lam"),
+    # nor is a setting of the other task
+    (dict(task="inpaint", scenario=3), "inpainting does not read scenario"),
+    (dict(task="inpaint", solver="pnp", scenario=1), "inpainting does not read scenario"),
+    (dict(task="deblur", scenario=1, mask_fraction=0.5), "deblurring does not read mask_fraction"),
+    (dict(task="deblur", solver="pnp", scenario=4, mask_fraction=0.0), "deblurring does not read mask_fraction"),
 ])
 def test_experiment_spec_rejects_unusable_settings_when_built(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -436,6 +441,19 @@ def test_cli_runtime_errors(tmp_path):
     assert cli_main(["inpaint", "--input", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["inpaint", "--scenario", "1"],
+    ["deblur", "--scenario", "1", "--mask-frac", "0.5"],
+], ids=["inpaint-scenario", "deblur-mask-frac"])
+def test_cli_rejects_a_setting_of_the_other_task(argv, scene_pgm, tmp_path, capsys):
+    out, trace, report = tmp_path / "restored.pgm", tmp_path / "trace.csv", tmp_path / "report.csv"
+    code = cli_main([*argv, "--input", str(scene_pgm), "--iters", "2",
+                     "--output", str(out), "--trace", str(trace), "--report", str(report)])
+    assert code == 2
+    assert "ValueError" in capsys.readouterr().err
+    assert not out.exists() and not trace.exists() and not report.exists()
+
+
 def test_cli_bench(tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()
@@ -479,6 +497,7 @@ def test_cli_bench_deblur_scenario(tmp_path, capsys):
     ["--denoiser", "foo"],  # an unknown kind would fail once per image, as error rows
     ["--denoiser", "shrink"],  # so would a kind that needs constructor arguments
     ["pnp", "--scenario", "1", "--delta", "3", "--tau", "9"],  # settings PnP never reads
+    ["--scenario", "1", "--mask-frac", "0.5"],  # deblurring never reads the mask fraction
 ])
 def test_cli_bench_rejects_a_bad_spec_before_any_image(flags, tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"

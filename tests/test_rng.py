@@ -67,6 +67,30 @@ def test_shuffled_prefix_is_permutation_prefix():
     assert all(0 <= int(i) < 100 for i in pick)
 
 
+def _reference_shuffled_prefix(rng, n, k):
+    """The swap loop on a numpy int64 array, one numpy float64 draw per step,
+    kept as the oracle for the precomputed targets and list swaps."""
+    idx = np.arange(n, dtype=np.int64)
+    if k == 0:
+        return idx[:0]
+    u = rng.uniforms(k)
+    for i in range(k):
+        j = i + int(u[i] * (n - i))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:k]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+@pytest.mark.parametrize("n, k", [(65536, 52429), (100, 40), (10, 10), (1, 1), (100, 0)])
+def test_shuffled_prefix_matches_reference(n, k, seed):
+    rng, ref = RngState(seed, counter=3), RngState(seed, counter=3)
+    got = rng.shuffled_prefix(n, k)
+    want = _reference_shuffled_prefix(ref, n, k)
+    assert got.dtype == np.int64 and got.shape == (k,)
+    assert got.tobytes() == want.tobytes()
+    assert rng.counter == ref.counter
+
+
 def test_shuffled_prefix_bounds():
     with pytest.raises(ValueError):
         RngState(0).shuffled_prefix(10, 11)

@@ -625,6 +625,88 @@ def test_median_initialize_rejects_blur():
         median_initialize(op, np.zeros((8, 8)))
 
 
+def _reference_median_initialize(mask, y):
+    """The raster sweep as a pure-Python loop over nested lists, kept as the
+    oracle for the vectorised anti-diagonal fill."""
+    height, width = y.shape
+    values = y.tolist()
+    filled = mask.tolist()
+    remaining = [(i, j) for i in range(height) for j in range(width) if not filled[i][j]]
+    while remaining:
+        still_missing = []
+        for i, j in remaining:
+            neighbours = []
+            for ni in range(max(i - 1, 0), min(i + 2, height)):
+                for nj in range(max(j - 1, 0), min(j + 2, width)):
+                    if (ni != i or nj != j) and filled[ni][nj]:
+                        neighbours.append(values[ni][nj])
+            if neighbours:
+                neighbours.sort()
+                count = len(neighbours)
+                half = count // 2
+                if count % 2:
+                    values[i][j] = neighbours[half]
+                else:
+                    values[i][j] = 0.5 * (neighbours[half - 1] + neighbours[half])
+                filled[i][j] = True
+            else:
+                still_missing.append((i, j))
+        remaining = still_missing
+    return np.array(values)
+
+
+_FILL_SHAPES = [(1, 64), (64, 1), (2, 2), (37, 53), (64, 64), (256, 256)]
+
+
+def _missing_mask(shape, fraction, seed):
+    """Random mask missing round(fraction * n) pixels, but observing at least one."""
+    n = shape[0] * shape[1]
+    mask = np.ones(n, dtype=bool)
+    mask[RngState(seed).shuffled_prefix(n, min(int(fraction * n + 0.5), n - 1))] = False
+    return mask.reshape(shape)
+
+
+def _corner_mask(shape, corner):
+    mask = np.zeros(shape, dtype=bool)
+    mask[corner] = True
+    return mask
+
+
+def _assert_fill_matches_reference(mask, y):
+    out = median_initialize(InpaintingOperator(mask), y)
+    want = _reference_median_initialize(mask, y)
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+    # the unobserved entries of y are garbage the fill must not read
+    assert median_initialize(InpaintingOperator(mask), np.where(mask, y, 0.0)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.8, 0.95, 0.99])
+@pytest.mark.parametrize("shape", _FILL_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_median_initialize_matches_reference_sweep(shape, fraction):
+    mask = _missing_mask(shape, fraction, seed=shape[0] * 1000 + shape[1])
+    _assert_fill_matches_reference(mask, _random_grid(7, *shape))
+
+
+# 256x256 is left out: a single observed pixel far from the top-left corner
+# costs the reference loop one sweep per few pixels of distance, tens of seconds
+@pytest.mark.parametrize("corner", ["top-left", "top-right", "bottom-left", "bottom-right"])
+@pytest.mark.parametrize("shape", _FILL_SHAPES[:-1], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_median_initialize_matches_reference_from_one_corner(shape, corner):
+    row = 0 if corner.startswith("top") else shape[0] - 1
+    col = 0 if corner.endswith("left") else shape[1] - 1
+    _assert_fill_matches_reference(_corner_mask(shape, (row, col)), _random_grid(8, *shape))
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.8, 0.95])
+def test_median_initialize_matches_reference_on_signed_zeros(fraction):
+    # -0.0 == 0.0, so only a stable sort picks the same zero as the loop
+    shape = (37, 53)
+    y = np.array([-1.0, -0.0, 0.0, 1.0])[RngState(9).shuffled_prefix(4 * 37 * 53, 37 * 53) % 4]
+    mask = _missing_mask(shape, fraction, seed=10)
+    _assert_fill_matches_reference(mask, y.reshape(shape))
+
+
 # ---------------------------------------------------------------------------
 # improved measurements
 # ---------------------------------------------------------------------------
