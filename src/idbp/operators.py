@@ -9,12 +9,20 @@ Both operator families expose the same surface:
 with regularisation weight w = ``epsilon * sigma_n**2``, zero by default, so
 a backward projection H+ y + Q x is one call for both families.
 
+IDBP iterates through the private ``_backward_projection(y)``, bound once
+per pass to the observations: it maps x to the projected iterate
+x + H+ (y - H x) and the squared residual norm ||y - H x||^2 together,
+since that form computes the residual the feasibility monitor needs.
+
 Masks are elementwise: H+ y = y / (1 + w) on observed pixels.  At w = 0 the
 divisions are by exactly 1, so their projection algebra (H H+ = I on
-observations, Q idempotent, row/null orthogonality) holds bit-exactly.
+observations, Q idempotent, row/null orthogonality) holds bit-exactly; the
+bound step keeps the H+ y + Q x arithmetic of the public methods.
 Blur runs in the frequency domain with circular boundaries, one real
 transform pair (rfft2, irfft2) per call, so it is exact only to rounding;
-its inverse filter conj(S) / (|S|^2 + w) is only approximate.
+its inverse filter conj(S) / (|S|^2 + w) is only approximate.  The bound
+step also makes one pair: it forms the residual spectrum, reads its norm
+off the half spectrum by Parseval, and filters it back.
 """
 
 from __future__ import annotations
@@ -101,6 +109,26 @@ class InpaintingOperator:
         require_same_shape(x, self.mask)
         return np.where(self.mask, x - x / (1.0 + self.epsilon * self.sigma_n**2), x)
 
+    def _backward_projection(self, y):
+        """x -> (H+ y + Q x, ||y - H x||^2) for fixed observations `y`.
+
+        The same ``where`` arithmetic as ``pseudoinverse``, ``project_null``
+        and ``forward``, and the squared norm as ``np.linalg.norm`` sums it,
+        so results match the public methods bit for bit.
+        """
+        y = as_grid(y)
+        require_same_shape(y, self.mask)
+        weight = 1.0 + self.epsilon * self.sigma_n**2
+        pinv_y = np.where(self.mask, y / weight, 0.0)
+
+        def project(x):
+            x = as_grid(x)
+            require_same_shape(x, self.mask)
+            residual = (y - np.where(self.mask, x, 0.0)).ravel()
+            return pinv_y + np.where(self.mask, x - x / weight, x), float(residual.dot(residual))
+
+        return project
+
 
 def generate_random_mask(
     height: int, width: int, missing_fraction: float, rng: RngState
@@ -129,9 +157,10 @@ class BlurOperator:
     Each apply is irfft2(rfft2(x) * F, s=shape), F on S's half spectrum
     (columns 0..W//2; ``s=`` keeps odd widths).  The regularised inverse
     filter conj(S) / (|S|^2 + epsilon * sigma_n^2) and the null filter
-    (its product with S) are built together on first use, so a
-    forward-only operator never requires an invertible spectrum; the lazy
-    fill is idempotent and the instance is otherwise immutable.
+    (its product with S) are each built on first use, so a forward-only
+    operator never requires an invertible spectrum and IDBP, which reads
+    only the inverse filter, never holds the null filter; the lazy fills
+    are idempotent and the instance is otherwise immutable.
     """
 
     def __init__(self, kernel, shape: tuple[int, int], epsilon: float = 0.0, sigma_n: float = 0.0) -> None:
@@ -152,7 +181,8 @@ class BlurOperator:
         self.spectrum = kernel_spectrum(kernel, self.shape)
         self.spectrum.setflags(write=False)
         self._half_spectrum = self.spectrum[:, : self.shape[1] // 2 + 1]
-        self._filters: tuple[np.ndarray, np.ndarray] | None = None
+        self._inverse: np.ndarray | None = None
+        self._null: np.ndarray | None = None
 
     def with_epsilon(self, epsilon: float) -> "BlurOperator":
         """Same blur with a different regularisation weight; shares this
@@ -163,11 +193,11 @@ class BlurOperator:
         """Same kernel and spectrum object, new (epsilon, sigma_n), empty filter cache."""
         _check_regularisation(epsilon, sigma_n)
         other = BlurOperator.__new__(BlurOperator)  # subclasses re-wrap the result themselves
-        vars(other).update(vars(self), epsilon=float(epsilon), sigma_n=float(sigma_n), _filters=None)
+        vars(other).update(vars(self), epsilon=float(epsilon), sigma_n=float(sigma_n), _inverse=None, _null=None)
         return other
 
-    def _inverse_and_null_filters(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._filters is None:
+    def _inverse_filter(self) -> np.ndarray:
+        if self._inverse is None:
             denom = np.abs(self._half_spectrum) ** 2 + self.epsilon * self.sigma_n**2
             if np.any(denom == 0.0):
                 raise ValueError(
@@ -175,11 +205,16 @@ class BlurOperator:
                     "the inverse filter is undefined"
                 )
             inverse = np.conj(self._half_spectrum) / denom
-            null = inverse * self._half_spectrum
             inverse.setflags(write=False)
+            self._inverse = inverse
+        return self._inverse
+
+    def _null_filter(self) -> np.ndarray:
+        if self._null is None:
+            null = self._inverse_filter() * self._half_spectrum
             null.setflags(write=False)
-            self._filters = (inverse, null)
-        return self._filters
+            self._null = null
+        return self._null
 
     def _check(self, x) -> np.ndarray:
         x = as_grid(x)
@@ -194,11 +229,40 @@ class BlurOperator:
         return self._filter(self._check(x), self._half_spectrum)
 
     def pseudoinverse(self, y) -> np.ndarray:
-        return self._filter(self._check(y), self._inverse_and_null_filters()[0])
+        return self._filter(self._check(y), self._inverse_filter())
 
     def project_null(self, x) -> np.ndarray:
         x = self._check(x)
-        return x - self._filter(x, self._inverse_and_null_filters()[1])
+        return x - self._filter(x, self._null_filter())
+
+    def _backward_projection(self, y):
+        """x -> (x + H+ (y - H x), ||y - H x||^2) for fixed observations `y`.
+
+        With Y = rfft2(y) kept, each call makes one transform pair: the
+        residual spectrum R = Y - S rfft2(x) gives ||y - H x||^2 by Parseval
+        on the half spectrum (weight 1 on column 0 and, for even widths,
+        column W/2, weight 2 on the others, over H * W), and the projected
+        iterate is x + irfft2(R F, s=shape) with F the inverse filter.
+        """
+        y_spectrum = np.fft.rfft2(self._check(y))
+        inverse = self._inverse_filter()
+        size = self.shape[0] * self.shape[1]
+        width = self.shape[1]
+        edges = [0, width // 2] if width % 2 == 0 else [0]  # columns without a mirror image
+
+        def project(x):
+            x = self._check(x)
+            spectrum = np.fft.rfft2(x)
+            spectrum *= self._half_spectrum
+            np.subtract(y_spectrum, spectrum, out=spectrum)
+            unpaired = spectrum[:, edges]
+            residual_sq = (2.0 * np.vdot(spectrum, spectrum).real - np.vdot(unpaired, unpaired).real) / size
+            spectrum *= inverse
+            projected = np.fft.irfft2(spectrum, s=self.shape)
+            projected += x
+            return projected, float(residual_sq)
+
+        return project
 
 
 def _check_regularisation(epsilon: float, sigma_n: float) -> None:

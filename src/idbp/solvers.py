@@ -11,9 +11,11 @@ Three algorithms:
 * ``pnp_run``         -- ADMM with the prior step replaced by the denoiser
                          (noise level sqrt(beta / lambda)).
 
-Both solvers enforce the data through one call for every operator, the
-backward projection H+ y + Q z: IDBP at the operator's own weight, PnP's
-least-squares step at weight lambda * sigma_n^2.  Inpainting observations
+Both solvers enforce the data through the same backward projection
+H+ y + Q z for every operator: IDBP at the operator's own weight, through
+the operator's step bound to y, which also returns the residual norm its
+feasibility monitor needs; PnP's least-squares step at weight
+lambda * sigma_n^2, as pinv_y + project_null(z).  Inpainting observations
 are full grids whose unobserved entries are zero; at weight zero the mask
 projection is an exact element copy, so IDBP keeps the measurement
 constraint bitwise at every iteration.
@@ -21,6 +23,7 @@ constraint bitwise at every iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,14 +150,16 @@ def condition_ratio(operator, y, x_tilde, sigma_n: float, delta: float) -> float
     if sigma_n <= 0:
         raise ValueError("sigma_n must be positive")
     residual = as_grid(y) - operator.forward(x_tilde)
-    return _feasibility_ratio(residual, operator.pseudoinverse(residual), sigma_n, delta)
+    return _feasibility_ratio(
+        float(np.linalg.norm(residual)), float(np.linalg.norm(operator.pseudoinverse(residual))), sigma_n, delta
+    )
 
 
-def _feasibility_ratio(residual: np.ndarray, mapped: np.ndarray, sigma_n: float, delta: float) -> float:
-    """(||residual|| / sigma_n^2) / (||mapped|| / (sigma_n + delta)^2), mapped = H+ residual; +inf if it is 0."""
-    numerator = float(np.linalg.norm(residual)) / (sigma_n * sigma_n)
+def _feasibility_ratio(residual_norm: float, mapped_norm: float, sigma_n: float, delta: float) -> float:
+    """(||r|| / sigma_n^2) / (||H+ r|| / (sigma_n + delta)^2) from the two norms; +inf if ||H+ r|| is 0."""
+    numerator = residual_norm / (sigma_n * sigma_n)
     sigma_total = sigma_n + delta
-    denominator = float(np.linalg.norm(mapped)) / (sigma_total * sigma_total)
+    denominator = mapped_norm / (sigma_total * sigma_total)
     if denominator == 0.0:
         return float("inf")
     return numerator / denominator
@@ -185,24 +190,28 @@ def _idbp_pass(
 ):
     """One uninterrupted IDBP pass, starting from x_first = D(init; sigma_n + delta).
 
+    Each iteration makes one call to the operator's backward projection
+    bound to y, which returns y_tilde = x_tilde + H+ (y - H x_tilde) together
+    with ||y - H x_tilde||^2: one real transform pair per blur iteration.
     Appends one trace record per completed iteration.  Its condition ratio
-    (+inf when sigma_n = 0) takes the mapped residual from the projection,
-    H+ (y - H x_tilde) = y_tilde - x_tilde, so H+ is not applied again.
-    If `margin_tau` is set, returns early with violated=True as soon as an
-    iteration k > 1 sees a condition ratio below the margin (the first
+    (+inf when sigma_n = 0) takes that residual norm and the mapped residual
+    H+ (y - H x_tilde) = y_tilde - x_tilde, so neither H nor H+ is applied
+    again.  If `margin_tau` is set, returns early with violated=True as soon
+    as an iteration k > 1 sees a condition ratio below the margin (the first
     iteration is never checked: it mostly reflects the initialization).
     Returns (x_tilde, y_tilde, violated).
     """
     sigma = sigma_n + config.delta
-    pinv_y = operator.pseudoinverse(y)
+    project = operator._backward_projection(y)  # onto {H y_tilde = y}
     x_tilde = x_first
     for k in range(1, config.iterations + 1):
         if k > 1:
             x_tilde = denoiser(y_tilde, sigma)
         _require_finite(x_tilde, "denoiser output", k)
-        y_tilde = pinv_y + operator.project_null(x_tilde)  # projection onto {H y_tilde = y}
+        y_tilde, residual_sq = project(x_tilde)
         _require_finite(y_tilde, "projected iterate", k)
-        ratio = (_feasibility_ratio(y - operator.forward(x_tilde), y_tilde - x_tilde, sigma_n, config.delta)
+        ratio = (_feasibility_ratio(math.sqrt(residual_sq), float(np.linalg.norm(y_tilde - x_tilde)),
+                                    sigma_n, config.delta)
                  if sigma_n > 0 else float("inf"))
         quality = psnr(ground_truth, x_tilde) if ground_truth is not None else float("nan")
         trace.append(TraceRecord(k, quality, ratio, operator.epsilon, restarts))

@@ -312,6 +312,41 @@ def test_real_transform_blur_matches_complex_reference(shape, kernel, regularisa
         assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), np.max(np.abs(x)))
 
 
+@pytest.mark.parametrize("kernel", ["scenario-1", "lopsided-3x5"])
+@pytest.mark.parametrize("shape", [(64, 64), (37, 53), (16, 15)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_blur_backward_projection_matches_the_public_methods(shape, kernel):
+    # the residual norm comes from the half spectrum: column 0, and W/2 for
+    # even widths only, count once, every other column twice
+    op = BlurOperator(_ORACLE_KERNELS[kernel], shape, EPSILON, SIGMA_N)
+    x = _random_grid(22, *shape)
+    y = _random_grid(23, *shape)
+    y_tilde, residual_sq = op._backward_projection(y)(x)
+    want = float(np.sum((y - op.forward(x)) ** 2))
+    assert abs(residual_sq - want) <= 1e-12 * want
+    want = op.pseudoinverse(y) + op.project_null(x)
+    assert y_tilde.shape == shape
+    assert np.max(np.abs(y_tilde - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("regularisation", [(0.0, 0.0), (EPSILON, SIGMA_N)])
+def test_mask_backward_projection_is_the_public_arithmetic(regularisation):
+    op = generate_random_mask(37, 53, 0.7, RngState(24))._with_regularisation(*regularisation)
+    x = _random_grid(25, 37, 53)
+    y = op.forward(_random_grid(26, 37, 53))
+    y_tilde, residual_sq = op._backward_projection(y)(x)
+    assert y_tilde.tobytes() == (op.pseudoinverse(y) + op.project_null(x)).tobytes()
+    assert np.sqrt(residual_sq) == np.linalg.norm(y - op.forward(x))
+
+
+@pytest.mark.parametrize(
+    "op", [BlurOperator(_delta_kernel(), (8, 8)), InpaintingOperator(np.ones((8, 8), dtype=bool))], ids=["blur", "mask"]
+)
+def test_backward_projection_rejects_a_mismatched_iterate(op):
+    project = op._backward_projection(np.ones((8, 8)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        project(np.ones((1, 8)))
+
+
 def _count_transforms(monkeypatch, names=("fft2", "rfft2")) -> list:
     """Record the name of each call to the named np.fft functions; by
     default the forward 2-D transforms, complex and real."""
@@ -346,8 +381,9 @@ def test_pnp_blur_run_reuses_the_operator_spectrum(monkeypatch):
 
 @pytest.mark.parametrize("solver", ["idbp", "pnp"])
 def test_blur_iterations_make_only_real_transforms(monkeypatch, solver):
-    # a steady IDBP iteration: Q x (one pair) and H x for the monitor (one
-    # pair), since the monitor reads H+ (y - H x) off the projection; PnP: Q z
+    # a steady iteration makes one pair: IDBP's bound backward projection
+    # x + H+ (y - H x), which also yields the monitor's ||y - H x||, and
+    # PnP's Q z.  Once per run, IDBP transforms y and PnP computes H+ y.
     op = BlurOperator(generate_scenario_kernel(1), (16, 16), epsilon=7e-3, sigma_n=2.0)
     y = _random_grid(21, 16, 16)
     calls = _count_transforms(monkeypatch, ("fft2", "ifft2", "rfft2", "irfft2"))
@@ -360,9 +396,9 @@ def test_blur_iterations_make_only_real_transforms(monkeypatch, solver):
             pnp_run(op, y, 2.0, lambda z, sigma: z, PnpConfig(beta=0.85, lam=2.0 / 255.0, iterations=iterations), y)
         counts.append(Counter(calls))
     per_iteration = {name: (counts[1][name] - counts[0][name]) / 3 for name in ("fft2", "ifft2", "rfft2", "irfft2")}
-    pairs = 2 if solver == "idbp" else 1
-    assert per_iteration == {"fft2": 0, "ifft2": 0, "rfft2": pairs, "irfft2": pairs}
-    assert counts[0] == Counter(rfft2=1 + 2 * pairs, irfft2=1 + 2 * pairs)  # plus H+ y once per run
+    assert per_iteration == {"fft2": 0, "ifft2": 0, "rfft2": 1, "irfft2": 1}
+    once = Counter(rfft2=1) if solver == "idbp" else Counter(rfft2=1, irfft2=1)
+    assert counts[0] == Counter(rfft2=2, irfft2=2) + once
 
 
 def test_forward_only_operator_tolerates_spectral_zeros():
