@@ -183,6 +183,58 @@ def test_dct_matches_reference(shape, patch, threshold_factor):
     assert np.max(np.abs(out - ref)) <= 1e-9
 
 
+def _whole_image_dct(z, sigma, patch=8, threshold_factor=3.0, strip_rows=4):
+    """DctDenoiser with image-sized stacks: all vertical windows transformed
+    at once, strips of patch rows top-down into one (rows, p, W) column-sum
+    stack, then one vertical inverse and row overlap-add; kept as the
+    byte-equal oracle for the block-by-block pass."""
+    p = patch
+    basis = _dct_matrix(p)
+    rows, cols = z.shape[0] - p + 1, z.shape[1] - p + 1
+    vertical = np.ascontiguousarray((sliding_window_view(z, p, axis=0) @ basis.T).transpose(0, 2, 1))
+    column_sums = np.zeros((rows, p, z.shape[1]))
+    for top in range(0, rows, strip_rows):
+        coeffs = sliding_window_view(vertical[top : top + strip_rows], p, axis=2) @ basis.T
+        keep = np.abs(coeffs) > threshold_factor * sigma
+        keep[:, 0, :, 0] = True
+        coeffs *= keep
+        recon = coeffs @ basis
+        strip = column_sums[top : top + strip_rows]
+        for dj in range(p):
+            strip[:, :, dj : dj + cols] += recon[..., dj]
+    recon = basis.T @ column_sums
+    out = np.zeros_like(z)
+    for di in range(p):
+        out[di : di + rows] += recon[:, di]
+    ones = np.ones(p)
+    return out / np.outer(np.convolve(np.ones(rows), ones), np.convolve(np.ones(cols), ones))
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (37, 53), (8, 8), (8, 40), (40, 8), (23, 17)])
+@pytest.mark.parametrize("patch", [2, 5, 8])
+@pytest.mark.parametrize("threshold_factor", [0.0, 3.0])
+def test_dct_strips_match_the_whole_image_pass_bytes(shape, patch, threshold_factor):
+    # bottom-up blocks keep each pixel's sum over row offsets in increasing order
+    sigma = 10.0
+    z = add_gaussian_noise(_random_grid(24, *shape), sigma, RngState(25))
+    out = DctDenoiser(patch, threshold_factor)(z, sigma)
+    assert out.tobytes() == _whole_image_dct(z, sigma, patch, threshold_factor).tobytes()
+
+
+def test_dct_allocates_no_image_sized_stack():
+    # one (patch rows, patch, width) float64 stack: what the whole-image pass holds three of
+    z = _random_grid(26, 256, 256)
+    denoiser = DctDenoiser()
+    stack_bytes = (256 - 7) * 8 * 256 * z.itemsize
+    tracemalloc.start()
+    try:
+        denoiser(z, 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes
+
+
 def test_dct_allocates_no_four_dimensional_patch_tensor():
     z = _random_grid(23, 128, 128)
     denoiser = DctDenoiser()
