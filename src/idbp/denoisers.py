@@ -25,19 +25,36 @@ from .rng import RngState
 # ---------------------------------------------------------------------------
 
 
+# Pixels per row strip of MedianDenoiser: a strip's temporaries stay in
+# cache (32 rows at 256^2, 16 at 512^2).
+_MEDIAN_STRIP_PIXELS = 8192
+
+
 class MedianDenoiser:
     """Sliding-window median with edge-replicated borders.
 
-    Forgetful selection (Devillard, "Fast median search: an ANSI C
-    implementation", 1998) over the w^2 shifted views of the padded image:
-    a pool of the first m = w^2 // 2 + 2 views can hold neither its
+    The edge-padded image is processed in row strips of about
+    ``_MEDIAN_STRIP_PIXELS`` pixels, each read with its w - 1 halo rows, so
+    every temporary is strip-sized and stays in cache.
+
+    At w = 3 a strip takes the shared-column selection (Paeth, "Median
+    finding on a 3x3 grid", Graphics Gems, 1990): each vertical triple is
+    sorted once into (low, mid, high), and that sort serves the three
+    horizontally adjacent windows.  The median of a window is
+    med3(max of its lows, med3 of its mids, min of its highs): 18
+    strip-sized min/max in all.
+
+    Other windows take forgetful selection (Devillard, "Fast median search:
+    an ANSI C implementation", 1998) over the w^2 shifted views of the
+    strip: a pool of the first m = w^2 // 2 + 2 views can hold neither its
     minimum nor its maximum as the median, so each round one sweep of
     min/max pairs moves both to the pool's ends, drops them and lets the
     next view join.  The last array left is the median.  A round over p
-    arrays costs 2p - 3 pairs, m (m - 2) in all: 24 full-image min/max
-    pairs at w = 3, 168 at w = 5.  The pool holds m images, never the
-    (H, W, w^2) stack.  Selection only compares and copies, so the output
-    is np.median's, bit for bit.
+    arrays costs 2p - 3 pairs, m (m - 2) in all: 168 strip-sized min/max
+    pairs at w = 5.
+
+    Selection only compares and copies, so the output is np.median's, bit
+    for bit.
     """
 
     kind = "median"
@@ -54,25 +71,68 @@ class MedianDenoiser:
         w = self.window
         height, width = z.shape
         padded = np.pad(z, w // 2, mode="edge")
-        views = [padded[i : i + height, j : j + width] for i in range(w) for j in range(w)]
-        size = len(views) // 2 + 2
-        pool = [view.copy() for view in views[:size]]
-        joining = views[size:]
-        spare = np.empty_like(z)
-        while len(pool) > 1:
-            low, high, spare = _order(pool[0], pool[-1], spare)
-            kept = []
-            for a in pool[1:-1]:
-                low, a, spare = _order(low, a, spare)
-                a, high, spare = _order(a, high, spare)
-                kept.append(a)
-            if joining:
-                np.copyto(low, joining.pop())
-                kept.append(low)
-            pool = kept
+        out = np.empty_like(z)
+        select = _median_of_3x3 if w == 3 else _forgetful_median
+        rows = max(1, _MEDIAN_STRIP_PIXELS // width)
+        for top in range(0, height, rows):
+            bottom = min(top + rows, height)
+            select(padded[top : bottom + w - 1], out[top:bottom])
         # np.median averages its middle element, which maps -0.0 to +0.0
-        pool[0] += 0.0
-        return pool[0]
+        out += 0.0
+        return out
+
+
+def _median_of_3x3(strip: np.ndarray, out: np.ndarray) -> None:
+    """3x3 medians of a padded strip into out, by shared column sorts."""
+    width = out.shape[1]
+    a, b, c = strip[:-2], strip[1:-1], strip[2:]
+    # sort each vertical triple: low, mid, high
+    low = np.minimum(a, b)
+    high = np.maximum(a, b)
+    mid = np.minimum(high, c)
+    np.maximum(high, c, out=high)
+    np.maximum(low, mid, out=mid)
+    np.minimum(low, c, out=low)
+    # each window's three columns: max of the lows, min of the highs,
+    # med3 of the mids
+    left, centre, right = slice(0, width), slice(1, width + 1), slice(2, width + 2)
+    lows = np.maximum(low[:, left], low[:, centre])
+    np.maximum(lows, low[:, right], out=lows)
+    highs = np.minimum(high[:, left], high[:, centre])
+    np.minimum(highs, high[:, right], out=highs)
+    mids = _med3(mid[:, left], mid[:, centre], mid[:, right])
+    _med3(lows, mids, highs, out=out)
+
+
+def _med3(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise median of three arrays: max(min(a, b), min(max(a, b), c))."""
+    low = np.minimum(a, b, out=out)
+    high = np.maximum(a, b)
+    np.minimum(high, c, out=high)
+    return np.maximum(low, high, out=low)
+
+
+def _forgetful_median(strip: np.ndarray, out: np.ndarray) -> None:
+    """w x w medians of a padded strip into out, by forgetful selection."""
+    height, width = out.shape
+    w = strip.shape[1] - width + 1
+    views = [strip[i : i + height, j : j + width] for i in range(w) for j in range(w)]
+    size = len(views) // 2 + 2
+    pool = [view.copy() for view in views[:size]]
+    joining = views[size:]
+    spare = np.empty_like(out)
+    while len(pool) > 1:
+        low, high, spare = _order(pool[0], pool[-1], spare)
+        kept = []
+        for a in pool[1:-1]:
+            low, a, spare = _order(low, a, spare)
+            a, high, spare = _order(a, high, spare)
+            kept.append(a)
+        if joining:
+            np.copyto(low, joining.pop())
+            kept.append(low)
+        pool = kept
+    np.copyto(out, pool[0])
 
 
 def _order(a: np.ndarray, b: np.ndarray, spare: np.ndarray):

@@ -13,6 +13,8 @@ IDBP iterates through the private ``_backward_projection(y)``, bound once
 per pass to the observations: it maps x to the projected iterate
 x + H+ (y - H x) and the squared residual norm ||y - H x||^2 together,
 since that form computes the residual the feasibility monitor needs.
+The step takes x as a finite float64 grid and checks only its shape: the
+solver scans each denoiser output once, before the step.
 
 Masks are elementwise: H+ y = y / (1 + w) on observed pixels.  At w = 0 the
 divisions are by exactly 1, so their projection algebra (H H+ = I on
@@ -122,7 +124,6 @@ class InpaintingOperator:
         pinv_y = np.where(self.mask, y / weight, 0.0)
 
         def project(x):
-            x = as_grid(x)
             require_same_shape(x, self.mask)
             residual = (y - np.where(self.mask, x, 0.0)).ravel()
             return pinv_y + np.where(self.mask, x - x / weight, x), float(residual.dot(residual))
@@ -246,14 +247,18 @@ class BlurOperator:
         """
         y_spectrum = np.fft.rfft2(self._check(y))
         inverse = self._inverse_filter()
+        # products with the strided view take about twice as long; a copy
+        # kept by every operator instead would add to each one's memory
+        half_spectrum = np.ascontiguousarray(self._half_spectrum)
         size = self.shape[0] * self.shape[1]
         width = self.shape[1]
         edges = [0, width // 2] if width % 2 == 0 else [0]  # columns without a mirror image
 
         def project(x):
-            x = self._check(x)
+            if x.shape != self.shape:
+                raise ValueError(f"shape mismatch: {x.shape} vs operator {self.shape}")
             spectrum = np.fft.rfft2(x)
-            spectrum *= self._half_spectrum
+            spectrum *= half_spectrum
             np.subtract(y_spectrum, spectrum, out=spectrum)
             unpaired = spectrum[:, edges]
             residual_sq = (2.0 * np.vdot(spectrum, spectrum).real - np.vdot(unpaired, unpaired).real) / size

@@ -170,9 +170,12 @@ def _feasibility_ratio(residual_norm: float, mapped_norm: float, sigma_n: float,
 # ---------------------------------------------------------------------------
 
 
-def _require_finite(arr: np.ndarray, what: str, iteration: int) -> None:
+def _require_finite(arr, what: str, iteration: int) -> np.ndarray:
+    """arr as a float64 C-order array, after one scan for non-finite values."""
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise RuntimeError(f"non-finite {what} at iteration {iteration}")
+    return arr
 
 
 def _idbp_pass(
@@ -207,7 +210,8 @@ def _idbp_pass(
     for k in range(1, config.iterations + 1):
         if k > 1:
             x_tilde = denoiser(y_tilde, sigma)
-        _require_finite(x_tilde, "denoiser output", k)
+        # the one finiteness scan of x_tilde: the bound step checks its shape only
+        x_tilde = _require_finite(x_tilde, "denoiser output", k)
         y_tilde, residual_sq = project(x_tilde)
         _require_finite(y_tilde, "projected iterate", k)
         ratio = (_feasibility_ratio(math.sqrt(residual_sq), float(np.linalg.norm(y_tilde - x_tilde)),

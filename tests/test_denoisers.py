@@ -106,12 +106,16 @@ def _median_inputs(seed, shape):
     }
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 3), (37, 53), (64, 64)])
+# the last four span several row strips, the last of them partial; at
+# 3 x 9000 every strip is one row wide
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 7), (7, 1), (2, 3), (37, 53), (64, 64), (70, 256), (300, 40), (513, 17), (3, 9000)]
+)
 @pytest.mark.parametrize("window", [1, 3, 5, 7])
 @pytest.mark.parametrize("kind", ["noise", "integers", "signed_zeros"])
 def test_median_matches_reference(shape, window, kind):
     # selection only compares and copies, so the result is exact, down to
-    # the sign of zero
+    # the sign of zero, across strip seams
     z = _median_inputs(27, shape)[kind]
     out = MedianDenoiser(window)(z, 5.0)
     ref = _reference_median(z, window)
@@ -119,10 +123,12 @@ def test_median_matches_reference(shape, window, kind):
     assert out.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("window, limit_mib", [(3, 6.0), (5, 12.5)])
+@pytest.mark.parametrize("window, limit_mib", [(3, 6.0), (5, 12.5), (3, 2.0)])
 def test_median_allocates_no_stack_of_windows(window, limit_mib):
     # 12.5 MiB is one (256, 256, 25) float64 stack; np.median over the
-    # sliding view peaks at 10.6 MiB (window 3) and 26.6 MiB (window 5)
+    # sliding view peaks at 10.6 MiB (window 3) and 26.6 MiB (window 5).
+    # 2 MiB is four 256^2 images: row strips keep the 3 x 3 selection's
+    # temporaries strip-sized, where image-sized ones peaked at 4 MiB
     z = _random_grid(28, 256, 256)
     denoiser = MedianDenoiser(window)
     tracemalloc.start()

@@ -251,6 +251,11 @@ def test_with_epsilon_shares_spectrum_and_rebuilds_filters():
     op2 = op.with_epsilon(0.5)
     fresh = BlurOperator(kernel, (16, 16), epsilon=0.5, sigma_n=2.0)
     assert op2.spectrum is op.spectrum
+    # the half spectrum every apply multiplies by is a view of it, shared
+    # too: a copy per operator costs memory on every set-up
+    assert np.shares_memory(op._half_spectrum, op.spectrum)
+    assert np.array_equal(op._half_spectrum, op.spectrum[:, : 16 // 2 + 1])
+    assert op2._half_spectrum is op._half_spectrum
     assert np.array_equal(op2.pseudoinverse(x), fresh.pseudoinverse(x))
     assert np.array_equal(op2.project_null(x), fresh.project_null(x))
     assert np.array_equal(op.pseudoinverse(x), pinv_before)
