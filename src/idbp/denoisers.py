@@ -31,27 +31,17 @@ _MEDIAN_STRIP_PIXELS = 8192
 
 
 class MedianDenoiser:
-    """Sliding-window median with edge-replicated borders.
+    """3x3 median with edge-replicated borders.
 
     The edge-padded image is processed in row strips of about
-    ``_MEDIAN_STRIP_PIXELS`` pixels, each read with its w - 1 halo rows, so
+    ``_MEDIAN_STRIP_PIXELS`` pixels, each read with its 2 halo rows, so
     every temporary is strip-sized and stays in cache.
 
-    At w = 3 a strip takes the shared-column selection (Paeth, "Median
-    finding on a 3x3 grid", Graphics Gems, 1990): each vertical triple is
-    sorted once into (low, mid, high), and that sort serves the three
-    horizontally adjacent windows.  The median of a window is
-    med3(max of its lows, med3 of its mids, min of its highs): 18
-    strip-sized min/max in all.
-
-    Other windows take forgetful selection (Devillard, "Fast median search:
-    an ANSI C implementation", 1998) over the w^2 shifted views of the
-    strip: a pool of the first m = w^2 // 2 + 2 views can hold neither its
-    minimum nor its maximum as the median, so each round one sweep of
-    min/max pairs moves both to the pool's ends, drops them and lets the
-    next view join.  The last array left is the median.  A round over p
-    arrays costs 2p - 3 pairs, m (m - 2) in all: 168 strip-sized min/max
-    pairs at w = 5.
+    A strip takes the shared-column selection (Paeth, "Median finding on a
+    3x3 grid", Graphics Gems, 1990): each vertical triple is sorted once
+    into (low, mid, high), and that sort serves the three horizontally
+    adjacent windows.  The median of a window is med3(max of its lows, med3
+    of its mids, min of its highs): 18 strip-sized min/max in all.
 
     Selection only compares and copies, so the output is np.median's, bit
     for bit.
@@ -59,24 +49,17 @@ class MedianDenoiser:
 
     kind = "median"
 
-    def __init__(self, window: int = 3) -> None:
-        if window < 1 or window % 2 == 0:
-            raise ValueError("window must be odd and positive")
-        self.window = window
-
     def __call__(self, z, sigma: float) -> np.ndarray:
         z = as_grid(z)
         if sigma == 0:
             return z.copy()
-        w = self.window
         height, width = z.shape
-        padded = np.pad(z, w // 2, mode="edge")
+        padded = np.pad(z, 1, mode="edge")
         out = np.empty_like(z)
-        select = _median_of_3x3 if w == 3 else _forgetful_median
         rows = max(1, _MEDIAN_STRIP_PIXELS // width)
         for top in range(0, height, rows):
             bottom = min(top + rows, height)
-            select(padded[top : bottom + w - 1], out[top:bottom])
+            _median_of_3x3(padded[top : bottom + 2], out[top:bottom])
         # np.median averages its middle element, which maps -0.0 to +0.0
         out += 0.0
         return out
@@ -112,57 +95,25 @@ def _med3(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray | None = 
     return np.maximum(low, high, out=low)
 
 
-def _forgetful_median(strip: np.ndarray, out: np.ndarray) -> None:
-    """w x w medians of a padded strip into out, by forgetful selection."""
-    height, width = out.shape
-    w = strip.shape[1] - width + 1
-    views = [strip[i : i + height, j : j + width] for i in range(w) for j in range(w)]
-    size = len(views) // 2 + 2
-    pool = [view.copy() for view in views[:size]]
-    joining = views[size:]
-    spare = np.empty_like(out)
-    while len(pool) > 1:
-        low, high, spare = _order(pool[0], pool[-1], spare)
-        kept = []
-        for a in pool[1:-1]:
-            low, a, spare = _order(low, a, spare)
-            a, high, spare = _order(a, high, spare)
-            kept.append(a)
-        if joining:
-            np.copyto(low, joining.pop())
-            kept.append(low)
-        pool = kept
-    np.copyto(out, pool[0])
-
-
-def _order(a: np.ndarray, b: np.ndarray, spare: np.ndarray):
-    """Elementwise (min, max) of a and b, written into spare and b.
-
-    Returns (min, max, new spare): a's buffer is free afterwards.
-    """
-    np.minimum(a, b, out=spare)
-    np.maximum(a, b, out=b)
-    return spare, b, a
+# Kernel std per unit of sigma.  A product with 1/20, not a division by 20:
+# the two differ in the last bit for some sigma.
+_WIDTH_FACTOR = 1.0 / 20.0
 
 
 class GaussianDenoiser:
-    """Separable Gaussian smoothing with kernel std sigma / 20, truncated at 3 std.
+    """Separable Gaussian smoothing with kernel std sigma * ``_WIDTH_FACTOR``
+    (sigma / 20), truncated at 3 std.
 
     Deliberately weak; useful as a cheap baseline.
     """
 
     kind = "gaussian"
 
-    def __init__(self, width_factor: float = 1.0 / 20.0) -> None:
-        if width_factor <= 0:
-            raise ValueError("width_factor must be positive")
-        self.width_factor = width_factor
-
     def __call__(self, z, sigma: float) -> np.ndarray:
         z = as_grid(z)
         if sigma == 0:
             return z.copy()
-        std = sigma * self.width_factor
+        std = sigma * _WIDTH_FACTOR
         radius = max(1, int(np.ceil(3.0 * std)))
         taps = np.exp(-0.5 * (np.arange(-radius, radius + 1) / std) ** 2)
         taps /= taps.sum()

@@ -92,10 +92,6 @@ class InpaintingOperator:
     def shape(self) -> tuple[int, int]:
         return self.mask.shape
 
-    @property
-    def observed_count(self) -> int:
-        return int(self.mask.sum())
-
     def forward(self, x) -> np.ndarray:
         x = as_grid(x)
         require_same_shape(x, self.mask)

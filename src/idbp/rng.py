@@ -91,9 +91,3 @@ class RngState:
         for i, j in enumerate(targets.tolist()):
             idx[i], idx[j] = idx[j], idx[i]
         return np.array(idx[:k], dtype=np.int64)
-
-    def spawn(self, stream: int) -> "RngState":
-        """Independent child stream derived from this seed and a stream id."""
-        base = (self.seed ^ 0xD6E8FEB86659FD93) & _U64_MASK
-        state = (base + (stream & _U64_MASK) * 0x9E3779B97F4A7C15) & _U64_MASK
-        return RngState(seed=int(_mix64(np.array([state], dtype=np.uint64))[0]))

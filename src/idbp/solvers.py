@@ -74,18 +74,21 @@ class IdbpConfig:
             raise ValueError("restart_cap must be nonnegative")
 
 
+# Noise level PnP's data term uses when sigma_n is zero, so that its
+# least-squares step stays well defined.
+_SIGMA_FLOOR = 0.001
+
+
 @dataclass
 class PnpConfig:
     """ADMM parameters: prior weight beta, penalty lambda, iteration count.
 
-    When sigma_n is zero the data term uses ``sigma_floor`` instead so the
-    least-squares step stays well defined.
+    When sigma_n is zero the data term uses ``_SIGMA_FLOOR`` = 0.001 instead.
     """
 
     beta: float
     lam: float
     iterations: int
-    sigma_floor: float = 0.001
 
     def __post_init__(self) -> None:
         if self.beta <= 0:
@@ -94,8 +97,6 @@ class PnpConfig:
             raise ValueError("lam must be positive")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
-        if self.sigma_floor <= 0:
-            raise ValueError("sigma_floor must be positive")
 
     @property
     def denoiser_sigma(self) -> float:
@@ -144,15 +145,15 @@ def condition_ratio(operator, y, x_tilde, sigma_n: float, delta: float) -> float
     Ratio of the residual norm ||y - H x_tilde|| weighted by 1/sigma_n^2 to
     the mapped residual norm ||H+ (y - H x_tilde)|| weighted by
     1/(sigma_n + delta)^2; +inf when the mapped residual vanishes.  A value
-    below 1 certifies that `delta` is too small.  Inside IDBP the mapped
-    residual is y_tilde - x_tilde, since y_tilde = H+ y + Q x_tilde.
+    below 1 certifies that `delta` is too small.  Both norms come from the
+    operator's backward projection, as in IDBP's own monitor, so the two
+    agree bit for bit.
     """
     if sigma_n <= 0:
         raise ValueError("sigma_n must be positive")
-    residual = as_grid(y) - operator.forward(x_tilde)
-    return _feasibility_ratio(
-        float(np.linalg.norm(residual)), float(np.linalg.norm(operator.pseudoinverse(residual))), sigma_n, delta
-    )
+    x_tilde = as_grid(x_tilde)
+    y_tilde, residual_sq = operator._backward_projection(y)(x_tilde)
+    return _feasibility_ratio(math.sqrt(residual_sq), float(np.linalg.norm(y_tilde - x_tilde)), sigma_n, delta)
 
 
 def _feasibility_ratio(residual_norm: float, mapped_norm: float, sigma_n: float, delta: float) -> float:
@@ -343,7 +344,7 @@ def pnp_run(
     y = as_grid(y)
     init = as_grid(init)
     require_same_shape(y, init)
-    sigma_eff = sigma_n if sigma_n > 0 else config.sigma_floor
+    sigma_eff = sigma_n if sigma_n > 0 else _SIGMA_FLOOR
     sigma_denoise = config.denoiser_sigma
     data_op = operator._with_regularisation(config.lam, sigma_eff)
     pinv_y = data_op.pseudoinverse(y)

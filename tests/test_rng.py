@@ -94,11 +94,3 @@ def test_shuffled_prefix_matches_reference(n, k, seed):
 def test_shuffled_prefix_bounds():
     with pytest.raises(ValueError):
         RngState(0).shuffled_prefix(10, 11)
-
-
-def test_spawn_streams_are_distinct_and_deterministic():
-    parent = RngState(42)
-    a, b = parent.spawn(0), parent.spawn(1)
-    assert a.seed != b.seed
-    assert RngState(42).spawn(0).seed == a.seed
-    assert not np.array_equal(a.raw(16), b.raw(16))

@@ -267,15 +267,14 @@ def _ratios_seen(operator, y, sigma_n, config, init):
 @pytest.mark.parametrize("scenario, shape", [(1, (64, 64)), (2, (64, 64)), (3, (64, 64)), (4, (64, 64)),
                                              (1, (37, 53))])
 def test_idbp_blur_monitor_matches_condition_ratio(scenario, shape):
-    # the loop reads H+ (y - H x) as y_tilde - x, which rounds differently from H+ applied to the residual
+    # both take their norms from the operator's backward projection
     truth = _random_grid(30 + scenario, *shape)
     sigma_n = 2.0
     op = BlurOperator(generate_scenario_kernel(scenario), shape, epsilon=4e-3, sigma_n=sigma_n)
     y = add_gaussian_noise(op.forward(truth), sigma_n, RngState(40 + scenario))
     ratios, direct = _ratios_seen(op, y, sigma_n, IdbpConfig(delta=5.0, iterations=8), y)
     assert len(ratios) == len(direct) == 8
-    for got, want in zip(ratios, direct):
-        assert abs(got - want) <= 1e-9 * want
+    assert ratios == direct
 
 
 @pytest.mark.parametrize("delta", [0.0, 5.0])
@@ -449,18 +448,32 @@ def test_auto_tune_rejects_inpainting_and_noiseless():
         idbp_auto_tuned(bop, yb, 0.0, MedianDenoiser(), IdbpConfig(), yb)
 
 
-@pytest.mark.xfail(
-    strict=True,
+_UNSQUARED_RATIO = pytest.mark.xfail(
+    raises=AssertionError,
     reason="the feasibility ratio divides unsquared norms by squared noise levels, so a blur ratio is too "
     "large by ||H+ r|| / ||r||, too small an epsilon clears tau, and the accepted pass ends below its input",
 )
+
+
+def _deblur_isnr(solver, scenario):
+    spec = ExperimentSpec(task="deblur", solver=solver, denoiser="dct_threshold", scenario=scenario, seed=0)
+    return run_single(spec, synthetic_scene(128, 128), RngState(spec.seed)).isnr_db
+
+
+@_UNSQUARED_RATIO
 @pytest.mark.parametrize("scenario", [1, 3])
 def test_auto_tune_improves_on_the_blurred_input(scenario):
     # README defaults (delta 5, epsilon_0 1e-3, increment 1e-4, tau 3); the
     # unsquared ratio ends scenarios 1 and 3 at ISNR -7.16 and -7.34 dB
-    spec = ExperimentSpec(task="deblur", solver="idbp_auto", denoiser="dct_threshold", scenario=scenario, seed=0)
-    result = run_single(spec, synthetic_scene(128, 128), RngState(spec.seed))
-    assert result.isnr_db > 0.0
+    assert _deblur_isnr("idbp_auto", scenario) > 0.0
+
+
+@pytest.mark.parametrize("scenario", [pytest.param(s, marks=_UNSQUARED_RATIO) for s in (1, 2, 3)] + [4])
+def test_auto_tune_is_within_half_a_db_of_the_manual_epsilon(scenario):
+    # manual: plain IDBP at DEFAULT_SCENARIO_EPSILON; the unsquared ratio
+    # ends 18.96, 1.50 and 22.22 dB below it on scenarios 1-3, and 0.15 dB
+    # above it on scenario 4
+    assert _deblur_isnr("idbp_auto", scenario) >= _deblur_isnr("idbp", scenario) - 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +559,7 @@ def _reference_pnp_blur_solve(operator, y, sigma_n, denoiser, config, init):
     """PnP-ADMM whose blur data step is the closed-form FFT solve
     (conj(S) Y + w Z) / (|S|^2 + w), w = lam * sigma^2, kept as the oracle
     for the backward-projection form H+ y + Q z."""
-    sigma_eff = sigma_n if sigma_n > 0 else config.sigma_floor
+    sigma_eff = sigma_n if sigma_n > 0 else 0.001
     weight = config.lam * sigma_eff * sigma_eff
     spectrum_conj_y = np.conj(operator.spectrum) * np.fft.fft2(y)
     denom = np.abs(operator.spectrum) ** 2 + weight
@@ -575,7 +588,7 @@ def _reference_pnp_mask_solve(operator, y, sigma_n, denoiser, config, init):
     """PnP-ADMM whose mask data step is the per-pixel closed form
     (y + w z) / (1 + w) on observed pixels and z elsewhere, w = lam * sigma^2,
     kept as the oracle for the backward-projection form H+ y + Q z."""
-    sigma_eff = sigma_n if sigma_n > 0 else config.sigma_floor
+    sigma_eff = sigma_n if sigma_n > 0 else 0.001
     weight = config.lam * sigma_eff * sigma_eff
     v = init.copy()
     u = np.zeros_like(init)
