@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from idbp import denoisers
 from idbp.denoisers import (
     DctDenoiser,
     DenoiserDiagnostics,
@@ -89,10 +90,10 @@ def test_median_removes_isolated_outlier():
     assert out[4, 4] == 50.0
 
 
-def _reference_median(z, window):
+def _reference_median(z):
     """The np.median-over-a-sliding-view MedianDenoiser, kept as the oracle."""
-    padded = np.pad(z, window // 2, mode="edge")
-    return np.median(sliding_window_view(padded, (window, window)), axis=(2, 3))
+    padded = np.pad(z, 1, mode="edge")
+    return np.median(sliding_window_view(padded, (3, 3)), axis=(2, 3))
 
 
 def _median_inputs(seed, shape):
@@ -106,21 +107,34 @@ def _median_inputs(seed, shape):
     }
 
 
-# the last four span several row strips, the last of them partial; at
-# 3 x 9000 every strip is one row wide
-@pytest.mark.parametrize(
-    "shape", [(1, 1), (1, 7), (7, 1), (2, 3), (37, 53), (64, 64), (70, 256), (300, 40), (513, 17), (3, 9000)]
-)
-@pytest.mark.parametrize("window", [3])  # the only window; it stays in the test ids
-@pytest.mark.parametrize("kind", ["noise", "integers", "signed_zeros"])
-def test_median_matches_reference(shape, window, kind):
+_MEDIAN_SHAPES = [(1, 1), (1, 7), (7, 1), (2, 3), (37, 53), (64, 64), (70, 256), (300, 40), (513, 17), (3, 9000)]
+
+
+def _assert_median_is_exact(z):
     # selection only compares and copies, so the result is exact, down to
     # the sign of zero, across strip seams
-    z = _median_inputs(27, shape)[kind]
     out = MedianDenoiser()(z, 5.0)
-    ref = _reference_median(z, window)
+    ref = _reference_median(z)
     assert np.array_equal(out, ref)
     assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", _MEDIAN_SHAPES)
+@pytest.mark.parametrize("strip_rows", [1, 3, 5, 7])
+@pytest.mark.parametrize("kind", ["noise", "integers", "signed_zeros"])
+def test_median_matches_reference(shape, strip_rows, kind, monkeypatch):
+    # strips of a fixed height put seams into every shape, the last strip
+    # partial wherever the height does not divide the rows
+    monkeypatch.setattr(denoisers, "_MEDIAN_STRIP_PIXELS", strip_rows * shape[1])
+    _assert_median_is_exact(_median_inputs(27, shape)[kind])
+
+
+# at the default strip size the last four shapes span several row strips,
+# the last of them partial; at 3 x 9000 every strip is one row wide
+@pytest.mark.parametrize("shape", _MEDIAN_SHAPES)
+@pytest.mark.parametrize("kind", ["noise", "integers", "signed_zeros"])
+def test_median_matches_reference_in_default_strips(shape, kind):
+    _assert_median_is_exact(_median_inputs(27, shape)[kind])
 
 
 @pytest.mark.parametrize("limit_mib", [6.0, 2.0], ids=["3-6.0", "3-2.0"])
