@@ -9,10 +9,11 @@ Both operator families expose the same surface:
 with regularisation weight w = ``epsilon * sigma_n**2``, zero by default, so
 a backward projection H+ y + Q x is one call for both families.
 
-IDBP iterates through the private ``_backward_projection(y)``, bound once
-per pass to the observations: it maps x to the projected iterate
-x + H+ (y - H x) and the squared residual norm ||y - H x||^2 together,
-since that form computes the residual the feasibility monitor needs.
+Both solvers iterate through the private ``_backward_projection(y)``,
+bound to the observations once per IDBP pass or PnP run: it maps x to the
+projected iterate x + H+ (y - H x) and the squared residual norm
+||y - H x||^2 together, since that form computes the residual IDBP's
+feasibility monitor needs; PnP ignores the norm.
 The step takes x as a finite float64 grid and checks only its shape: the
 solver scans each denoiser output once, before the step.
 
@@ -153,11 +154,11 @@ class BlurOperator:
     The kernel spectrum S (a full ``fft2``) is precomputed at construction.
     Each apply is irfft2(rfft2(x) * F, s=shape), F on S's half spectrum
     (columns 0..W//2; ``s=`` keeps odd widths).  The regularised inverse
-    filter conj(S) / (|S|^2 + epsilon * sigma_n^2) and the null filter
-    (its product with S) are each built on first use, so a forward-only
-    operator never requires an invertible spectrum and IDBP, which reads
-    only the inverse filter, never holds the null filter; the lazy fills
-    are idempotent and the instance is otherwise immutable.
+    filter conj(S) / (|S|^2 + epsilon * sigma_n^2) is built on first use,
+    so a forward-only operator never requires an invertible spectrum; the
+    lazy fill is idempotent and the instance is otherwise immutable.
+    ``project_null`` forms the null filter, the inverse filter times S,
+    on each call; no solver calls it.
     """
 
     def __init__(self, kernel, shape: tuple[int, int], epsilon: float = 0.0, sigma_n: float = 0.0) -> None:
@@ -179,18 +180,17 @@ class BlurOperator:
         self.spectrum.setflags(write=False)
         self._half_spectrum = self.spectrum[:, : self.shape[1] // 2 + 1]
         self._inverse: np.ndarray | None = None
-        self._null: np.ndarray | None = None
 
     def with_epsilon(self, epsilon: float) -> "BlurOperator":
         """Same blur with a different regularisation weight; shares this
-        operator's kernel and spectrum and builds its own filters."""
+        operator's kernel and spectrum and builds its own inverse filter."""
         return self._with_regularisation(epsilon, self.sigma_n)
 
     def _with_regularisation(self, epsilon: float, sigma_n: float) -> "BlurOperator":
-        """Same kernel and spectrum object, new (epsilon, sigma_n), empty filter cache."""
+        """Same kernel and spectrum object, new (epsilon, sigma_n), no inverse filter yet."""
         _check_regularisation(epsilon, sigma_n)
         other = BlurOperator.__new__(BlurOperator)  # subclasses re-wrap the result themselves
-        vars(other).update(vars(self), epsilon=float(epsilon), sigma_n=float(sigma_n), _inverse=None, _null=None)
+        vars(other).update(vars(self), epsilon=float(epsilon), sigma_n=float(sigma_n), _inverse=None)
         return other
 
     def _inverse_filter(self) -> np.ndarray:
@@ -205,13 +205,6 @@ class BlurOperator:
             inverse.setflags(write=False)
             self._inverse = inverse
         return self._inverse
-
-    def _null_filter(self) -> np.ndarray:
-        if self._null is None:
-            null = self._inverse_filter() * self._half_spectrum
-            null.setflags(write=False)
-            self._null = null
-        return self._null
 
     def _check(self, x) -> np.ndarray:
         x = as_grid(x)
@@ -230,7 +223,7 @@ class BlurOperator:
 
     def project_null(self, x) -> np.ndarray:
         x = self._check(x)
-        return x - self._filter(x, self._null_filter())
+        return x - self._filter(x, self._inverse_filter() * self._half_spectrum)
 
     def _backward_projection(self, y):
         """x -> (x + H+ (y - H x), ||y - H x||^2) for fixed observations `y`.

@@ -11,11 +11,11 @@ Three algorithms:
 * ``pnp_run``         -- ADMM with the prior step replaced by the denoiser
                          (noise level sqrt(beta / lambda)).
 
-Both solvers enforce the data through the same backward projection
-H+ y + Q z for every operator: IDBP at the operator's own weight, through
-the operator's step bound to y, which also returns the residual norm its
-feasibility monitor needs; PnP's least-squares step at weight
-lambda * sigma_n^2, as pinv_y + project_null(z).  Inpainting observations
+Both solvers enforce the data through the operator's private backward
+projection bound to y, x -> x + H+ (y - H x) = H+ y + Q x: IDBP at the
+operator's own weight, reading the residual norm ||y - H x||^2 the step
+returns alongside for its feasibility monitor; PnP's least-squares step at
+weight lambda * sigma_n^2, ignoring that norm.  Inpainting observations
 are full grids whose unobserved entries are zero; at weight zero the mask
 projection is an exact element copy, so IDBP keeps the measurement
 constraint bitwise at every iteration.
@@ -55,7 +55,6 @@ class IdbpConfig:
     epsilon: float = 1e-3
     condition_margin_tau: float = 3.0
     epsilon_increment: float = 1e-4
-    restart_cap: int = 200
 
     def __post_init__(self) -> None:
         if self.delta < 0:
@@ -70,9 +69,10 @@ class IdbpConfig:
             raise ValueError("condition_margin_tau must exceed 1")
         if self.epsilon_increment <= 0:
             raise ValueError("epsilon_increment must be positive")
-        if self.restart_cap < 0:
-            raise ValueError("restart_cap must be nonnegative")
 
+
+# Most restarts the auto-tuned variant makes before it gives up.
+_RESTART_CAP = 200
 
 # Noise level PnP's data term uses when sigma_n is zero, so that its
 # least-squares step stays well defined.
@@ -179,20 +179,18 @@ def _require_finite(arr, what: str, iteration: int) -> np.ndarray:
     return arr
 
 
-def _idbp_pass(
+def _idbp(
     operator,
     y: np.ndarray,
     sigma_n: float,
     denoiser,
     config: IdbpConfig,
-    x_first: np.ndarray,
+    init: np.ndarray,
     ground_truth,
     observer,
-    trace: IterationTrace,
-    restarts: int,
     margin_tau: float | None,
-):
-    """One uninterrupted IDBP pass, starting from x_first = D(init; sigma_n + delta).
+) -> tuple[np.ndarray, IterationTrace]:
+    """IDBP passes from x_1 = D(init; sigma_n + delta) until one runs to the end.
 
     Each iteration makes one call to the operator's backward projection
     bound to y, which returns y_tilde = x_tilde + H+ (y - H x_tilde) together
@@ -200,31 +198,44 @@ def _idbp_pass(
     Appends one trace record per completed iteration.  Its condition ratio
     (+inf when sigma_n = 0) takes that residual norm and the mapped residual
     H+ (y - H x_tilde) = y_tilde - x_tilde, so neither H nor H+ is applied
-    again.  If `margin_tau` is set, returns early with violated=True as soon
-    as an iteration k > 1 sees a condition ratio below the margin (the first
-    iteration is never checked: it mostly reflects the initialization).
-    Returns (x_tilde, y_tilde, violated).
+    again.  If `margin_tau` is set, a ratio below it at an iteration k > 1
+    (the first mostly reflects the initialization) restarts the pass from a
+    copy of x_1 at the next weight, as ``idbp_auto_tuned`` describes.
+    Returns the last x_tilde, or the last y_tilde when
+    ``config.output_mode == "last_y"``, and the trace.
     """
     sigma = sigma_n + config.delta
-    project = operator._backward_projection(y)  # onto {H y_tilde = y}
-    x_tilde = x_first
-    for k in range(1, config.iterations + 1):
-        if k > 1:
-            x_tilde = denoiser(y_tilde, sigma)
-        # the one finiteness scan of x_tilde: the bound step checks its shape only
-        x_tilde = _require_finite(x_tilde, "denoiser output", k)
-        y_tilde, residual_sq = project(x_tilde)
-        _require_finite(y_tilde, "projected iterate", k)
-        ratio = (_feasibility_ratio(math.sqrt(residual_sq), float(np.linalg.norm(y_tilde - x_tilde)),
-                                    sigma_n, config.delta)
-                 if sigma_n > 0 else float("inf"))
-        quality = psnr(ground_truth, x_tilde) if ground_truth is not None else float("nan")
-        trace.append(TraceRecord(k, quality, ratio, operator.epsilon, restarts))
-        if observer is not None:
-            observer(k, x_tilde, y_tilde)
-        if margin_tau is not None and k > 1 and ratio < margin_tau:
-            return x_tilde, y_tilde, True
-    return x_tilde, y_tilde, False
+    trace = IterationTrace()
+    x_first = denoiser(init, sigma)
+    restarts = 0
+    while True:
+        project = operator._backward_projection(y)  # onto {H y_tilde = y}
+        x_tilde = x_first.copy()
+        for k in range(1, config.iterations + 1):
+            if k > 1:
+                x_tilde = denoiser(y_tilde, sigma)
+            # the one finiteness scan of x_tilde: the bound step checks its shape only
+            x_tilde = _require_finite(x_tilde, "denoiser output", k)
+            y_tilde, residual_sq = project(x_tilde)
+            _require_finite(y_tilde, "projected iterate", k)
+            ratio = (_feasibility_ratio(math.sqrt(residual_sq), float(np.linalg.norm(y_tilde - x_tilde)),
+                                        sigma_n, config.delta)
+                     if sigma_n > 0 else float("inf"))
+            quality = psnr(ground_truth, x_tilde) if ground_truth is not None else float("nan")
+            trace.append(TraceRecord(k, quality, ratio, operator.epsilon, restarts))
+            if observer is not None:
+                observer(k, x_tilde, y_tilde)
+            if margin_tau is not None and k > 1 and ratio < margin_tau:
+                break
+        else:
+            return (y_tilde if config.output_mode == "last_y" else x_tilde), trace
+        restarts += 1
+        if restarts > _RESTART_CAP:
+            raise RuntimeError(
+                f"restart budget exhausted after {_RESTART_CAP} restarts: "
+                f"margin {margin_tau} unattainable (epsilon reached {operator.epsilon:g})"
+            )
+        operator = operator.with_epsilon(config.epsilon + restarts * config.epsilon_increment)
 
 
 def idbp_run(
@@ -252,13 +263,7 @@ def idbp_run(
     y = as_grid(y)
     init = as_grid(init)
     require_same_shape(y, init)
-    trace = IterationTrace()
-    x_first = denoiser(init, sigma_n + config.delta)
-    x_tilde, y_tilde, _ = _idbp_pass(
-        operator, y, sigma_n, denoiser, config, x_first, ground_truth, observer, trace, 0, None
-    )
-    estimate = y_tilde if config.output_mode == "last_y" else x_tilde
-    return estimate, trace
+    return _idbp(operator, y, sigma_n, denoiser, config, init, ground_truth, observer, None)
 
 
 def idbp_auto_tuned(
@@ -278,6 +283,7 @@ def idbp_auto_tuned(
     grows by ``config.epsilon_increment``, the inverse filter is rebuilt,
     and the pass restarts from the initialization.  The returned trace
     keeps the aborted passes; indices restart at 1 after each restart.
+    The 201st restart raises RuntimeError (``_RESTART_CAP`` = 200).
 
     The first denoised iterate D(init; sigma_n + delta) does not depend on
     the weight, so it is computed once and every pass starts from its own
@@ -292,28 +298,8 @@ def idbp_auto_tuned(
     y = as_grid(y)
     init = as_grid(init)
     require_same_shape(y, init)
-    trace = IterationTrace()
-    epsilon = config.epsilon
-    restarts = 0
-    current = operator.with_epsilon(epsilon)
-    x_first = denoiser(init, sigma_n + config.delta)
-    while True:
-        x_tilde, y_tilde, violated = _idbp_pass(
-            current, y, sigma_n, denoiser, config, x_first.copy(), ground_truth, observer, trace, restarts,
-            config.condition_margin_tau,
-        )
-        if not violated:
-            break
-        restarts += 1
-        if restarts > config.restart_cap:
-            raise RuntimeError(
-                f"restart budget exhausted after {config.restart_cap} restarts: "
-                f"margin {config.condition_margin_tau} unattainable (epsilon reached {epsilon:g})"
-            )
-        epsilon = config.epsilon + restarts * config.epsilon_increment
-        current = current.with_epsilon(epsilon)
-    estimate = y_tilde if config.output_mode == "last_y" else x_tilde
-    return estimate, trace
+    return _idbp(operator.with_epsilon(config.epsilon), y, sigma_n, denoiser, config, init, ground_truth,
+                 observer, config.condition_margin_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +321,9 @@ def pnp_run(
 
     Per iteration: the least-squares solve (H^T H + w I)^-1 (H^T y + w z)
     with w = lam * sigma_n^2, which is the backward projection H+ y + Q z
-    of the operator at epsilon = lam; a denoising step at noise level
-    sqrt(beta / lambda); and the dual update.
+    of the operator at epsilon = lam, made by its step bound to y once per
+    run (the residual norm the step also returns goes unread); a denoising
+    step at noise level sqrt(beta / lambda); and the dual update.
     Returns the last least-squares iterate.
     """
     if sigma_n < 0:
@@ -346,14 +333,13 @@ def pnp_run(
     require_same_shape(y, init)
     sigma_eff = sigma_n if sigma_n > 0 else _SIGMA_FLOOR
     sigma_denoise = config.denoiser_sigma
-    data_op = operator._with_regularisation(config.lam, sigma_eff)
-    pinv_y = data_op.pseudoinverse(y)
+    project = operator._with_regularisation(config.lam, sigma_eff)._backward_projection(y)
     v = init.copy()
     u = np.zeros_like(init)
     x = init.copy()
     trace = IterationTrace()
     for k in range(1, config.iterations + 1):
-        x = pinv_y + data_op.project_null(v - u)
+        x, _ = project(v - u)
         _require_finite(x, "least-squares iterate", k)
         v = denoiser(x + u, sigma_denoise)
         _require_finite(v, "denoiser output", k)

@@ -381,14 +381,14 @@ def test_pnp_blur_run_reuses_the_operator_spectrum(monkeypatch):
     y = _random_grid(19, 16, 16)
     calls = _count_transforms(monkeypatch)
     pnp_run(op, y, 2.0, lambda z, sigma: z, PnpConfig(beta=0.85, lam=2.0 / 255.0, iterations=1), y)
-    assert len(calls) == 2  # H+ y, then one null-space projection
+    assert len(calls) == 2  # the bound step transforms y once, then the one iterate
 
 
 @pytest.mark.parametrize("solver", ["idbp", "pnp"])
 def test_blur_iterations_make_only_real_transforms(monkeypatch, solver):
-    # a steady iteration makes one pair: IDBP's bound backward projection
-    # x + H+ (y - H x), which also yields the monitor's ||y - H x||, and
-    # PnP's Q z.  Once per run, IDBP transforms y and PnP computes H+ y.
+    # a steady iteration makes one pair: the bound backward projection
+    # x + H+ (y - H x), which also yields IDBP's monitor ||y - H x|| and
+    # makes PnP's least-squares step.  Once per run, both transform y.
     op = BlurOperator(generate_scenario_kernel(1), (16, 16), epsilon=7e-3, sigma_n=2.0)
     y = _random_grid(21, 16, 16)
     calls = _count_transforms(monkeypatch, ("fft2", "ifft2", "rfft2", "irfft2"))
@@ -402,8 +402,7 @@ def test_blur_iterations_make_only_real_transforms(monkeypatch, solver):
         counts.append(Counter(calls))
     per_iteration = {name: (counts[1][name] - counts[0][name]) / 3 for name in ("fft2", "ifft2", "rfft2", "irfft2")}
     assert per_iteration == {"fft2": 0, "ifft2": 0, "rfft2": 1, "irfft2": 1}
-    once = Counter(rfft2=1) if solver == "idbp" else Counter(rfft2=1, irfft2=1)
-    assert counts[0] == Counter(rfft2=2, irfft2=2) + once
+    assert counts[0] == Counter(rfft2=2, irfft2=2) + Counter(rfft2=1)
 
 
 def test_forward_only_operator_tolerates_spectral_zeros():

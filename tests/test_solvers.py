@@ -346,7 +346,7 @@ def test_auto_tune_epsilon_is_exact_multiple_of_increment():
     truth, kernel, sigma_n, y = _blurred_instance(17)
     op = BlurOperator(kernel, y.shape, epsilon=1e-4, sigma_n=sigma_n)
     cfg = IdbpConfig(delta=5.0, iterations=8, epsilon=1e-4, condition_margin_tau=3.0,
-                     epsilon_increment=1e-4, restart_cap=50)
+                     epsilon_increment=1e-4)
     _, trace = idbp_auto_tuned(op, y, sigma_n, GaussianDenoiser(), cfg, y)
     assert trace.restart_count >= 7
     for r in trace.records:
@@ -401,7 +401,7 @@ def test_auto_tune_denoises_the_initialization_once():
     truth, kernel, sigma_n, y = _blurred_instance(17)
     op = BlurOperator(kernel, y.shape, epsilon=1e-4, sigma_n=sigma_n)
     cfg = IdbpConfig(delta=5.0, iterations=8, epsilon=1e-4, condition_margin_tau=3.0,
-                     epsilon_increment=1e-4, restart_cap=50)
+                     epsilon_increment=1e-4)
     runs = []
     for solve in (idbp_auto_tuned, _uncached_auto_tuned):
         calls = []
@@ -430,12 +430,16 @@ def test_auto_tune_denoises_the_initialization_once():
 
 
 def test_auto_tune_restart_budget():
+    # an unattainable margin aborts every pass at its second iteration: the
+    # first pass and 200 restarts run, and the 201st restart raises
     truth, kernel, sigma_n, y = _blurred_instance(19)
     op = BlurOperator(kernel, y.shape, epsilon=1e-6, sigma_n=sigma_n)
-    cfg = IdbpConfig(delta=5.0, iterations=4, epsilon=1e-6,
-                     condition_margin_tau=1e9, epsilon_increment=1e-6, restart_cap=3)
-    with pytest.raises(RuntimeError, match="restart budget"):
-        idbp_auto_tuned(op, y, sigma_n, GaussianDenoiser(), cfg, y)
+    cfg = IdbpConfig(delta=5.0, iterations=2, epsilon=1e-6,
+                     condition_margin_tau=1e9, epsilon_increment=1e-6)
+    seen = []
+    with pytest.raises(RuntimeError, match="restart budget exhausted after 200 restarts"):
+        idbp_auto_tuned(op, y, sigma_n, GaussianDenoiser(), cfg, y, observer=lambda k, x, y_tilde: seen.append(k))
+    assert seen == [1, 2] * 201
 
 
 def test_auto_tune_rejects_inpainting_and_noiseless():
@@ -555,6 +559,22 @@ def test_pnp_reaches_fixed_point():
     assert gaps[-1] < 1e-9
 
 
+def _projection_pnp_solve(operator, y, sigma_n, denoiser, config, init):
+    """PnP-ADMM whose data step is H+ y + Q z through the operator's public
+    ``pseudoinverse`` and ``project_null``, kept as the oracle for the bound
+    backward-projection step."""
+    sigma_eff = sigma_n if sigma_n > 0 else 0.001
+    data_op = operator._with_regularisation(config.lam, sigma_eff)
+    pinv_y = data_op.pseudoinverse(y)
+    v = init.copy()
+    u = np.zeros_like(init)
+    for _ in range(config.iterations):
+        x = pinv_y + data_op.project_null(v - u)
+        v = denoiser(x + u, config.denoiser_sigma)
+        u = u + (x - v)
+    return x
+
+
 def _reference_pnp_blur_solve(operator, y, sigma_n, denoiser, config, init):
     """PnP-ADMM whose blur data step is the closed-form FFT solve
     (conj(S) Y + w Z) / (|S|^2 + w), w = lam * sigma^2, kept as the oracle
@@ -582,6 +602,8 @@ def test_pnp_blur_step_matches_reference_solve(scenario, sigma_n):
     est, _ = pnp_run(op, y, sigma_n, GaussianDenoiser(), config, y)
     want = _reference_pnp_blur_solve(op, y, sigma_n, GaussianDenoiser(), config, y)
     assert np.max(np.abs(est - want)) < 1e-9
+    want = _projection_pnp_solve(op, y, sigma_n, GaussianDenoiser(), config, y)
+    assert np.max(np.abs(est - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _reference_pnp_mask_solve(operator, y, sigma_n, denoiser, config, init):
@@ -609,6 +631,7 @@ def test_pnp_mask_step_matches_reference_solve(sigma_n, beta, lam):
     est, _ = pnp_run(op, y, sigma_n, MedianDenoiser(), config, init)
     want = _reference_pnp_mask_solve(op, y, sigma_n, MedianDenoiser(), config, init)
     assert np.max(np.abs(est - want)) < 1e-9
+    assert est.tobytes() == _projection_pnp_solve(op, y, sigma_n, MedianDenoiser(), config, init).tobytes()
 
 
 # ---------------------------------------------------------------------------
