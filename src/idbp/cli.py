@@ -71,10 +71,10 @@ def _build_parser() -> _Parser:
     common.add_argument("--delta", type=float, help="denoiser noise-level inflation")
     common.add_argument("--epsilon", type=float, help="inverse-filter regularisation weight")
     common.add_argument("--auto-tune", action="store_true", default=None, dest="auto_tune",
-                        help="grow epsilon automatically with restarts (deblur)")
+                        help="search for the smallest epsilon that keeps the feasibility margin (deblur)")
     common.add_argument("--tau", type=float, help="feasibility margin threshold for auto-tuning")
     common.add_argument("--eps-increment", type=float, dest="eps_increment",
-                        help="epsilon growth step for auto-tuning")
+                        help="epsilon grid step for auto-tuning")
     common.add_argument("--iters", type=int, help="iteration count")
     common.add_argument("--denoiser", help="|".join(DENOISERS))
     common.add_argument("--external-cmd", dest="external_cmd",

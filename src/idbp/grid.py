@@ -41,6 +41,12 @@ def psnr(reference, estimate) -> float:
     ref = as_grid(reference)
     est = as_grid(estimate)
     require_same_shape(ref, est)
+    return psnr_of_grids(ref, est)
+
+
+def psnr_of_grids(ref: np.ndarray, est: np.ndarray) -> float:
+    """``psnr`` of two same-shape grids that the caller has already checked,
+    without scanning them again: the solvers' per-iteration quality."""
     mse = float(np.mean((ref - est) ** 2))
     if mse == 0.0:
         return float("inf")

@@ -5,9 +5,9 @@ Three algorithms:
 * ``idbp_run``        -- alternate denoising with a backward projection onto
                          the affine set {H y_tilde = y}; the denoiser sees
                          noise level sigma_n + delta.
-* ``idbp_auto_tuned`` -- deblurring variant that grows the inverse-filter
-                         regularisation weight and restarts whenever the
-                         feasibility margin drops below a threshold.
+* ``idbp_auto_tuned`` -- deblurring variant that searches for the smallest
+                         inverse-filter regularisation weight on its grid
+                         whose feasibility margin stays above a threshold.
 * ``pnp_run``         -- ADMM with the prior step replaced by the denoiser
                          (noise level sqrt(beta / lambda)).
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import as_grid, psnr, require_same_shape
+from .grid import as_grid, psnr_of_grids, require_same_shape
 from .operators import BlurOperator, InpaintingOperator
 
 # ---------------------------------------------------------------------------
@@ -71,7 +71,7 @@ class IdbpConfig:
             raise ValueError("epsilon_increment must be positive")
 
 
-# Most restarts the auto-tuned variant makes before it gives up.
+# Largest step index r of the auto-tuned weight epsilon_0 + r * increment.
 _RESTART_CAP = 200
 
 # Noise level PnP's data term uses when sigma_n is zero, so that its
@@ -142,9 +142,10 @@ class IterationTrace:
 def condition_ratio(operator, y, x_tilde, sigma_n: float, delta: float) -> float:
     """Feasibility margin of the current iterate.
 
-    Ratio of the residual norm ||y - H x_tilde|| weighted by 1/sigma_n^2 to
-    the mapped residual norm ||H+ (y - H x_tilde)|| weighted by
-    1/(sigma_n + delta)^2; +inf when the mapped residual vanishes.  A value
+    The squared-l2 feasibility test of Tirer & Giryes ("Image Restoration by
+    Iterative Denoising and Backward Projections", IEEE TIP 2019): the ratio
+    of ||y - H x_tilde||^2 / sigma_n^2 to ||H+ (y - H x_tilde)||^2 /
+    (sigma_n + delta)^2; +inf when the mapped residual vanishes.  A value
     below 1 certifies that `delta` is too small.  Both norms come from the
     operator's backward projection, as in IDBP's own monitor, so the two
     agree bit for bit.
@@ -157,10 +158,10 @@ def condition_ratio(operator, y, x_tilde, sigma_n: float, delta: float) -> float
 
 
 def _feasibility_ratio(residual_norm: float, mapped_norm: float, sigma_n: float, delta: float) -> float:
-    """(||r|| / sigma_n^2) / (||H+ r|| / (sigma_n + delta)^2) from the two norms; +inf if ||H+ r|| is 0."""
-    numerator = residual_norm / (sigma_n * sigma_n)
+    """(||r||^2 / sigma_n^2) / (||H+ r||^2 / (sigma_n + delta)^2) from the two norms; +inf if ||H+ r|| is 0."""
+    numerator = residual_norm * residual_norm / (sigma_n * sigma_n)
     sigma_total = sigma_n + delta
-    denominator = mapped_norm / (sigma_total * sigma_total)
+    denominator = mapped_norm * mapped_norm / (sigma_total * sigma_total)
     if denominator == 0.0:
         return float("inf")
     return numerator / denominator
@@ -179,6 +180,16 @@ def _require_finite(arr, what: str, iteration: int) -> np.ndarray:
     return arr
 
 
+def _quality(ground_truth, y: np.ndarray):
+    """x -> PSNR of a checked iterate x against the ground truth, which is
+    scanned once here instead of on every iteration; NaN without one."""
+    if ground_truth is None:
+        return lambda x: float("nan")
+    truth = as_grid(ground_truth)
+    require_same_shape(truth, y)
+    return lambda x: psnr_of_grids(truth, x)
+
+
 def _idbp(
     operator,
     y: np.ndarray,
@@ -195,23 +206,30 @@ def _idbp(
     Each iteration makes one call to the operator's backward projection
     bound to y, which returns y_tilde = x_tilde + H+ (y - H x_tilde) together
     with ||y - H x_tilde||^2: one real transform pair per blur iteration.
-    Appends one trace record per completed iteration.  Its condition ratio
-    (+inf when sigma_n = 0) takes that residual norm and the mapped residual
-    H+ (y - H x_tilde) = y_tilde - x_tilde, so neither H nor H+ is applied
-    again.  If `margin_tau` is set, a ratio below it at an iteration k > 1
-    (the first mostly reflects the initialization) restarts the pass from a
-    copy of x_1 at the next weight, as ``idbp_auto_tuned`` describes.
-    Returns the last x_tilde, or the last y_tilde when
-    ``config.output_mode == "last_y"``, and the trace.
+    Appends one trace record per completed iteration, numbered from 1 in
+    each pass and tagged with the number of passes run before it.  Its
+    condition ratio (+inf when sigma_n = 0) takes that residual norm and the
+    mapped residual H+ (y - H x_tilde) = y_tilde - x_tilde, so neither H nor
+    H+ is applied again.  If `margin_tau` is set, a ratio below it at an
+    iteration k > 1 (the first mostly reflects the initialization) aborts
+    the pass, and the next pass runs from a copy of x_1 at a larger weight,
+    as ``idbp_auto_tuned`` describes.  Returns the last x_tilde, or the
+    last y_tilde when ``config.output_mode == "last_y"``, and the trace.
     """
     sigma = sigma_n + config.delta
+    quality = _quality(ground_truth, y)
     trace = IterationTrace()
     x_first = denoiser(init, sigma)
-    restarts = 0
-    while True:
-        project = operator._backward_projection(y)  # onto {H y_tilde = y}
+    passes = 0
+
+    def run(r: int, iterations: int):
+        """One pass at weight index r: (iteration it aborted at or None, last ratio, x_tilde, y_tilde)."""
+        nonlocal passes
+        current = operator if r == 0 else operator.with_epsilon(config.epsilon + r * config.epsilon_increment)
+        project = current._backward_projection(y)  # onto {H y_tilde = y}
+        passes += 1
         x_tilde = x_first.copy()
-        for k in range(1, config.iterations + 1):
+        for k in range(1, iterations + 1):
             if k > 1:
                 x_tilde = denoiser(y_tilde, sigma)
             # the one finiteness scan of x_tilde: the bound step checks its shape only
@@ -221,21 +239,74 @@ def _idbp(
             ratio = (_feasibility_ratio(math.sqrt(residual_sq), float(np.linalg.norm(y_tilde - x_tilde)),
                                         sigma_n, config.delta)
                      if sigma_n > 0 else float("inf"))
-            quality = psnr(ground_truth, x_tilde) if ground_truth is not None else float("nan")
-            trace.append(TraceRecord(k, quality, ratio, operator.epsilon, restarts))
+            trace.append(TraceRecord(k, quality(x_tilde), ratio, current.epsilon, passes - 1))
             if observer is not None:
                 observer(k, x_tilde, y_tilde)
             if margin_tau is not None and k > 1 and ratio < margin_tau:
-                break
-        else:
+                return k, ratio, x_tilde, y_tilde
+        return None, ratio, x_tilde, y_tilde
+
+    r = 0
+    while True:
+        aborted_at, ratio, x_tilde, y_tilde = run(r, config.iterations)
+        if aborted_at is None:
             return (y_tilde if config.output_mode == "last_y" else x_tilde), trace
-        restarts += 1
-        if restarts > _RESTART_CAP:
+        if aborted_at == 2:
+            # a 2-iteration probe pass at r reads the verdict of a full pass's
+            # second iteration at r
+            r = _first_clearing(r, ratio, lambda step: run(step, 2)[1], margin_tau)
+        else:
+            r = r + 1 if r < _RESTART_CAP else None
+        if r is None:
             raise RuntimeError(
-                f"restart budget exhausted after {_RESTART_CAP} restarts: "
-                f"margin {margin_tau} unattainable (epsilon reached {operator.epsilon:g})"
+                f"restart budget exhausted after {_RESTART_CAP} restarts: margin {margin_tau} unattainable "
+                f"(epsilon reached {config.epsilon + _RESTART_CAP * config.epsilon_increment:g})"
             )
-        operator = operator.with_epsilon(config.epsilon + restarts * config.epsilon_increment)
+
+
+def _first_clearing(lo: int, ratio_lo: float, probe, tau: float) -> int | None:
+    """Smallest r in (lo, ``_RESTART_CAP``] with probe(r) >= tau, given
+    probe(lo) = ratio_lo < tau and a probe that rises with r; None if
+    probe(``_RESTART_CAP``) < tau.
+
+    Brackets the crossing by extrapolating the secant through the two
+    highest probes below tau, each step at least as long as the one before
+    (twice as long where the ratio did not rise), then narrows the bracket
+    by linear interpolation.  The ratio is close to linear in r, so the
+    estimate rounded up usually lands on the crossing, and one more probe
+    just below it closes the bracket.  Interpolation that keeps one end
+    fixed can shrink the bracket slowly, so after three steps in a row that
+    each left more than half of it, the next probe bisects.
+    """
+    below, ratio_below = None, None  # the probe before lo
+    hi, ratio_hi = None, None
+    slow_steps = 0
+    while hi is None or hi - lo > 1:
+        if hi is None:
+            if below is None:
+                guess = lo + 1
+            elif ratio_lo > ratio_below:
+                estimate = lo + (tau - ratio_lo) * (lo - below) / (ratio_lo - ratio_below)
+                guess = max(math.ceil(min(estimate, _RESTART_CAP)), 2 * lo - below)
+            else:
+                guess = lo + 2 * (lo - below)
+            guess = min(guess, _RESTART_CAP)
+            if guess <= lo:
+                return None
+        elif slow_steps >= 3:
+            guess = (lo + hi) // 2
+        else:
+            estimate = lo + (tau - ratio_lo) * (hi - lo) / (ratio_hi - ratio_lo)
+            guess = min(max(math.ceil(estimate), lo + 1), hi - 1)
+        width = None if hi is None else hi - lo
+        ratio = probe(guess)
+        if ratio >= tau:
+            hi, ratio_hi = guess, ratio
+        else:
+            below, ratio_below, lo, ratio_lo = lo, ratio_lo, guess, ratio
+        if width is not None:
+            slow_steps = slow_steps + 1 if 2 * (hi - lo) > width else 0
+    return hi
 
 
 def idbp_run(
@@ -278,16 +349,32 @@ def idbp_auto_tuned(
 ) -> tuple[np.ndarray, IterationTrace]:
     """Deblurring with automatic regularisation tuning.
 
-    Runs IDBP starting from ``config.epsilon``; whenever an iteration k > 1
-    sees condition_ratio below ``config.condition_margin_tau``, the weight
-    grows by ``config.epsilon_increment``, the inverse filter is rebuilt,
-    and the pass restarts from the initialization.  The returned trace
-    keeps the aborted passes; indices restart at 1 after each restart.
-    The 201st restart raises RuntimeError (``_RESTART_CAP`` = 200).
+    The weight runs over the grid epsilon_r = ``config.epsilon`` + r *
+    ``config.epsilon_increment``, r = 0, 1, ..., ``_RESTART_CAP`` (200).
+    The accepted pass is the first on that grid whose condition_ratio stays
+    at or above ``config.condition_margin_tau`` at every iteration k > 1.
+    A pass that falls below it aborts there and the next starts again from
+    the initialization, as if r grew by one per pass; this gives the same
+    accepted pass from far fewer passes:
+
+    * The first pass runs at r = 0.  After an abort at k > 2, the next
+      full pass runs at r + 1.
+    * After an abort at k = 2, 2-iteration probe passes search for the
+      smallest larger r whose second iteration clears tau (see
+      ``_first_clearing``), and the next full pass runs there.  The search
+      assumes that the ratio at k = 2 rises with the weight; were it not
+      to, the accepted pass would still clear tau at every k > 1, but it
+      might not be the first on the grid that does.
+
+    The returned trace keeps every pass, probes included: indices restart
+    at 1 in each pass, ``restarts`` counts the passes run before it, and
+    ``epsilon`` is the weight it ran at.  ``final_pass()`` is the accepted
+    pass.  RuntimeError is raised when no r up to ``_RESTART_CAP`` is
+    accepted.
 
     The first denoised iterate D(init; sigma_n + delta) does not depend on
     the weight, so it is computed once and every pass starts from its own
-    copy: a run with r restarts makes r fewer denoiser calls than it has
+    copy: a run of p passes makes p - 1 fewer denoiser calls than it has
     trace records.  This assumes a deterministic denoiser, which every
     native kind is.
     """
@@ -333,6 +420,7 @@ def pnp_run(
     require_same_shape(y, init)
     sigma_eff = sigma_n if sigma_n > 0 else _SIGMA_FLOOR
     sigma_denoise = config.denoiser_sigma
+    quality = _quality(ground_truth, y)
     project = operator._with_regularisation(config.lam, sigma_eff)._backward_projection(y)
     v = init.copy()
     u = np.zeros_like(init)
@@ -344,8 +432,7 @@ def pnp_run(
         v = denoiser(x + u, sigma_denoise)
         _require_finite(v, "denoiser output", k)
         u = u + (x - v)
-        quality = psnr(ground_truth, x) if ground_truth is not None else float("nan")
-        trace.append(TraceRecord(k, quality, float("nan"), 0.0, 0))
+        trace.append(TraceRecord(k, quality(x), float("nan"), 0.0, 0))
         if observer is not None:
             observer(k, x, v, u)
     return x, trace

@@ -80,7 +80,11 @@ def check_projection_algebra() -> tuple[bool, str]:
 
 def check_condition_identity() -> tuple[bool, str]:
     """2. On 200 random (sigma_n, delta) instances, each also at delta 0, 1.5
-    and 7, the mask feasibility ratio is ((sigma_n + delta) / sigma_n)^2 to 1e-12."""
+    and 7, the mask feasibility ratio is ((sigma_n + delta) / sigma_n)^2 to
+    1e-12.  On 50 random (sigma_n, delta, epsilon) instances, the
+    delta-kernel blur ratio is (1 + t)^2 ((sigma_n + delta) / sigma_n)^2 with
+    t = epsilon * sigma_n^2 to 1e-10 relative: there H+ r = r / (1 + t), so
+    only the squared-norm ratio has this value."""
     rng = RngState(202)
     worst = 0.0
     for instance in range(200):
@@ -96,7 +100,31 @@ def check_condition_identity() -> tuple[bool, str]:
                 return False, (f"instance {instance}, sigma_n={sigma_n:.4g}, delta={delta:.4g}: "
                                f"deviation {dev:.3e} > 1e-12")
             worst = max(worst, dev)
-    return True, f"200 instances x 4 deltas, worst deviation {worst:.2e}"
+    blur_ok, blur_detail = _check_blur_condition_identity()
+    if not blur_ok:
+        return False, blur_detail
+    return True, f"200 instances x 4 deltas, worst deviation {worst:.2e}; {blur_detail}"
+
+
+def _check_blur_condition_identity() -> tuple[bool, str]:
+    rng = RngState(203)
+    kernel = np.zeros((3, 3))
+    kernel[1, 1] = 1.0
+    worst = 0.0
+    for instance in range(50):
+        sigma_n = 1.0 + float(rng.uniforms(1)[0] * 20)
+        delta = float(rng.uniforms(1)[0] * 8)
+        epsilon = 1e-3 + float(rng.uniforms(1)[0] * 0.05)
+        op = BlurOperator(kernel, (16, 16), epsilon=epsilon, sigma_n=sigma_n)
+        y = rng.gaussians(256).reshape(16, 16) * 50 + 110
+        x = rng.gaussians(256).reshape(16, 16) * 50 + 110
+        expected = (1.0 + epsilon * sigma_n**2) ** 2 * (sigma_n + delta) ** 2 / sigma_n**2
+        dev = abs(condition_ratio(op, y, x, sigma_n, delta) / expected - 1.0)
+        if not dev <= 1e-10:
+            return False, (f"blur instance {instance}, sigma_n={sigma_n:.4g}, delta={delta:.4g}, "
+                           f"epsilon={epsilon:.4g}: relative deviation {dev:.3e} > 1e-10")
+        worst = max(worst, dev)
+    return True, f"50 delta-kernel blur instances, worst relative deviation {worst:.2e}"
 
 
 def check_oracle_decay() -> tuple[bool, str]:
