@@ -4,7 +4,7 @@ Public surface re-exported here: image grid helpers and metrics, the
 degradation operators, denoiser construction, and the three solvers.
 """
 
-from .grid import add_gaussian_noise, as_grid, bsnr, isnr, psnr, sigma_for_bsnr
+from .grid import add_gaussian_noise, as_grid, bsnr, psnr, sigma_for_bsnr
 from .pgm import PgmFormatError, load_pgm, save_pgm
 from .rng import RngState
 from .operators import (
@@ -38,7 +38,6 @@ __all__ = [
     "add_gaussian_noise",
     "as_grid",
     "bsnr",
-    "isnr",
     "psnr",
     "sigma_for_bsnr",
     "PgmFormatError",

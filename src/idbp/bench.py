@@ -40,7 +40,7 @@ from .solvers import (
 TASKS = ("inpaint", "deblur")
 SOLVERS = ("idbp", "idbp_auto", "pnp")
 # Kinds a spec can build from its own fields; shrink and the oracle
-# denoisers need constructor arguments (gamma, a ground truth) it does not carry.
+# denoiser need constructor arguments (gamma, a ground truth) it does not carry.
 DENOISERS = ("median", "gaussian", "nlm", "dct_threshold", "external")
 
 # Manual per-scenario inverse-filter weights that pair well with delta = 5.
@@ -229,7 +229,7 @@ def synthesize_deblurring(
         variance = SCENARIO_NOISE_VARIANCE[scenario]
         sigma_n = sigma_for_bsnr(blurred, 40.0) if variance is None else float(np.sqrt(variance))
     y = add_gaussian_noise(blurred, sigma_n, rng)
-    return blur._with_regularisation(epsilon, sigma_n), y, blurred, sigma_n
+    return blur.with_regularisation(epsilon, sigma_n), y, blurred, sigma_n
 
 
 @dataclass

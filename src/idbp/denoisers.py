@@ -3,9 +3,9 @@
 A denoiser is a callable mapping ``(z, sigma) -> denoised z`` for a 2-D
 grid and a nonnegative noise level.  All native kinds are deterministic,
 translation-equivariant in intensity, and return the input unchanged at
-sigma == 0.  Two synthetic "oracle" kinds with known contraction and
-boundedness constants exist purely to exercise the solver guarantees, and
-an external-process bridge lets any loose executable act as the denoiser.
+sigma == 0.  A synthetic "oracle" kind with a known contraction constant
+exists purely to exercise the solver guarantees, and an external-process
+bridge lets any loose executable act as the denoiser.
 """
 
 from __future__ import annotations
@@ -307,7 +307,7 @@ class ShrinkDenoiser:
 
 
 # ---------------------------------------------------------------------------
-# Oracle denoisers (ground truth in hand, constants known exactly)
+# Oracle denoiser (ground truth in hand, constant known exactly)
 # ---------------------------------------------------------------------------
 
 
@@ -329,34 +329,6 @@ class OracleLinearDenoiser:
     def __call__(self, z, sigma: float) -> np.ndarray:
         z = as_grid(z)
         return self.alpha * self.truth + (1.0 - self.alpha) * z
-
-
-class OracleBoundedDenoiser:
-    """Step toward the truth with Euclidean length capped at sigma * bound.
-
-    Satisfies the bounded-denoiser inequality ||D(z) - z|| <= sigma * bound
-    by construction, including D(z; 0) = z.
-    """
-
-    kind = "oracle_bounded"
-
-    def __init__(self, alpha: float, bound: float, truth) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        if bound < 0:
-            raise ValueError("bound must be nonnegative")
-        self.alpha = alpha
-        self.bound = bound
-        self.truth = as_grid(truth)
-
-    def __call__(self, z, sigma: float) -> np.ndarray:
-        z = as_grid(z)
-        step = self.truth - z
-        distance = float(np.linalg.norm(step))
-        if distance == 0.0 or sigma == 0.0:
-            return z.copy()
-        scale = min(self.alpha, sigma * self.bound / distance)
-        return z + scale * step
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +412,6 @@ _KINDS = {
     "dct_threshold": DctDenoiser,
     "shrink": ShrinkDenoiser,
     "oracle_linear": OracleLinearDenoiser,
-    "oracle_bounded": OracleBoundedDenoiser,
     "external": ExternalDenoiser,
 }
 

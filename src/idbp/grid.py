@@ -53,11 +53,6 @@ def psnr_of_grids(ref: np.ndarray, est: np.ndarray) -> float:
     return 10.0 * np.log10(PEAK * PEAK / mse)
 
 
-def isnr(reference, degraded, restored) -> float:
-    """Improvement in SNR: psnr(reference, restored) - psnr(reference, degraded)."""
-    return psnr(reference, restored) - psnr(reference, degraded)
-
-
 def bsnr(blurred_clean, sigma_n: float) -> float:
     """Blurred SNR in dB: per-pixel variance of the clean blurred image over sigma_n**2.
 

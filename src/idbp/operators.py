@@ -2,30 +2,31 @@
 
 Both operator families expose the same surface:
 
-* ``forward(x)``        -- the degradation H x
-* ``pseudoinverse(y)``  -- H+ y = (H^T H + w I)^-1 H^T y
-* ``project_null(x)``   -- Q x = x - H+ H x, the component invisible to H
+* ``forward(x)``             -- the degradation H x
+* ``backward_projection(y)`` -- the one data step, bound to observations y
+* ``pseudoinverse(y)``       -- H+ y = (H^T H + w I)^-1 H^T y
+* ``project_null(x)``        -- Q x = x - H+ H x, the component invisible to H
 
-with regularisation weight w = ``epsilon * sigma_n**2``, zero by default, so
-a backward projection H+ y + Q x is one call for both families.
+with regularisation weight w = ``epsilon * sigma_n**2``, zero by default.
 
-Both solvers iterate through the private ``_backward_projection(y)``,
-bound to the observations once per IDBP pass or PnP run: it maps x to the
-projected iterate x + H+ (y - H x) and the squared residual norm
-||y - H x||^2 together, since that form computes the residual IDBP's
-feasibility monitor needs; PnP ignores the norm.
-The step takes x as a finite float64 grid and checks only its shape: the
-solver scans each denoiser output once, before the step.
+The backward projection is each operator's one public data step.  Bound to
+y once per IDBP pass or PnP run, it maps x to the projected iterate
+x + H+ (y - H x) = H+ y + Q x and the squared residual norm ||y - H x||^2
+together, since that form computes the residual IDBP's feasibility monitor
+needs; PnP ignores the norm.  The step takes x as a finite float64 grid and
+checks only its shape: the solver scans each denoiser output once, before
+the step.  H+ and Q are derived from it, once for both families:
+H+ y is the step bound to y applied to zeros, and Q x the step bound to
+zeros applied to x.  The derived forms make the transforms the step makes.
 
 Masks are elementwise: H+ y = y / (1 + w) on observed pixels.  At w = 0 the
 divisions are by exactly 1, so their projection algebra (H H+ = I on
-observations, Q idempotent, row/null orthogonality) holds bit-exactly; the
-bound step keeps the H+ y + Q x arithmetic of the public methods.
-Blur runs in the frequency domain with circular boundaries, one real
-transform pair (rfft2, irfft2) per call, so it is exact only to rounding;
-its inverse filter conj(S) / (|S|^2 + w) is only approximate.  The bound
-step also makes one pair: it forms the residual spectrum, reads its norm
-off the half spectrum by Parseval, and filters it back.
+observations, Q idempotent, row/null orthogonality) holds bit-exactly.
+Blur runs in the frequency domain with circular boundaries, so it is exact
+only to rounding; its inverse filter conj(S) / (|S|^2 + w) is only
+approximate.  The bound step transforms y once, then makes one real
+transform pair (rfft2, irfft2) per call: it forms the residual spectrum,
+reads its norm off the half spectrum by Parseval, and filters it back.
 """
 
 from __future__ import annotations
@@ -57,11 +58,28 @@ def kernel_spectrum(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Projections derived from the data step
+# ---------------------------------------------------------------------------
+
+
+class _Projecting:
+    """H+ and Q of an operator, derived from its ``backward_projection``."""
+
+    def pseudoinverse(self, y) -> np.ndarray:
+        """H+ y: the step bound to y, applied to zeros."""
+        return self.backward_projection(y)(np.zeros(self.shape))[0]
+
+    def project_null(self, x) -> np.ndarray:
+        """Q x: the step bound to zeros, applied to x."""
+        return self.backward_projection(np.zeros(self.shape))(as_grid(x))[0]
+
+
+# ---------------------------------------------------------------------------
 # Inpainting
 # ---------------------------------------------------------------------------
 
 
-class InpaintingOperator:
+class InpaintingOperator(_Projecting):
     """Row selection of the identity: keeps the pixels where `mask` is True.
 
     Observations are carried as full grids with unobserved entries zero,
@@ -82,7 +100,7 @@ class InpaintingOperator:
         self.mask = mask
         self.mask.setflags(write=False)
 
-    def _with_regularisation(self, epsilon: float, sigma_n: float) -> "InpaintingOperator":
+    def with_regularisation(self, epsilon: float, sigma_n: float) -> "InpaintingOperator":
         """Same mask object, new (epsilon, sigma_n)."""
         _check_regularisation(epsilon, sigma_n)
         other = InpaintingOperator.__new__(InpaintingOperator)
@@ -98,22 +116,15 @@ class InpaintingOperator:
         require_same_shape(x, self.mask)
         return np.where(self.mask, x, 0.0)
 
-    def pseudoinverse(self, y) -> np.ndarray:
-        y = as_grid(y)
-        require_same_shape(y, self.mask)
-        return np.where(self.mask, y / (1.0 + self.epsilon * self.sigma_n**2), 0.0)
-
-    def project_null(self, x) -> np.ndarray:
-        x = as_grid(x)
-        require_same_shape(x, self.mask)
-        return np.where(self.mask, x - x / (1.0 + self.epsilon * self.sigma_n**2), x)
-
-    def _backward_projection(self, y):
+    def backward_projection(self, y):
         """x -> (H+ y + Q x, ||y - H x||^2) for fixed observations `y`.
 
-        The same ``where`` arithmetic as ``pseudoinverse``, ``project_null``
-        and ``forward``, and the squared norm as ``np.linalg.norm`` sums it,
-        so results match the public methods bit for bit.
+        The operator's one data step: H+ y = where(mask, y / (1 + w), 0),
+        Q x = where(mask, x - x / (1 + w), x), the residual through
+        ``forward``'s ``where``, and its squared norm summed as
+        ``np.linalg.norm`` sums it.  ``pseudoinverse`` and ``project_null``
+        are this step with zeros for x or y, so they keep its arithmetic by
+        construction.
         """
         y = as_grid(y)
         require_same_shape(y, self.mask)
@@ -148,17 +159,18 @@ def generate_random_mask(
 # ---------------------------------------------------------------------------
 
 
-class BlurOperator:
+class BlurOperator(_Projecting):
     """Circular shift-invariant blur on a fixed grid shape.
 
     The kernel spectrum S (a full ``fft2``) is precomputed at construction.
-    Each apply is irfft2(rfft2(x) * F, s=shape), F on S's half spectrum
-    (columns 0..W//2; ``s=`` keeps odd widths).  The regularised inverse
-    filter conj(S) / (|S|^2 + epsilon * sigma_n^2) is built on first use,
-    so a forward-only operator never requires an invertible spectrum; the
-    lazy fill is idempotent and the instance is otherwise immutable.
-    ``project_null`` forms the null filter, the inverse filter times S,
-    on each call; no solver calls it.
+    ``forward`` is irfft2(rfft2(x) * S, s=shape), S on its half spectrum
+    (columns 0..W//2; ``s=`` keeps odd widths).  ``backward_projection`` is
+    the one data step; ``pseudoinverse`` and ``project_null`` are derived
+    from it, so each transforms its zero argument too and computes a
+    residual norm no one reads.  The regularised inverse filter
+    conj(S) / (|S|^2 + epsilon * sigma_n^2) is built on first use, so a
+    forward-only operator never requires an invertible spectrum; the lazy
+    fill is idempotent and the instance is otherwise immutable.
     """
 
     def __init__(self, kernel, shape: tuple[int, int], epsilon: float = 0.0, sigma_n: float = 0.0) -> None:
@@ -184,9 +196,9 @@ class BlurOperator:
     def with_epsilon(self, epsilon: float) -> "BlurOperator":
         """Same blur with a different regularisation weight; shares this
         operator's kernel and spectrum and builds its own inverse filter."""
-        return self._with_regularisation(epsilon, self.sigma_n)
+        return self.with_regularisation(epsilon, self.sigma_n)
 
-    def _with_regularisation(self, epsilon: float, sigma_n: float) -> "BlurOperator":
+    def with_regularisation(self, epsilon: float, sigma_n: float) -> "BlurOperator":
         """Same kernel and spectrum object, new (epsilon, sigma_n), no inverse filter yet."""
         _check_regularisation(epsilon, sigma_n)
         other = BlurOperator.__new__(BlurOperator)  # subclasses re-wrap the result themselves
@@ -212,20 +224,10 @@ class BlurOperator:
             raise ValueError(f"shape mismatch: {x.shape} vs operator {self.shape}")
         return x
 
-    def _filter(self, x: np.ndarray, half_filter: np.ndarray) -> np.ndarray:
-        return np.fft.irfft2(np.fft.rfft2(x) * half_filter, s=self.shape)
-
     def forward(self, x) -> np.ndarray:
-        return self._filter(self._check(x), self._half_spectrum)
+        return np.fft.irfft2(np.fft.rfft2(self._check(x)) * self._half_spectrum, s=self.shape)
 
-    def pseudoinverse(self, y) -> np.ndarray:
-        return self._filter(self._check(y), self._inverse_filter())
-
-    def project_null(self, x) -> np.ndarray:
-        x = self._check(x)
-        return x - self._filter(x, self._inverse_filter() * self._half_spectrum)
-
-    def _backward_projection(self, y):
+    def backward_projection(self, y):
         """x -> (x + H+ (y - H x), ||y - H x||^2) for fixed observations `y`.
 
         With Y = rfft2(y) kept, each call makes one transform pair: the

@@ -11,11 +11,11 @@ Three algorithms:
 * ``pnp_run``         -- ADMM with the prior step replaced by the denoiser
                          (noise level sqrt(beta / lambda)).
 
-Both solvers enforce the data through the operator's private backward
-projection bound to y, x -> x + H+ (y - H x) = H+ y + Q x: IDBP at the
-operator's own weight, reading the residual norm ||y - H x||^2 the step
-returns alongside for its feasibility monitor; PnP's least-squares step at
-weight lambda * sigma_n^2, ignoring that norm.  Inpainting observations
+Both solvers enforce the data through the operator's backward projection
+bound to y, x -> x + H+ (y - H x) = H+ y + Q x: IDBP at the operator's own
+weight, reading the residual norm ||y - H x||^2 the step returns alongside
+for its feasibility monitor; PnP's least-squares step at weight
+lambda * sigma_n^2, ignoring that norm.  Inpainting observations
 are full grids whose unobserved entries are zero; at weight zero the mask
 projection is an exact element copy, so IDBP keeps the measurement
 constraint bitwise at every iteration.
@@ -153,7 +153,7 @@ def condition_ratio(operator, y, x_tilde, sigma_n: float, delta: float) -> float
     if sigma_n <= 0:
         raise ValueError("sigma_n must be positive")
     x_tilde = as_grid(x_tilde)
-    y_tilde, residual_sq = operator._backward_projection(y)(x_tilde)
+    y_tilde, residual_sq = operator.backward_projection(y)(x_tilde)
     return _feasibility_ratio(math.sqrt(residual_sq), float(np.linalg.norm(y_tilde - x_tilde)), sigma_n, delta)
 
 
@@ -226,7 +226,7 @@ def _idbp(
         """One pass at weight index r: (iteration it aborted at or None, last ratio, x_tilde, y_tilde)."""
         nonlocal passes
         current = operator if r == 0 else operator.with_epsilon(config.epsilon + r * config.epsilon_increment)
-        project = current._backward_projection(y)  # onto {H y_tilde = y}
+        project = current.backward_projection(y)  # onto {H y_tilde = y}
         passes += 1
         x_tilde = x_first.copy()
         for k in range(1, iterations + 1):
@@ -259,8 +259,8 @@ def _idbp(
             r = r + 1 if r < _RESTART_CAP else None
         if r is None:
             raise RuntimeError(
-                f"restart budget exhausted after {_RESTART_CAP} restarts: margin {margin_tau} unattainable "
-                f"(epsilon reached {config.epsilon + _RESTART_CAP * config.epsilon_increment:g})"
+                f"no weight step r <= {_RESTART_CAP} keeps the margin {margin_tau}: {passes} passes run, "
+                f"epsilon reached {config.epsilon + _RESTART_CAP * config.epsilon_increment:g}"
             )
 
 
@@ -421,7 +421,7 @@ def pnp_run(
     sigma_eff = sigma_n if sigma_n > 0 else _SIGMA_FLOOR
     sigma_denoise = config.denoiser_sigma
     quality = _quality(ground_truth, y)
-    project = operator._with_regularisation(config.lam, sigma_eff)._backward_projection(y)
+    project = operator.with_regularisation(config.lam, sigma_eff).backward_projection(y)
     v = init.copy()
     u = np.zeros_like(init)
     x = init.copy()

@@ -263,7 +263,7 @@ def check_fft_engine() -> tuple[bool, str]:
             return False, f"forward differs from the direct convolution at {size}: rel={rel:.2e}"
         worst[0] = max(worst[0], rel)
         want = float(np.sum((y - want) ** 2))
-        rel = abs(op._backward_projection(y)(x)[1] - want) / want
+        rel = abs(op.backward_projection(y)(x)[1] - want) / want
         if not rel <= 1e-9:
             return False, f"half-spectrum Parseval norm differs from the pixel norm at {size}: rel={rel:.2e}"
         worst[1] = max(worst[1], rel)

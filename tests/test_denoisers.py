@@ -14,7 +14,6 @@ from idbp.denoisers import (
     GaussianDenoiser,
     MedianDenoiser,
     NlmDenoiser,
-    OracleBoundedDenoiser,
     OracleLinearDenoiser,
     ShrinkDenoiser,
     build_denoiser,
@@ -344,17 +343,6 @@ def test_oracle_linear_definition():
     z = _random_grid(8, 8, 8)
     out = OracleLinearDenoiser(0.3, truth)(z, 5.0)
     assert np.array_equal(out, 0.3 * truth + 0.7 * z)
-
-
-def test_oracle_bounded_caps_step_norm():
-    truth = np.full((8, 8), 200.0)
-    z = np.zeros((8, 8))
-    bound = 2.0
-    for sigma in (1.0, 5.0, 1e6):
-        out = OracleBoundedDenoiser(1.0, bound, truth)(z, sigma)
-        step = float(np.linalg.norm(out - z))
-        assert step <= sigma * bound + 1e-9
-    assert np.array_equal(OracleBoundedDenoiser(1.0, bound, truth)(z, 0.0), z)
 
 
 def test_build_denoiser_dispatch():

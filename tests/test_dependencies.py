@@ -1,5 +1,7 @@
-"""The package runs on the standard library and numpy alone."""
+"""The package runs on the standard library and numpy alone, and its
+modules reach one another's objects only through public names."""
 
+import ast
 import json
 import os
 import subprocess
@@ -26,3 +28,23 @@ def test_importing_the_package_loads_only_stdlib_and_numpy():
     loaded = set(json.loads(proc.stdout))
     assert {"idbp", "numpy"} <= loaded
     assert loaded - set(sys.stdlib_module_names) - {"idbp", "numpy"} == set()
+
+
+def _private_reads(source: str) -> list[str]:
+    """Attributes `obj._name` (not dunders) read off anything but `self`."""
+    return [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+
+
+def test_no_module_reads_a_private_attribute_of_another_object():
+    # an operator's data step is public: a solver that needs it must not
+    # reach behind another object's underscore
+    assert _private_reads("op._step(y)\nself._step(y)\nop.__class__\nop.step(y)") == ["1: op._step"]
+    reads = {path.name: _private_reads(path.read_text()) for path in sorted((SRC / "idbp").glob("*.py"))}
+    assert {name: found for name, found in reads.items() if found} == {}

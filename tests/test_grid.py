@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from idbp.grid import add_gaussian_noise, as_grid, bsnr, isnr, psnr, sigma_for_bsnr
+from idbp.grid import add_gaussian_noise, as_grid, bsnr, psnr, sigma_for_bsnr
 from idbp.pgm import PgmFormatError, load_pgm, save_pgm
 from idbp.rng import RngState
 
@@ -46,15 +46,6 @@ def test_psnr_symmetric_and_shift_invariant():
 def test_psnr_dimension_mismatch():
     with pytest.raises(ValueError):
         psnr(np.zeros((4, 4)), np.zeros((4, 5)))
-
-
-def test_isnr_is_psnr_difference_on_random_triples():
-    rng = RngState(3)
-    for _ in range(10):
-        x = rng.gaussians(64).reshape(8, 8) * 20 + 128
-        y = rng.gaussians(64).reshape(8, 8) * 20 + 128
-        xhat = rng.gaussians(64).reshape(8, 8) * 20 + 128
-        assert isnr(x, y, xhat) == pytest.approx(psnr(x, xhat) - psnr(x, y), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ DENSE_CASES = {
     "15x15-scenario-1": BlurOperator(generate_scenario_kernel(1), (15, 15), EPSILON, SIGMA_N),
     "6x8-random-3x5": BlurOperator(_asymmetric_kernel(12, (3, 5)), (6, 8), EPSILON, SIGMA_N),
     "1x1": BlurOperator(np.ones((1, 1)), (1, 1), EPSILON, SIGMA_N),
-    "6x8-mask": _MASK._with_regularisation(EPSILON, SIGMA_N),
+    "6x8-mask": _MASK.with_regularisation(EPSILON, SIGMA_N),
     "6x8-mask-unregularised": _MASK,
 }
 
@@ -262,14 +262,14 @@ def test_with_epsilon_shares_spectrum_and_rebuilds_filters():
     assert np.array_equal(op.project_null(x), null_before)
     with pytest.raises(ValueError, match="nonnegative"):
         op.with_epsilon(-1e-3)
-    # the private variant behind it also takes a new sigma_n
-    op3 = op._with_regularisation(0.5, 3.0)
+    # the general form behind it also takes a new sigma_n
+    op3 = op.with_regularisation(0.5, 3.0)
     fresh = BlurOperator(kernel, (16, 16), epsilon=0.5, sigma_n=3.0)
     assert op3.spectrum is op.spectrum
     assert np.array_equal(op3.pseudoinverse(x), fresh.pseudoinverse(x))
     assert np.array_equal(op3.project_null(x), fresh.project_null(x))
     with pytest.raises(ValueError, match="sigma_n must be nonnegative"):
-        op._with_regularisation(0.5, -3.0)
+        op.with_regularisation(0.5, -3.0)
 
 
 def _reference_blur(op, x):
@@ -325,7 +325,7 @@ def test_blur_backward_projection_matches_the_public_methods(shape, kernel):
     op = BlurOperator(_ORACLE_KERNELS[kernel], shape, EPSILON, SIGMA_N)
     x = _random_grid(22, *shape)
     y = _random_grid(23, *shape)
-    y_tilde, residual_sq = op._backward_projection(y)(x)
+    y_tilde, residual_sq = op.backward_projection(y)(x)
     want = float(np.sum((y - op.forward(x)) ** 2))
     assert abs(residual_sq - want) <= 1e-12 * want
     want = op.pseudoinverse(y) + op.project_null(x)
@@ -333,21 +333,35 @@ def test_blur_backward_projection_matches_the_public_methods(shape, kernel):
     assert np.max(np.abs(y_tilde - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _reference_mask_projections(op, y, x):
+    """The closed forms the mask operator computed H+ y and Q x by before
+    both were derived from its step, kept as the independent oracle."""
+    weight = 1.0 + op.epsilon * op.sigma_n**2
+    return np.where(op.mask, y / weight, 0.0), np.where(op.mask, x - x / weight, x)
+
+
 @pytest.mark.parametrize("regularisation", [(0.0, 0.0), (EPSILON, SIGMA_N)])
 def test_mask_backward_projection_is_the_public_arithmetic(regularisation):
-    op = generate_random_mask(37, 53, 0.7, RngState(24))._with_regularisation(*regularisation)
+    op = generate_random_mask(37, 53, 0.7, RngState(24)).with_regularisation(*regularisation)
     x = _random_grid(25, 37, 53)
     y = op.forward(_random_grid(26, 37, 53))
-    y_tilde, residual_sq = op._backward_projection(y)(x)
-    assert y_tilde.tobytes() == (op.pseudoinverse(y) + op.project_null(x)).tobytes()
+    # signed zeros on observed and unobserved pixels: the derived forms add
+    # a zero term, which may turn -0.0 into +0.0 but changes no other value
+    x[::5, ::7] = y[::5, ::7] = -0.0
+    assert (np.signbit(y) & op.mask).any() and (np.signbit(x) & ~op.mask).any()
+    pinv_y, null_x = _reference_mask_projections(op, y, x)
+    y_tilde, residual_sq = op.backward_projection(y)(x)
+    assert y_tilde.tobytes() == (pinv_y + null_x).tobytes()
     assert np.sqrt(residual_sq) == np.linalg.norm(y - op.forward(x))
+    assert np.array_equal(op.pseudoinverse(y), pinv_y)
+    assert np.array_equal(op.project_null(x), null_x)
 
 
 @pytest.mark.parametrize(
     "op", [BlurOperator(_delta_kernel(), (8, 8)), InpaintingOperator(np.ones((8, 8), dtype=bool))], ids=["blur", "mask"]
 )
 def test_backward_projection_rejects_a_mismatched_iterate(op):
-    project = op._backward_projection(np.ones((8, 8)))
+    project = op.backward_projection(np.ones((8, 8)))
     with pytest.raises(ValueError, match="shape mismatch"):
         project(np.ones((1, 8)))
 

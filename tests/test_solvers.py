@@ -353,7 +353,7 @@ def _linear_auto_tuned(operator, y, sigma_n, denoiser, config, init, ground_trut
     restarts = 0
     current = operator.with_epsilon(config.epsilon)
     while True:
-        project = current._backward_projection(y)
+        project = current.backward_projection(y)
         y_tilde = init.copy()
         violated = False
         for k in range(1, config.iterations + 1):
@@ -509,8 +509,8 @@ def test_auto_tune_restart_budget():
     cfg = IdbpConfig(delta=5.0, iterations=2, epsilon=1e-6,
                      condition_margin_tau=1e9, epsilon_increment=1e-6)
     seen = []
-    with pytest.raises(RuntimeError, match=r"restart budget exhausted after 200 restarts: margin 1000000000.0 "
-                                           r"unattainable \(epsilon reached 0\.000201\)"):
+    with pytest.raises(RuntimeError, match=r"no weight step r <= 200 keeps the margin 1000000000\.0: "
+                                           r"3 passes run, epsilon reached 0\.000201$"):
         idbp_auto_tuned(op, y, sigma_n, GaussianDenoiser(), cfg, y, observer=lambda k, x, y_tilde: seen.append(k))
     assert seen == [1, 2] * 3
 
@@ -537,7 +537,8 @@ def test_auto_tune_restart_cap_bounds_the_step(monkeypatch):
     _, trace = idbp_auto_tuned(op, y, sigma_n, GaussianDenoiser(), cfg, y)
     assert trace.final_pass()[0].epsilon == cfg.epsilon + 73 * cfg.epsilon_increment
     monkeypatch.setattr(solvers, "_RESTART_CAP", 72)
-    with pytest.raises(RuntimeError, match="restart budget exhausted after 72 restarts"):
+    with pytest.raises(RuntimeError, match=r"no weight step r <= 72 keeps the margin 3\.0: 4 passes run, "
+                                           r"epsilon reached 0\.0073$"):
         idbp_auto_tuned(op, y, sigma_n, GaussianDenoiser(), cfg, y)
 
 
@@ -553,7 +554,7 @@ class _ScriptedMonitor(BlurOperator):
     def with_epsilon(self, epsilon):
         return _ScriptedMonitor(self.script, self.shape, epsilon, self.sigma_n, self.delta)
 
-    def _backward_projection(self, y):
+    def backward_projection(self, y):
         iteration = itertools.count(1)
 
         def project(x):
@@ -714,7 +715,7 @@ def _projection_pnp_solve(operator, y, sigma_n, denoiser, config, init):
     ``pseudoinverse`` and ``project_null``, kept as the oracle for the bound
     backward-projection step."""
     sigma_eff = sigma_n if sigma_n > 0 else 0.001
-    data_op = operator._with_regularisation(config.lam, sigma_eff)
+    data_op = operator.with_regularisation(config.lam, sigma_eff)
     pinv_y = data_op.pseudoinverse(y)
     v = init.copy()
     u = np.zeros_like(init)
