@@ -27,6 +27,7 @@ from .operators import (
 )
 from .rng import RngState
 from .solvers import (
+    EPSILON0,
     IdbpConfig,
     IterationTrace,
     PnpConfig,
@@ -152,7 +153,7 @@ class ExperimentSpec:
             overrides = dict(delta=self.delta, iterations=self.iterations, epsilon=self.epsilon,
                              condition_margin_tau=self.tau, epsilon_increment=self.eps_increment)
             if self.solver == "idbp_auto" and self.epsilon is None:
-                overrides["epsilon"] = 1e-3  # auto-tune starts small and grows
+                overrides["epsilon"] = EPSILON0  # auto-tune starts small and grows
             if self.task == "inpaint":
                 config = default_inpaint_idbp_config(self.sigma_n or 0.0, **overrides)
             else:

@@ -27,13 +27,17 @@ only to rounding; its inverse filter conj(S) / (|S|^2 + w) is only
 approximate.  The bound step transforms y once, then makes one real
 transform pair (rfft2, irfft2) per call: it forms the residual spectrum,
 reads its norm off the half spectrum by Parseval, and filters it back.
+
+No operator changes once built.  A blur operator holds the half spectrum
+it multiplies by; its step builds the inverse filter each time it binds,
+so a forward-only operator needs no invertible spectrum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import as_grid, require_same_shape
+from .grid import as_grid
 from .rng import RngState
 
 # ---------------------------------------------------------------------------
@@ -63,7 +67,17 @@ def kernel_spectrum(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 class _Projecting:
-    """H+ and Q of an operator, derived from its ``backward_projection``."""
+    """H+ and Q of an operator, derived from its ``backward_projection``,
+    and the shape checks of its inputs."""
+
+    def _grid(self, x) -> np.ndarray:
+        """`x` as a finite float64 grid of the operator's shape."""
+        return self._same_shape(as_grid(x))
+
+    def _same_shape(self, x: np.ndarray) -> np.ndarray:
+        if x.shape != self.shape:
+            raise ValueError(f"shape mismatch: {x.shape} vs operator {self.shape}")
+        return x
 
     def pseudoinverse(self, y) -> np.ndarray:
         """H+ y: the step bound to y, applied to zeros."""
@@ -112,9 +126,7 @@ class InpaintingOperator(_Projecting):
         return self.mask.shape
 
     def forward(self, x) -> np.ndarray:
-        x = as_grid(x)
-        require_same_shape(x, self.mask)
-        return np.where(self.mask, x, 0.0)
+        return np.where(self.mask, self._grid(x), 0.0)
 
     def backward_projection(self, y):
         """x -> (H+ y + Q x, ||y - H x||^2) for fixed observations `y`.
@@ -126,13 +138,12 @@ class InpaintingOperator(_Projecting):
         are this step with zeros for x or y, so they keep its arithmetic by
         construction.
         """
-        y = as_grid(y)
-        require_same_shape(y, self.mask)
+        y = self._grid(y)
         weight = 1.0 + self.epsilon * self.sigma_n**2
         pinv_y = np.where(self.mask, y / weight, 0.0)
 
         def project(x):
-            require_same_shape(x, self.mask)
+            self._same_shape(x)
             residual = (y - np.where(self.mask, x, 0.0)).ravel()
             return pinv_y + np.where(self.mask, x - x / weight, x), float(residual.dot(residual))
 
@@ -162,15 +173,15 @@ def generate_random_mask(
 class BlurOperator(_Projecting):
     """Circular shift-invariant blur on a fixed grid shape.
 
-    The kernel spectrum S (a full ``fft2``) is precomputed at construction.
-    ``forward`` is irfft2(rfft2(x) * S, s=shape), S on its half spectrum
-    (columns 0..W//2; ``s=`` keeps odd widths).  ``backward_projection`` is
-    the one data step; ``pseudoinverse`` and ``project_null`` are derived
-    from it, so each transforms its zero argument too and computes a
-    residual norm no one reads.  The regularised inverse filter
-    conj(S) / (|S|^2 + epsilon * sigma_n^2) is built on first use, so a
-    forward-only operator never requires an invertible spectrum; the lazy
-    fill is idempotent and the instance is otherwise immutable.
+    ``spectrum`` is the half spectrum of the kernel: columns 0..W//2 of
+    ``kernel_spectrum``, copied once at construction into a contiguous,
+    read-only array.  ``forward`` is irfft2(rfft2(x) * S, s=shape) (``s=``
+    keeps odd widths).  ``backward_projection`` is the one data step; it
+    builds the regularised inverse filter conj(S) / (|S|^2 + epsilon *
+    sigma_n^2) each time it binds, so a forward-only operator needs no
+    invertible spectrum.  ``pseudoinverse`` and ``project_null`` are
+    derived from the step, so each transforms its zero argument too and
+    computes a residual norm no one reads.  The operator never changes.
     """
 
     def __init__(self, kernel, shape: tuple[int, int], epsilon: float = 0.0, sigma_n: float = 0.0) -> None:
@@ -188,44 +199,23 @@ class BlurOperator(_Projecting):
         self.shape = (int(shape[0]), int(shape[1]))
         self.epsilon = float(epsilon)
         self.sigma_n = float(sigma_n)
-        self.spectrum = kernel_spectrum(kernel, self.shape)
+        self.spectrum = kernel_spectrum(kernel, self.shape)[:, : self.shape[1] // 2 + 1].copy()
         self.spectrum.setflags(write=False)
-        self._half_spectrum = self.spectrum[:, : self.shape[1] // 2 + 1]
-        self._inverse: np.ndarray | None = None
 
     def with_epsilon(self, epsilon: float) -> "BlurOperator":
         """Same blur with a different regularisation weight; shares this
-        operator's kernel and spectrum and builds its own inverse filter."""
+        operator's kernel and spectrum."""
         return self.with_regularisation(epsilon, self.sigma_n)
 
     def with_regularisation(self, epsilon: float, sigma_n: float) -> "BlurOperator":
-        """Same kernel and spectrum object, new (epsilon, sigma_n), no inverse filter yet."""
+        """Same kernel and spectrum object, new (epsilon, sigma_n)."""
         _check_regularisation(epsilon, sigma_n)
         other = BlurOperator.__new__(BlurOperator)  # subclasses re-wrap the result themselves
-        vars(other).update(vars(self), epsilon=float(epsilon), sigma_n=float(sigma_n), _inverse=None)
+        vars(other).update(vars(self), epsilon=float(epsilon), sigma_n=float(sigma_n))
         return other
 
-    def _inverse_filter(self) -> np.ndarray:
-        if self._inverse is None:
-            denom = np.abs(self._half_spectrum) ** 2 + self.epsilon * self.sigma_n**2
-            if np.any(denom == 0.0):
-                raise ValueError(
-                    "kernel spectrum has zeros and regularisation weight is zero; "
-                    "the inverse filter is undefined"
-                )
-            inverse = np.conj(self._half_spectrum) / denom
-            inverse.setflags(write=False)
-            self._inverse = inverse
-        return self._inverse
-
-    def _check(self, x) -> np.ndarray:
-        x = as_grid(x)
-        if x.shape != self.shape:
-            raise ValueError(f"shape mismatch: {x.shape} vs operator {self.shape}")
-        return x
-
     def forward(self, x) -> np.ndarray:
-        return np.fft.irfft2(np.fft.rfft2(self._check(x)) * self._half_spectrum, s=self.shape)
+        return np.fft.irfft2(np.fft.rfft2(self._grid(x)) * self.spectrum, s=self.shape)
 
     def backward_projection(self, y):
         """x -> (x + H+ (y - H x), ||y - H x||^2) for fixed observations `y`.
@@ -236,20 +226,21 @@ class BlurOperator(_Projecting):
         column W/2, weight 2 on the others, over H * W), and the projected
         iterate is x + irfft2(R F, s=shape) with F the inverse filter.
         """
-        y_spectrum = np.fft.rfft2(self._check(y))
-        inverse = self._inverse_filter()
-        # products with the strided view take about twice as long; a copy
-        # kept by every operator instead would add to each one's memory
-        half_spectrum = np.ascontiguousarray(self._half_spectrum)
+        y_spectrum = np.fft.rfft2(self._grid(y))
+        denom = np.abs(self.spectrum) ** 2 + self.epsilon * self.sigma_n**2
+        if np.any(denom == 0.0):
+            raise ValueError(
+                "kernel spectrum has zeros and regularisation weight is zero; "
+                "the inverse filter is undefined"
+            )
+        inverse = np.conj(self.spectrum) / denom
         size = self.shape[0] * self.shape[1]
         width = self.shape[1]
         edges = [0, width // 2] if width % 2 == 0 else [0]  # columns without a mirror image
 
         def project(x):
-            if x.shape != self.shape:
-                raise ValueError(f"shape mismatch: {x.shape} vs operator {self.shape}")
-            spectrum = np.fft.rfft2(x)
-            spectrum *= half_spectrum
+            spectrum = np.fft.rfft2(self._same_shape(x))
+            spectrum *= self.spectrum
             np.subtract(y_spectrum, spectrum, out=spectrum)
             unpaired = spectrum[:, edges]
             residual_sq = (2.0 * np.vdot(spectrum, spectrum).real - np.vdot(unpaired, unpaired).real) / size

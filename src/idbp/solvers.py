@@ -37,6 +37,10 @@ from .operators import BlurOperator, InpaintingOperator
 
 OUTPUT_MODES = ("last_x", "last_y")
 
+# The recommended starting inverse-filter weight epsilon_0: IdbpConfig's
+# default, and where auto-tuning starts unless a run sets epsilon.
+EPSILON0 = 1e-3
+
 
 @dataclass
 class IdbpConfig:
@@ -52,7 +56,7 @@ class IdbpConfig:
     delta: float = 5.0
     iterations: int = 30
     output_mode: str = "last_x"
-    epsilon: float = 1e-3
+    epsilon: float = EPSILON0
     condition_margin_tau: float = 3.0
     epsilon_increment: float = 1e-4
 

@@ -15,7 +15,13 @@ from idbp.denoisers import (
     build_denoiser,
 )
 from idbp.grid import add_gaussian_noise, psnr
-from idbp.operators import BlurOperator, InpaintingOperator, generate_random_mask, generate_scenario_kernel
+from idbp.operators import (
+    BlurOperator,
+    InpaintingOperator,
+    generate_random_mask,
+    generate_scenario_kernel,
+    kernel_spectrum,
+)
 from idbp.rng import RngState
 from idbp.scenes import synthetic_scene
 from idbp.solvers import (
@@ -732,8 +738,9 @@ def _reference_pnp_blur_solve(operator, y, sigma_n, denoiser, config, init):
     for the backward-projection form H+ y + Q z."""
     sigma_eff = sigma_n if sigma_n > 0 else 0.001
     weight = config.lam * sigma_eff * sigma_eff
-    spectrum_conj_y = np.conj(operator.spectrum) * np.fft.fft2(y)
-    denom = np.abs(operator.spectrum) ** 2 + weight
+    spectrum = kernel_spectrum(operator.kernel, operator.shape)
+    spectrum_conj_y = np.conj(spectrum) * np.fft.fft2(y)
+    denom = np.abs(spectrum) ** 2 + weight
     v = init.copy()
     u = np.zeros_like(init)
     for _ in range(config.iterations):
