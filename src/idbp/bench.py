@@ -4,9 +4,11 @@ A run treats each corpus image as ground truth, synthesizes the degradation
 from a per-image seed (master seed + corpus index), restores it with the
 requested solver, and reports PSNR of the degraded input, PSNR of the
 restoration, their difference (ISNR), and for deblurring the BSNR of the
-blurred input.  All CSV output uses fixed 6-decimal formatting with LF
-line endings and parses back losslessly at that precision; summary fields
-holding a comma, quote or line break are quoted.
+blurred input.  Synthesis returns the plain operator H, and the solver
+passes its own regularisation weight to it.  All CSV output uses fixed
+6-decimal formatting with LF line endings and parses back losslessly at
+that precision; summary fields holding a comma, quote or line break are
+quoted.
 """
 
 from __future__ import annotations
@@ -215,14 +217,17 @@ def synthesize_inpainting(
 
 
 def synthesize_deblurring(
-    x: np.ndarray, scenario: int, sigma_n: float | None, rng: RngState, epsilon: float
+    x: np.ndarray, scenario: int, sigma_n: float | None, rng: RngState, epsilon: float | None = None
 ) -> tuple[BlurOperator, np.ndarray, np.ndarray, float]:
     """Blur by the scenario kernel and add noise.
 
-    Returns (operator-with-regularisation, observations, clean blurred
-    image, sigma_n actually used); a None sigma_n triggers the
-    scenario-table default, which for scenario 3 calibrates the noise so
-    the BSNR is 40 dB for this particular image.
+    Returns (operator, observations, clean blurred image, sigma_n actually
+    used); a None sigma_n triggers the scenario-table default, which for
+    scenario 3 calibrates the noise so the BSNR is 40 dB for this
+    particular image.  ``epsilon`` is unused: the solver passes its own
+    regularisation weight to the operator.  The parameter stays because
+    the benchmark harness in ``perfbench/workloads.py`` passes it by
+    position.
     """
     blur = BlurOperator(generate_scenario_kernel(scenario), x.shape)
     blurred = blur.forward(x)
@@ -230,7 +235,7 @@ def synthesize_deblurring(
         variance = SCENARIO_NOISE_VARIANCE[scenario]
         sigma_n = sigma_for_bsnr(blurred, 40.0) if variance is None else float(np.sqrt(variance))
     y = add_gaussian_noise(blurred, sigma_n, rng)
-    return blur.with_regularisation(epsilon, sigma_n), y, blurred, sigma_n
+    return blur, y, blurred, sigma_n
 
 
 @dataclass
@@ -261,9 +266,7 @@ def run_single(spec: ExperimentSpec, image, rng: RngState) -> SingleRunResult:
         baseline = init
         bsnr_db = float("nan")
     else:
-        # pnp_run ignores the operator's epsilon and projects at epsilon = lambda
-        epsilon = config.lam if isinstance(config, PnpConfig) else config.epsilon
-        operator, y, blurred, sigma_n = synthesize_deblurring(x, spec.scenario, spec.sigma_n, rng, epsilon)
+        operator, y, blurred, sigma_n = synthesize_deblurring(x, spec.scenario, spec.sigma_n, rng)
         init = y.copy()
         baseline = y
         bsnr_db = bsnr(blurred, sigma_n)

@@ -128,7 +128,14 @@ _SPEC_SETTINGS = {
 
 
 def _spec_from_settings(settings: _Settings, task: str, solver: str | None) -> ExperimentSpec:
-    """The spec of what a flag or ./idbp.cfg sets; the spec's defaults cover the rest."""
+    """The spec of what a flag or ./idbp.cfg sets; the spec's defaults cover the rest.
+
+    ``auto_tune`` turns idbp (or no solver) into idbp_auto, and is an error with pnp.
+    """
+    if settings.get("auto_tune", False, bool):
+        if solver == "pnp":
+            raise ValueError("--auto-tune selects the idbp_auto solver; it does not apply to pnp")
+        solver = "idbp_auto"
     fields = {name: settings.get(key, cast=cast) for name, (key, cast) in _SPEC_SETTINGS.items()}
     if fields["denoiser"] == "external" and not fields["external_cmd"]:
         fields["external_cmd"] = os.environ.get("IDBP_EXTERNAL_DENOISER")
@@ -157,9 +164,9 @@ def _single_image_command(settings: _Settings, task: str, solver: str) -> int:
     ]
     if task == "deblur":
         parts.append(f"bsnr={result.bsnr_db:.2f} dB")
-    if solver == "idbp_auto":
+    if spec.solver == "idbp_auto":
         parts.append(f"restarts={result.trace.restart_count}")
-    print(f"{task} [{solver}] {Path(path).name}: " + ", ".join(parts))
+    print(f"{task} [{spec.solver}] {Path(path).name}: " + ", ".join(parts))
 
     output = settings.get("output")
     if output:
@@ -187,8 +194,7 @@ def _cmd_inpaint(settings: _Settings) -> int:
 def _cmd_deblur(settings: _Settings) -> int:
     if settings.get("scenario", cast=int) is None:
         raise UsageError("--scenario is required for deblur")
-    solver = "idbp_auto" if settings.get("auto_tune", False, bool) else "idbp"
-    return _single_image_command(settings, "deblur", solver)
+    return _single_image_command(settings, "deblur", "idbp")
 
 
 def _cmd_pnp(settings: _Settings) -> int:
@@ -205,9 +211,8 @@ def _cmd_bench(settings: _Settings) -> int:
         raise FileNotFoundError(f"no .pgm files in {corpus_dir}")
     corpus = [(p.stem, load_pgm(p)) for p in paths]
 
-    solver = "idbp_auto" if settings.get("auto_tune", False, bool) else settings.args.solver
     task = "deblur" if settings.get("scenario", cast=int) is not None else "inpaint"
-    spec = _spec_from_settings(settings, task, solver)
+    spec = _spec_from_settings(settings, task, settings.args.solver)
 
     report = run_benchmark(spec, corpus)
     out_dir = Path(settings.get("output", "."))

@@ -2,22 +2,26 @@
 
 Both operator families expose the same surface:
 
-* ``forward(x)``             -- the degradation H x
-* ``backward_projection(y)`` -- the one data step, bound to observations y
-* ``pseudoinverse(y)``       -- H+ y = (H^T H + w I)^-1 H^T y
-* ``project_null(x)``        -- Q x = x - H+ H x, the component invisible to H
+* ``forward(x)``                        -- the degradation H x
+* ``backward_projection(y, weight=0)``  -- the one data step, bound to observations y
+* ``pseudoinverse(y, weight=0)``        -- H+ y = (H^T H + w I)^-1 H^T y
+* ``project_null(x, weight=0)``         -- Q x = x - H+ H x, the component invisible to H
 
-with regularisation weight w = ``epsilon * sigma_n**2``, zero by default.
+An operator holds H alone.  The regularisation weight w >= 0 is an argument
+of the step, chosen by the solver that makes it: IDBP binds at
+epsilon * sigma_n^2, PnP at lambda * sigma_n^2.  A negative or NaN weight
+raises ValueError.
 
 The backward projection is each operator's one public data step.  Bound to
-y once per IDBP pass or PnP run, it maps x to the projected iterate
+y and w once per IDBP pass or PnP run, it maps x to the projected iterate
 x + H+ (y - H x) = H+ y + Q x and the squared residual norm ||y - H x||^2
 together, since that form computes the residual IDBP's feasibility monitor
 needs; PnP ignores the norm.  The step takes x as a finite float64 grid and
 checks only its shape: the solver scans each denoiser output once, before
 the step.  H+ and Q are derived from it, once for both families:
 H+ y is the step bound to y applied to zeros, and Q x the step bound to
-zeros applied to x.  The derived forms make the transforms the step makes.
+zeros applied to x, both at the weight they are given.  The derived forms
+make the transforms the step makes.
 
 Masks are elementwise: H+ y = y / (1 + w) on observed pixels.  At w = 0 the
 divisions are by exactly 1, so their projection algebra (H H+ = I on
@@ -30,7 +34,8 @@ reads its norm off the half spectrum by Parseval, and filters it back.
 
 No operator changes once built.  A blur operator holds the half spectrum
 it multiplies by; its step builds the inverse filter each time it binds,
-so a forward-only operator needs no invertible spectrum.
+at the weight it binds at, so a forward-only operator needs no invertible
+spectrum.
 """
 
 from __future__ import annotations
@@ -79,13 +84,19 @@ class _Projecting:
             raise ValueError(f"shape mismatch: {x.shape} vs operator {self.shape}")
         return x
 
-    def pseudoinverse(self, y) -> np.ndarray:
-        """H+ y: the step bound to y, applied to zeros."""
-        return self.backward_projection(y)(np.zeros(self.shape))[0]
+    def pseudoinverse(self, y, weight: float = 0.0) -> np.ndarray:
+        """H+ y at `weight`: the step bound to y, applied to zeros."""
+        return self.backward_projection(y, weight)(np.zeros(self.shape))[0]
 
-    def project_null(self, x) -> np.ndarray:
-        """Q x: the step bound to zeros, applied to x."""
-        return self.backward_projection(np.zeros(self.shape))(as_grid(x))[0]
+    def project_null(self, x, weight: float = 0.0) -> np.ndarray:
+        """Q x at `weight`: the step bound to zeros, applied to x."""
+        return self.backward_projection(np.zeros(self.shape), weight)(as_grid(x))[0]
+
+
+def _check_weight(weight: float) -> float:
+    if not weight >= 0:
+        raise ValueError(f"regularisation weight must be nonnegative, got {weight!r}")
+    return weight
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +113,6 @@ class InpaintingOperator(_Projecting):
     an exact element copy.
     """
 
-    epsilon = 0.0
-    sigma_n = 0.0
-
     def __init__(self, mask) -> None:
         mask = np.ascontiguousarray(mask, dtype=bool)
         if mask.ndim != 2:
@@ -114,13 +122,6 @@ class InpaintingOperator(_Projecting):
         self.mask = mask
         self.mask.setflags(write=False)
 
-    def with_regularisation(self, epsilon: float, sigma_n: float) -> "InpaintingOperator":
-        """Same mask object, new (epsilon, sigma_n)."""
-        _check_regularisation(epsilon, sigma_n)
-        other = InpaintingOperator.__new__(InpaintingOperator)
-        vars(other).update(vars(self), epsilon=float(epsilon), sigma_n=float(sigma_n))
-        return other
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.mask.shape
@@ -128,8 +129,8 @@ class InpaintingOperator(_Projecting):
     def forward(self, x) -> np.ndarray:
         return np.where(self.mask, self._grid(x), 0.0)
 
-    def backward_projection(self, y):
-        """x -> (H+ y + Q x, ||y - H x||^2) for fixed observations `y`.
+    def backward_projection(self, y, weight: float = 0.0):
+        """x -> (H+ y + Q x, ||y - H x||^2) for fixed observations `y` and weight w.
 
         The operator's one data step: H+ y = where(mask, y / (1 + w), 0),
         Q x = where(mask, x - x / (1 + w), x), the residual through
@@ -138,14 +139,14 @@ class InpaintingOperator(_Projecting):
         are this step with zeros for x or y, so they keep its arithmetic by
         construction.
         """
+        scale = 1.0 + _check_weight(weight)
         y = self._grid(y)
-        weight = 1.0 + self.epsilon * self.sigma_n**2
-        pinv_y = np.where(self.mask, y / weight, 0.0)
+        pinv_y = np.where(self.mask, y / scale, 0.0)
 
         def project(x):
             self._same_shape(x)
             residual = (y - np.where(self.mask, x, 0.0)).ravel()
-            return pinv_y + np.where(self.mask, x - x / weight, x), float(residual.dot(residual))
+            return pinv_y + np.where(self.mask, x - x / scale, x), float(residual.dot(residual))
 
         return project
 
@@ -177,14 +178,14 @@ class BlurOperator(_Projecting):
     ``kernel_spectrum``, copied once at construction into a contiguous,
     read-only array.  ``forward`` is irfft2(rfft2(x) * S, s=shape) (``s=``
     keeps odd widths).  ``backward_projection`` is the one data step; it
-    builds the regularised inverse filter conj(S) / (|S|^2 + epsilon *
-    sigma_n^2) each time it binds, so a forward-only operator needs no
-    invertible spectrum.  ``pseudoinverse`` and ``project_null`` are
+    builds the regularised inverse filter conj(S) / (|S|^2 + w) each time
+    it binds, at the weight w it is given, so a forward-only operator needs
+    no invertible spectrum.  ``pseudoinverse`` and ``project_null`` are
     derived from the step, so each transforms its zero argument too and
     computes a residual norm no one reads.  The operator never changes.
     """
 
-    def __init__(self, kernel, shape: tuple[int, int], epsilon: float = 0.0, sigma_n: float = 0.0) -> None:
+    def __init__(self, kernel, shape: tuple[int, int]) -> None:
         kernel = np.ascontiguousarray(kernel, dtype=np.float64)
         if kernel.ndim != 2:
             raise ValueError("kernel must be 2-D")
@@ -193,32 +194,17 @@ class BlurOperator(_Projecting):
         total = float(kernel.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"kernel must sum to 1, got {total!r}")
-        _check_regularisation(epsilon, sigma_n)
         self.kernel = kernel
         self.kernel.setflags(write=False)
         self.shape = (int(shape[0]), int(shape[1]))
-        self.epsilon = float(epsilon)
-        self.sigma_n = float(sigma_n)
         self.spectrum = kernel_spectrum(kernel, self.shape)[:, : self.shape[1] // 2 + 1].copy()
         self.spectrum.setflags(write=False)
-
-    def with_epsilon(self, epsilon: float) -> "BlurOperator":
-        """Same blur with a different regularisation weight; shares this
-        operator's kernel and spectrum."""
-        return self.with_regularisation(epsilon, self.sigma_n)
-
-    def with_regularisation(self, epsilon: float, sigma_n: float) -> "BlurOperator":
-        """Same kernel and spectrum object, new (epsilon, sigma_n)."""
-        _check_regularisation(epsilon, sigma_n)
-        other = BlurOperator.__new__(BlurOperator)  # subclasses re-wrap the result themselves
-        vars(other).update(vars(self), epsilon=float(epsilon), sigma_n=float(sigma_n))
-        return other
 
     def forward(self, x) -> np.ndarray:
         return np.fft.irfft2(np.fft.rfft2(self._grid(x)) * self.spectrum, s=self.shape)
 
-    def backward_projection(self, y):
-        """x -> (x + H+ (y - H x), ||y - H x||^2) for fixed observations `y`.
+    def backward_projection(self, y, weight: float = 0.0):
+        """x -> (x + H+ (y - H x), ||y - H x||^2) for fixed observations `y` and weight w.
 
         With Y = rfft2(y) kept, each call makes one transform pair: the
         residual spectrum R = Y - S rfft2(x) gives ||y - H x||^2 by Parseval
@@ -226,8 +212,9 @@ class BlurOperator(_Projecting):
         column W/2, weight 2 on the others, over H * W), and the projected
         iterate is x + irfft2(R F, s=shape) with F the inverse filter.
         """
+        weight = _check_weight(weight)
         y_spectrum = np.fft.rfft2(self._grid(y))
-        denom = np.abs(self.spectrum) ** 2 + self.epsilon * self.sigma_n**2
+        denom = np.abs(self.spectrum) ** 2 + weight
         if np.any(denom == 0.0):
             raise ValueError(
                 "kernel spectrum has zeros and regularisation weight is zero; "
@@ -250,13 +237,6 @@ class BlurOperator(_Projecting):
             return projected, float(residual_sq)
 
         return project
-
-
-def _check_regularisation(epsilon: float, sigma_n: float) -> None:
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    if sigma_n < 0:
-        raise ValueError("sigma_n must be nonnegative")
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ Three algorithms:
                          (noise level sqrt(beta / lambda)).
 
 Both solvers enforce the data through the operator's backward projection
-bound to y, x -> x + H+ (y - H x) = H+ y + Q x: IDBP at the operator's own
-weight, reading the residual norm ||y - H x||^2 the step returns alongside
-for its feasibility monitor; PnP's least-squares step at weight
-lambda * sigma_n^2, ignoring that norm.  Inpainting observations
-are full grids whose unobserved entries are zero; at weight zero the mask
-projection is an exact element copy, so IDBP keeps the measurement
-constraint bitwise at every iteration.
+bound to y and a weight w, x -> x + H+ (y - H x) = H+ y + Q x: IDBP at
+w = epsilon * sigma_n^2 (epsilon 0 for masks), reading the residual norm
+||y - H x||^2 the step returns alongside for its feasibility monitor; PnP's
+least-squares step at w = lambda * sigma_n^2, ignoring that norm.
+Inpainting observations are full grids whose unobserved entries are zero;
+at weight zero the mask projection is an exact element copy, so IDBP keeps
+the measurement constraint bitwise at every iteration.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ class IdbpConfig:
     """Knobs for the denoise-and-project iteration.
 
     ``delta`` inflates the denoiser noise level above sigma_n.  ``epsilon``
-    is the starting inverse-filter regularisation weight (deblurring only);
-    ``condition_margin_tau`` and ``epsilon_increment`` drive the auto-tuned
-    variant, whose defaults mirror the recommended settings delta=5,
-    epsilon=1e-3, increment=1e-4, tau=3.
+    sets the blur step's weight epsilon * sigma_n^2 (the auto-tuned start);
+    masks project at weight 0.  ``condition_margin_tau`` and
+    ``epsilon_increment`` drive the auto-tuned variant, whose defaults
+    mirror the recommended settings delta=5, epsilon=1e-3, increment=1e-4,
+    tau=3.
     """
 
     delta: float = 5.0
@@ -143,21 +144,21 @@ class IterationTrace:
 # ---------------------------------------------------------------------------
 
 
-def condition_ratio(operator, y, x_tilde, sigma_n: float, delta: float) -> float:
-    """Feasibility margin of the current iterate.
+def condition_ratio(operator, y, x_tilde, sigma_n: float, delta: float, epsilon: float = 0.0) -> float:
+    """Feasibility margin of the current iterate, with H+ at weight epsilon * sigma_n^2.
 
     The squared-l2 feasibility test of Tirer & Giryes ("Image Restoration by
     Iterative Denoising and Backward Projections", IEEE TIP 2019): the ratio
     of ||y - H x_tilde||^2 / sigma_n^2 to ||H+ (y - H x_tilde)||^2 /
     (sigma_n + delta)^2; +inf when the mapped residual vanishes.  A value
     below 1 certifies that `delta` is too small.  Both norms come from the
-    operator's backward projection, as in IDBP's own monitor, so the two
-    agree bit for bit.
+    operator's backward projection, as in IDBP's own monitor, so at the
+    epsilon a pass ran at the two agree bit for bit.
     """
     if sigma_n <= 0:
         raise ValueError("sigma_n must be positive")
     x_tilde = as_grid(x_tilde)
-    y_tilde, residual_sq = operator.backward_projection(y)(x_tilde)
+    y_tilde, residual_sq = operator.backward_projection(y, epsilon * sigma_n**2)(x_tilde)
     return _feasibility_ratio(math.sqrt(residual_sq), float(np.linalg.norm(y_tilde - x_tilde)), sigma_n, delta)
 
 
@@ -207,9 +208,11 @@ def _idbp(
 ) -> tuple[np.ndarray, IterationTrace]:
     """IDBP passes from x_1 = D(init; sigma_n + delta) until one runs to the end.
 
-    Each iteration makes one call to the operator's backward projection
-    bound to y, which returns y_tilde = x_tilde + H+ (y - H x_tilde) together
-    with ||y - H x_tilde||^2: one real transform pair per blur iteration.
+    Pass r binds the operator's backward projection to y at weight
+    epsilon * sigma_n^2, epsilon = ``config.epsilon`` + r *
+    ``config.epsilon_increment`` for blur and 0 for masks.  Each iteration
+    makes one call to it, which returns y_tilde = x_tilde + H+ (y - H
+    x_tilde) with ||y - H x_tilde||^2: one real transform pair for blur.
     Appends one trace record per completed iteration, numbered from 1 in
     each pass and tagged with the number of passes run before it.  Its
     condition ratio (+inf when sigma_n = 0) takes that residual norm and the
@@ -225,12 +228,13 @@ def _idbp(
     trace = IterationTrace()
     x_first = denoiser(init, sigma)
     passes = 0
+    mask = isinstance(operator, InpaintingOperator)
 
     def run(r: int, iterations: int):
         """One pass at weight index r: (iteration it aborted at or None, last ratio, x_tilde, y_tilde)."""
         nonlocal passes
-        current = operator if r == 0 else operator.with_epsilon(config.epsilon + r * config.epsilon_increment)
-        project = current.backward_projection(y)  # onto {H y_tilde = y}
+        epsilon = 0.0 if mask else float(config.epsilon + r * config.epsilon_increment)
+        project = operator.backward_projection(y, epsilon * sigma_n**2)  # onto {H y_tilde = y}
         passes += 1
         x_tilde = x_first.copy()
         for k in range(1, iterations + 1):
@@ -243,7 +247,7 @@ def _idbp(
             ratio = (_feasibility_ratio(math.sqrt(residual_sq), float(np.linalg.norm(y_tilde - x_tilde)),
                                         sigma_n, config.delta)
                      if sigma_n > 0 else float("inf"))
-            trace.append(TraceRecord(k, quality(x_tilde), ratio, current.epsilon, passes - 1))
+            trace.append(TraceRecord(k, quality(x_tilde), ratio, epsilon, passes - 1))
             if observer is not None:
                 observer(k, x_tilde, y_tilde)
             if margin_tau is not None and k > 1 and ratio < margin_tau:
@@ -326,7 +330,8 @@ def idbp_run(
     """Iterative denoising with backward projections.
 
     Alternates ``x_k = D(y_{k-1}; sigma_n + delta)`` with the projection of
-    x_k onto {H y = observations} for the configured iteration count.
+    x_k onto {H y = observations} for the configured iteration count.  Blur
+    projects at weight ``config.epsilon`` * sigma_n^2, masks at 0.
     Returns the last x (default) or the last projected y when
     ``output_mode == "last_y"`` -- the latter matches one final denoise at
     delta = 0 and suits noiseless inpainting.
@@ -353,8 +358,9 @@ def idbp_auto_tuned(
 ) -> tuple[np.ndarray, IterationTrace]:
     """Deblurring with automatic regularisation tuning.
 
-    The weight runs over the grid epsilon_r = ``config.epsilon`` + r *
-    ``config.epsilon_increment``, r = 0, 1, ..., ``_RESTART_CAP`` (200).
+    The weight runs over the grid epsilon_r * sigma_n^2 with epsilon_r =
+    ``config.epsilon`` + r * ``config.epsilon_increment``, r = 0, 1, ...,
+    ``_RESTART_CAP`` (200).
     The accepted pass is the first on that grid whose condition_ratio stays
     at or above ``config.condition_margin_tau`` at every iteration k > 1.
     A pass that falls below it aborts there and the next starts again from
@@ -372,7 +378,7 @@ def idbp_auto_tuned(
 
     The returned trace keeps every pass, probes included: indices restart
     at 1 in each pass, ``restarts`` counts the passes run before it, and
-    ``epsilon`` is the weight it ran at.  ``final_pass()`` is the accepted
+    ``epsilon`` is the epsilon_r it ran at.  ``final_pass()`` is the accepted
     pass.  RuntimeError is raised when no r up to ``_RESTART_CAP`` is
     accepted.
 
@@ -389,8 +395,8 @@ def idbp_auto_tuned(
     y = as_grid(y)
     init = as_grid(init)
     require_same_shape(y, init)
-    return _idbp(operator.with_epsilon(config.epsilon), y, sigma_n, denoiser, config, init, ground_truth,
-                 observer, config.condition_margin_tau)
+    return _idbp(operator, y, sigma_n, denoiser, config, init, ground_truth, observer,
+                 config.condition_margin_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +418,8 @@ def pnp_run(
 
     Per iteration: the least-squares solve (H^T H + w I)^-1 (H^T y + w z)
     with w = lam * sigma_n^2, which is the backward projection H+ y + Q z
-    of the operator at epsilon = lam, made by its step bound to y once per
-    run (the residual norm the step also returns goes unread); a denoising
+    at weight w, made by the operator's step bound to y and w once per run
+    (the residual norm the step also returns goes unread); a denoising
     step at noise level sqrt(beta / lambda); and the dual update.
     Returns the last least-squares iterate.
     """
@@ -425,7 +431,7 @@ def pnp_run(
     sigma_eff = sigma_n if sigma_n > 0 else _SIGMA_FLOOR
     sigma_denoise = config.denoiser_sigma
     quality = _quality(ground_truth, y)
-    project = operator.with_regularisation(config.lam, sigma_eff).backward_projection(y)
+    project = operator.backward_projection(y, config.lam * sigma_eff**2)
     v = init.copy()
     u = np.zeros_like(init)
     x = init.copy()

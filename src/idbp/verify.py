@@ -110,16 +110,16 @@ def _check_blur_condition_identity() -> tuple[bool, str]:
     rng = RngState(203)
     kernel = np.zeros((3, 3))
     kernel[1, 1] = 1.0
+    op = BlurOperator(kernel, (16, 16))
     worst = 0.0
     for instance in range(50):
         sigma_n = 1.0 + float(rng.uniforms(1)[0] * 20)
         delta = float(rng.uniforms(1)[0] * 8)
         epsilon = 1e-3 + float(rng.uniforms(1)[0] * 0.05)
-        op = BlurOperator(kernel, (16, 16), epsilon=epsilon, sigma_n=sigma_n)
         y = rng.gaussians(256).reshape(16, 16) * 50 + 110
         x = rng.gaussians(256).reshape(16, 16) * 50 + 110
         expected = (1.0 + epsilon * sigma_n**2) ** 2 * (sigma_n + delta) ** 2 / sigma_n**2
-        dev = abs(condition_ratio(op, y, x, sigma_n, delta) / expected - 1.0)
+        dev = abs(condition_ratio(op, y, x, sigma_n, delta, epsilon) / expected - 1.0)
         if not dev <= 1e-10:
             return False, (f"blur instance {instance}, sigma_n={sigma_n:.4g}, delta={delta:.4g}, "
                            f"epsilon={epsilon:.4g}: relative deviation {dev:.3e} > 1e-10")
@@ -256,14 +256,14 @@ def check_fft_engine() -> tuple[bool, str]:
     for size in (8, 15, 31, 32, 64, 100, 256):
         x = rng.gaussians(size * size).reshape(size, size) * 45 + 125
         y = rng.gaussians(size * size).reshape(size, size) * 45 + 125
-        op = BlurOperator(kernel, x.shape, epsilon=1e-3, sigma_n=2.0)
+        op = BlurOperator(kernel, x.shape)
         want = _direct_circular_blur(kernel, x)
         rel = _max_dev(op.forward(x), want) / np.max(np.abs(want))
         if not rel <= 1e-9:
             return False, f"forward differs from the direct convolution at {size}: rel={rel:.2e}"
         worst[0] = max(worst[0], rel)
         want = float(np.sum((y - want) ** 2))
-        rel = abs(op.backward_projection(y)(x)[1] - want) / want
+        rel = abs(op.backward_projection(y, 1e-3 * 2.0**2)(x)[1] - want) / want
         if not rel <= 1e-9:
             return False, f"half-spectrum Parseval norm differs from the pixel norm at {size}: rel={rel:.2e}"
         worst[1] = max(worst[1], rel)
@@ -297,9 +297,8 @@ def check_auto_tuning() -> tuple[bool, str]:
     scene = synthetic_scene(128, 128)
     kernel = generate_scenario_kernel(1)
     sigma_n = float(np.sqrt(2.0))
-    blurred = BlurOperator(kernel, scene.shape).forward(scene)
-    y = add_gaussian_noise(blurred, sigma_n, RngState(808))
-    op = BlurOperator(kernel, scene.shape, epsilon=1e-5, sigma_n=sigma_n)
+    op = BlurOperator(kernel, scene.shape)
+    y = add_gaussian_noise(op.forward(scene), sigma_n, RngState(808))
     cfg = IdbpConfig(delta=5.0, iterations=20, epsilon=1e-5,
                      condition_margin_tau=3.0, epsilon_increment=5e-4)
     _, trace = idbp_auto_tuned(op, y, sigma_n, DctDenoiser(), cfg, init=y, ground_truth=scene)

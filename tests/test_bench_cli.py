@@ -454,6 +454,33 @@ def test_cli_rejects_a_setting_of_the_other_task(argv, scene_pgm, tmp_path, caps
     assert not out.exists() and not trace.exists() and not report.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+@pytest.mark.parametrize("argv", [
+    ["inpaint", "--sigma-n", "10"],
+    ["pnp", "--scenario", "1"],
+    ["bench", "pnp", "--scenario", "1"],
+], ids=["inpaint", "pnp", "bench-pnp"])
+def test_cli_rejects_auto_tune_where_it_cannot_apply(argv, source, scene_pgm, tmp_path, monkeypatch, capsys):
+    # auto-tuning is IDBP deblurring only; elsewhere the flag would be dropped
+    # (inpaint, pnp) or would replace the solver asked for (bench pnp)
+    monkeypatch.chdir(tmp_path)
+    if source == "flag":
+        argv = [*argv, "--auto-tune"]
+    else:
+        (tmp_path / "idbp.cfg").write_text("auto_tune = true\n")
+    source_path = scene_pgm
+    if argv[0] == "bench":
+        source_path = tmp_path / "corpus"
+        source_path.mkdir()
+        save_pgm(synthetic_scene(48, 48), source_path / "scene.pgm")
+    out = tmp_path / "out"
+    code = cli_main([*argv, "--input", str(source_path), "--iters", "2", "--denoiser", "gaussian",
+                     "--output", str(out)])
+    assert code == 2
+    assert "auto-tun" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_bench(tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()

@@ -395,17 +395,17 @@ def test_oracle_linear_null_space_contraction_inequality_any_operator():
     truth = rng.gaussians(256).reshape(16, 16) * 30 + 120
     kernel = np.outer([0.2, 0.6, 0.2], [0.2, 0.6, 0.2])
     operators = [
-        generate_random_mask(16, 16, 0.7, rng),
-        BlurOperator(kernel, (16, 16), epsilon=1e-3, sigma_n=2.0),
+        (generate_random_mask(16, 16, 0.7, rng), 0.0),
+        (BlurOperator(kernel, (16, 16)), 1e-3 * 2.0**2),
     ]
     alpha = 0.35
     denoiser = OracleLinearDenoiser(alpha, truth)
-    for op in operators:
+    for op, weight in operators:
         for _ in range(10):
             z1 = rng.gaussians(256).reshape(16, 16) * 40 + 100
             z2 = rng.gaussians(256).reshape(16, 16) * 40 + 100
-            lhs = float(np.linalg.norm(op.project_null(denoiser(z1, 5.0))
-                                       - op.project_null(denoiser(z2, 5.0))))
+            lhs = float(np.linalg.norm(op.project_null(denoiser(z1, 5.0), weight)
+                                       - op.project_null(denoiser(z2, 5.0), weight)))
             rhs = (1.0 - alpha) * float(np.linalg.norm(z1 - z2))
             assert lhs <= rhs + 1e-9
 

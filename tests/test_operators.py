@@ -165,9 +165,9 @@ def test_uniform_kernel_preserves_constants():
 
 def test_delta_kernel_regularised_inverse_scales():
     # denominator 1 + epsilon sigma^2 = 1.02 everywhere
-    op = BlurOperator(_delta_kernel(), (8, 8), epsilon=0.02, sigma_n=1.0)
+    op = BlurOperator(_delta_kernel(), (8, 8))
     y = _random_grid(7, 8, 8)
-    assert np.max(np.abs(op.pseudoinverse(y) - y / 1.02)) < 1e-12
+    assert np.max(np.abs(op.pseudoinverse(y, 0.02 * 1.0**2) - y / 1.02)) < 1e-12
 
 
 def test_unregularised_inverse_round_trip_on_invertible_kernel():
@@ -182,10 +182,10 @@ def test_unregularised_inverse_round_trip_on_invertible_kernel():
 def test_tikhonov_damping_is_monotone_in_epsilon():
     kernel = generate_scenario_kernel(2)
     y = _random_grid(9, 32, 32)
+    op = BlurOperator(kernel, (32, 32))
     norms = []
     for eps in (1e-4, 1e-3, 1e-2, 1e-1):
-        op = BlurOperator(kernel, (32, 32), epsilon=eps, sigma_n=2.0)
-        norms.append(float(np.linalg.norm(op.pseudoinverse(y))))
+        norms.append(float(np.linalg.norm(op.pseudoinverse(y, eps * 2.0**2))))
     assert all(a >= b for a, b in zip(norms, norms[1:]))
 
 
@@ -201,22 +201,24 @@ def _dense_matrix(op):
 
 
 EPSILON, SIGMA_N = 0.01, 1.5
+WEIGHT = EPSILON * SIGMA_N**2
 _MASK = generate_random_mask(6, 8, 0.5, RngState(16))
 
+# (operator, weight w of its pseudoinverse and null projector)
 DENSE_CASES = {
-    "1x20-row-kernel": BlurOperator(np.array([[0.2, 0.5, 0.3]]), (1, 20), EPSILON, SIGMA_N),
-    "20x1-column-kernel": BlurOperator(np.array([[0.3], [0.5], [0.2]]), (20, 1), EPSILON, SIGMA_N),
-    "9x9-box": BlurOperator(generate_scenario_kernel(3), (9, 9), EPSILON, SIGMA_N),
-    "15x15-scenario-1": BlurOperator(generate_scenario_kernel(1), (15, 15), EPSILON, SIGMA_N),
-    "6x8-random-3x5": BlurOperator(_asymmetric_kernel(12, (3, 5)), (6, 8), EPSILON, SIGMA_N),
-    "1x1": BlurOperator(np.ones((1, 1)), (1, 1), EPSILON, SIGMA_N),
-    "6x8-mask": _MASK.with_regularisation(EPSILON, SIGMA_N),
-    "6x8-mask-unregularised": _MASK,
+    "1x20-row-kernel": (BlurOperator(np.array([[0.2, 0.5, 0.3]]), (1, 20)), WEIGHT),
+    "20x1-column-kernel": (BlurOperator(np.array([[0.3], [0.5], [0.2]]), (20, 1)), WEIGHT),
+    "9x9-box": (BlurOperator(generate_scenario_kernel(3), (9, 9)), WEIGHT),
+    "15x15-scenario-1": (BlurOperator(generate_scenario_kernel(1), (15, 15)), WEIGHT),
+    "6x8-random-3x5": (BlurOperator(_asymmetric_kernel(12, (3, 5)), (6, 8)), WEIGHT),
+    "1x1": (BlurOperator(np.ones((1, 1)), (1, 1)), WEIGHT),
+    "6x8-mask": (_MASK, WEIGHT),
+    "6x8-mask-unregularised": (_MASK, 0.0),
 }
 
 
-@pytest.mark.parametrize("op", DENSE_CASES.values(), ids=list(DENSE_CASES))
-def test_blur_filters_match_dense_regularised_solve(op):
+@pytest.mark.parametrize("op, w", DENSE_CASES.values(), ids=list(DENSE_CASES))
+def test_blur_filters_match_dense_regularised_solve(op, w):
     # H+ y = (H^T H + w I)^+ H^T y and Q x = x - (H^T H + w I)^+ H^T H x, with
     # H built column by column; (.)^+ is the inverse for w > 0 and the
     # Moore-Penrose pseudoinverse of the singular mask system at w = 0.
@@ -234,9 +236,8 @@ def test_blur_filters_match_dense_regularised_solve(op):
     x = _random_grid(13, *shape)
     y = _random_grid(14, *shape)
     z = _random_grid(15, *shape)
-    w = op.epsilon * op.sigma_n**2
-    assert rel_dev(op.pseudoinverse(y), regularised_solve(w, h.T @ y.ravel())) < 1e-9
-    assert rel_dev(op.project_null(x), x - regularised_solve(w, h.T @ h @ x.ravel())) < 1e-9
+    assert rel_dev(op.pseudoinverse(y, w), regularised_solve(w, h.T @ y.ravel())) < 1e-9
+    assert rel_dev(op.project_null(x, w), x - regularised_solve(w, h.T @ h @ x.ravel())) < 1e-9
 
     config = PnpConfig(beta=1.0, lam=0.05, iterations=1)
     first, _ = pnp_run(op, y, SIGMA_N, lambda v, sigma: v, config, init=z)
@@ -244,42 +245,67 @@ def test_blur_filters_match_dense_regularised_solve(op):
     assert rel_dev(first, regularised_solve(w_pnp, h.T @ y.ravel() + w_pnp * z.ravel())) < 1e-9
 
 
-def test_with_epsilon_shares_spectrum_and_rebuilds_filters():
+_WEIGHTS = (1e-3 * 2.0**2, 0.5 * 2.0**2, 0.5 * 3.0**2, 0.0)
+
+
+def test_one_blur_operator_steps_at_any_weight_as_a_fresh_one():
+    # the weight is an argument of the step, so one operator serves every
+    # weight, in any order, exactly as an operator built for that weight
     kernel = generate_scenario_kernel(1)
-    op = BlurOperator(kernel, (16, 16), epsilon=1e-3, sigma_n=2.0)
+    op = BlurOperator(kernel, (16, 16))
     x = _random_grid(16, 16, 16)
-    pinv_before, null_before = op.pseudoinverse(x), op.project_null(x)
-    op2 = op.with_epsilon(0.5)
-    fresh = BlurOperator(kernel, (16, 16), epsilon=0.5, sigma_n=2.0)
+    y = _random_grid(17, 16, 16)
+    for weight in _WEIGHTS + _WEIGHTS[::-1]:
+        fresh = BlurOperator(kernel, (16, 16))
+        assert op.pseudoinverse(x, weight).tobytes() == fresh.pseudoinverse(x, weight).tobytes()
+        assert op.project_null(x, weight).tobytes() == fresh.project_null(x, weight).tobytes()
+        got, want = op.backward_projection(y, weight)(x), fresh.backward_projection(y, weight)(x)
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+
+def test_blur_spectrum_is_the_one_array_built_at_construction():
     # the half spectrum every apply multiplies by, copied once at
-    # construction and shared by the derived operators
-    assert set(vars(op)) == {"kernel", "shape", "epsilon", "sigma_n", "spectrum"}
-    assert op.spectrum.flags.c_contiguous and not op.spectrum.flags.writeable
-    assert op.spectrum.shape == (16, 16 // 2 + 1)
-    assert op.spectrum.tobytes() == kernel_spectrum(kernel, (16, 16))[:, : 16 // 2 + 1].tobytes()
-    assert op2.spectrum is op.spectrum
-    assert np.array_equal(op2.pseudoinverse(x), fresh.pseudoinverse(x))
-    assert np.array_equal(op2.project_null(x), fresh.project_null(x))
-    assert np.array_equal(op.pseudoinverse(x), pinv_before)
-    assert np.array_equal(op.project_null(x), null_before)
-    with pytest.raises(ValueError, match="nonnegative"):
-        op.with_epsilon(-1e-3)
-    # the general form behind it also takes a new sigma_n
-    op3 = op.with_regularisation(0.5, 3.0)
-    fresh = BlurOperator(kernel, (16, 16), epsilon=0.5, sigma_n=3.0)
-    assert op3.spectrum is op.spectrum
-    assert np.array_equal(op3.pseudoinverse(x), fresh.pseudoinverse(x))
-    assert np.array_equal(op3.project_null(x), fresh.project_null(x))
-    with pytest.raises(ValueError, match="sigma_n must be nonnegative"):
-        op.with_regularisation(0.5, -3.0)
+    # construction; steps at any weight read it and never replace it
+    kernel = generate_scenario_kernel(1)
+    op = BlurOperator(kernel, (16, 16))
+    spectrum = op.spectrum
+    assert spectrum.flags.c_contiguous and not spectrum.flags.writeable
+    assert spectrum.shape == (16, 16 // 2 + 1)
+    assert spectrum.tobytes() == kernel_spectrum(kernel, (16, 16))[:, : 16 // 2 + 1].tobytes()
+    x = _random_grid(18, 16, 16)
+    for weight in _WEIGHTS:
+        op.forward(x)
+        op.backward_projection(x, weight)(x)
+        op.pseudoinverse(x, weight)
+        op.project_null(x, weight)
+    assert op.spectrum is spectrum
+    assert spectrum.tobytes() == kernel_spectrum(kernel, (16, 16))[:, : 16 // 2 + 1].tobytes()
 
 
-def _reference_blur(op, x):
+def test_operators_hold_no_regularisation_state():
+    # the weight is an argument of the step, never operator state
+    assert set(vars(BlurOperator(_delta_kernel(), (8, 8)))) == {"kernel", "shape", "spectrum"}
+    assert set(vars(generate_random_mask(8, 8, 0.5, RngState(30)))) == {"mask"}
+
+
+@pytest.mark.parametrize("weight", [-1e-3, -np.inf, float("nan")], ids=["negative", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "op", [BlurOperator(_delta_kernel(), (8, 8)), InpaintingOperator(np.ones((8, 8), dtype=bool))], ids=["blur", "mask"]
+)
+def test_a_negative_or_nan_weight_is_rejected(op, weight):
+    x = np.ones((8, 8))
+    for step in (lambda: op.backward_projection(x, weight), lambda: op.pseudoinverse(x, weight),
+                 lambda: op.project_null(x, weight)):
+        with pytest.raises(ValueError, match="weight must be nonnegative"):
+            step()
+
+
+def _reference_blur(op, x, weight):
     """The complex-FFT path the blur operators took before real transforms,
     real(ifft2(fft2(x) * filter)) with full-spectrum filters, kept as the
-    oracle.  Returns (forward, pseudoinverse, project_null) of x."""
+    oracle.  Returns (forward, pseudoinverse, project_null) of x at `weight`."""
     spectrum = kernel_spectrum(op.kernel, op.shape)
-    inverse = np.conj(spectrum) / (np.abs(spectrum) ** 2 + op.epsilon * op.sigma_n**2)
+    inverse = np.conj(spectrum) / (np.abs(spectrum) ** 2 + weight)
 
     def apply(spectral_filter):
         return np.real(np.fft.ifft2(np.fft.fft2(x) * spectral_filter))
@@ -296,24 +322,25 @@ _ORACLE_KERNELS = {
 # w = 0 only where the spectrum stays away from zero: the box and binomial
 # kernels have (near-)zeros on these grids, so they run regularised only
 _ORACLE_WEIGHTS = {
-    "w0": ((0.0, 0.0), ("scenario-1", "lopsided-3x5")),
-    "w0.0225": ((EPSILON, SIGMA_N), tuple(_ORACLE_KERNELS)),
-    "w0.002": ((5e-4, 2.0), tuple(_ORACLE_KERNELS)),
+    "w0": (0.0, ("scenario-1", "lopsided-3x5")),
+    "w0.0225": (WEIGHT, tuple(_ORACLE_KERNELS)),
+    "w0.002": (5e-4 * 2.0**2, tuple(_ORACLE_KERNELS)),
 }
 ORACLE_CASES = [
-    pytest.param(shape, kernel, regularisation, id=f"{shape[0]}x{shape[1]}-{kernel}-{weight}")
+    pytest.param(shape, kernel, weight, id=f"{shape[0]}x{shape[1]}-{kernel}-{name}")
     for shape in ((16, 16), (15, 16), (16, 15), (37, 53))
-    for weight, (regularisation, kernels) in _ORACLE_WEIGHTS.items()
+    for name, (weight, kernels) in _ORACLE_WEIGHTS.items()
     for kernel in kernels
 ]
 
 
-@pytest.mark.parametrize("shape, kernel, regularisation", ORACLE_CASES)
-def test_real_transform_blur_matches_complex_reference(shape, kernel, regularisation):
+@pytest.mark.parametrize("shape, kernel, weight", ORACLE_CASES)
+def test_real_transform_blur_matches_complex_reference(shape, kernel, weight):
     # odd widths need irfft2's s=: W//2 + 1 columns also fit a width of W - 1
-    op = BlurOperator(_ORACLE_KERNELS[kernel], shape, *regularisation)
+    op = BlurOperator(_ORACLE_KERNELS[kernel], shape)
     x = _random_grid(20, *shape)
-    for got, want in zip((op.forward(x), op.pseudoinverse(x), op.project_null(x)), _reference_blur(op, x)):
+    got_all = (op.forward(x), op.pseudoinverse(x, weight), op.project_null(x, weight))
+    for got, want in zip(got_all, _reference_blur(op, x, weight)):
         # relative to x as well: at w = 0 an invertible blur has Q = 0, so Q x is rounding noise
         assert got.shape == shape
         assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), np.max(np.abs(x)))
@@ -324,39 +351,41 @@ def test_real_transform_blur_matches_complex_reference(shape, kernel, regularisa
 def test_blur_backward_projection_matches_the_public_methods(shape, kernel):
     # the residual norm comes from the half spectrum: column 0, and W/2 for
     # even widths only, count once, every other column twice
-    op = BlurOperator(_ORACLE_KERNELS[kernel], shape, EPSILON, SIGMA_N)
+    op = BlurOperator(_ORACLE_KERNELS[kernel], shape)
     x = _random_grid(22, *shape)
     y = _random_grid(23, *shape)
-    y_tilde, residual_sq = op.backward_projection(y)(x)
+    y_tilde, residual_sq = op.backward_projection(y, WEIGHT)(x)
     want = float(np.sum((y - op.forward(x)) ** 2))
     assert abs(residual_sq - want) <= 1e-12 * want
-    want = op.pseudoinverse(y) + op.project_null(x)
+    want = op.pseudoinverse(y, WEIGHT) + op.project_null(x, WEIGHT)
     assert y_tilde.shape == shape
     assert np.max(np.abs(y_tilde - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _reference_mask_projections(op, y, x):
+def _reference_mask_projections(op, y, x, weight):
     """The closed forms the mask operator computed H+ y and Q x by before
     both were derived from its step, kept as the independent oracle."""
-    weight = 1.0 + op.epsilon * op.sigma_n**2
-    return np.where(op.mask, y / weight, 0.0), np.where(op.mask, x - x / weight, x)
+    scale = 1.0 + weight
+    return np.where(op.mask, y / scale, 0.0), np.where(op.mask, x - x / scale, x)
 
 
 @pytest.mark.parametrize("regularisation", [(0.0, 0.0), (EPSILON, SIGMA_N)])
 def test_mask_backward_projection_is_the_public_arithmetic(regularisation):
-    op = generate_random_mask(37, 53, 0.7, RngState(24)).with_regularisation(*regularisation)
+    epsilon, sigma_n = regularisation
+    weight = epsilon * sigma_n**2
+    op = generate_random_mask(37, 53, 0.7, RngState(24))
     x = _random_grid(25, 37, 53)
     y = op.forward(_random_grid(26, 37, 53))
     # signed zeros on observed and unobserved pixels: the derived forms add
     # a zero term, which may turn -0.0 into +0.0 but changes no other value
     x[::5, ::7] = y[::5, ::7] = -0.0
     assert (np.signbit(y) & op.mask).any() and (np.signbit(x) & ~op.mask).any()
-    pinv_y, null_x = _reference_mask_projections(op, y, x)
-    y_tilde, residual_sq = op.backward_projection(y)(x)
+    pinv_y, null_x = _reference_mask_projections(op, y, x, weight)
+    y_tilde, residual_sq = op.backward_projection(y, weight)(x)
     assert y_tilde.tobytes() == (pinv_y + null_x).tobytes()
     assert np.sqrt(residual_sq) == np.linalg.norm(y - op.forward(x))
-    assert np.array_equal(op.pseudoinverse(y), pinv_y)
-    assert np.array_equal(op.project_null(x), null_x)
+    assert np.array_equal(op.pseudoinverse(y, weight), pinv_y)
+    assert np.array_equal(op.project_null(x, weight), null_x)
 
 
 def _snapshot(op) -> dict:
@@ -365,16 +394,17 @@ def _snapshot(op) -> dict:
 
 
 @pytest.mark.parametrize("op", [
-    BlurOperator(generate_scenario_kernel(1), (16, 15), EPSILON, SIGMA_N),
+    BlurOperator(generate_scenario_kernel(1), (16, 15)),
     generate_random_mask(16, 15, 0.5, RngState(28)),
 ], ids=["blur", "mask"])
 def test_using_an_operator_never_changes_it(op):
     before = _snapshot(op)
     x = _random_grid(29, 16, 15)
     y = op.forward(x)
-    op.backward_projection(y)(x)
-    op.pseudoinverse(y)
-    op.project_null(x)
+    for weight in (WEIGHT, 0.0):
+        op.backward_projection(y, weight)(x)
+        op.pseudoinverse(y, weight)
+        op.project_null(x, weight)
     assert _snapshot(op) == before
 
 
@@ -402,17 +432,17 @@ def _count_transforms(monkeypatch, names=("fft2", "rfft2")) -> list:
 
 def test_deblur_synthesis_transforms_the_kernel_once(monkeypatch):
     x = _random_grid(18, 16, 16)
-    expected_op = BlurOperator(generate_scenario_kernel(1), (16, 16), epsilon=7e-3, sigma_n=2.0)
+    expected_op = BlurOperator(generate_scenario_kernel(1), (16, 16))
     calls = _count_transforms(monkeypatch)
-    operator, y, blurred, sigma_n = synthesize_deblurring(x, 1, 2.0, RngState(3), 7e-3)
+    operator, y, blurred, sigma_n = synthesize_deblurring(x, 1, 2.0, RngState(3))
     assert len(calls) == 2  # the kernel spectrum and the image it blurs
-    assert (operator.epsilon, operator.sigma_n) == (7e-3, 2.0)
+    assert type(operator) is BlurOperator and sigma_n == 2.0
     assert np.array_equal(operator.spectrum, expected_op.spectrum)
     assert np.array_equal(blurred, expected_op.forward(x))
 
 
 def test_pnp_blur_run_reuses_the_operator_spectrum(monkeypatch):
-    op = BlurOperator(generate_scenario_kernel(1), (16, 16), epsilon=7e-3, sigma_n=2.0)
+    op = BlurOperator(generate_scenario_kernel(1), (16, 16))
     y = _random_grid(19, 16, 16)
     calls = _count_transforms(monkeypatch)
     pnp_run(op, y, 2.0, lambda z, sigma: z, PnpConfig(beta=0.85, lam=2.0 / 255.0, iterations=1), y)
@@ -424,14 +454,14 @@ def test_blur_iterations_make_only_real_transforms(monkeypatch, solver):
     # a steady iteration makes one pair: the bound backward projection
     # x + H+ (y - H x), which also yields IDBP's monitor ||y - H x|| and
     # makes PnP's least-squares step.  Once per run, both transform y.
-    op = BlurOperator(generate_scenario_kernel(1), (16, 16), epsilon=7e-3, sigma_n=2.0)
+    op = BlurOperator(generate_scenario_kernel(1), (16, 16))
     y = _random_grid(21, 16, 16)
     calls = _count_transforms(monkeypatch, ("fft2", "ifft2", "rfft2", "irfft2"))
     counts = []
     for iterations in (2, 5):
         calls.clear()
         if solver == "idbp":
-            idbp_run(op, y, 2.0, lambda z, sigma: z, IdbpConfig(iterations=iterations), y)
+            idbp_run(op, y, 2.0, lambda z, sigma: z, IdbpConfig(iterations=iterations, epsilon=7e-3), y)
         else:
             pnp_run(op, y, 2.0, lambda z, sigma: z, PnpConfig(beta=0.85, lam=2.0 / 255.0, iterations=iterations), y)
         counts.append(Counter(calls))

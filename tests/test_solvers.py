@@ -269,24 +269,27 @@ def test_condition_ratio_inpainting_identity():
 
 
 def test_condition_ratio_delta_kernel_blur():
-    sigma_n, delta, eps = 2.0, 5.0, 0.005
-    t = eps * sigma_n**2  # 0.02
-    op = BlurOperator(_delta_kernel(), (16, 16), epsilon=eps, sigma_n=sigma_n)
+    # the weight is epsilon times the sigma_n the ratio divides by
+    delta = 5.0
+    op = BlurOperator(_delta_kernel(), (16, 16))
     y = _random_grid(13, 16, 16)
     x = _random_grid(14, 16, 16)
-    # r = y - x and H+ r = r / (1 + t): the squared norms differ by (1 + t)^2
-    expected = (1.0 + t) ** 2 * (sigma_n + delta) ** 2 / sigma_n**2
-    assert condition_ratio(op, y, x, sigma_n, delta) == pytest.approx(expected, rel=1e-10)
+    for sigma_n, eps in ((2.0, 0.005), (3.0, 0.0), (0.5, 0.2)):
+        t = eps * sigma_n**2  # 0.02, 0, 0.05
+        # r = y - x and H+ r = r / (1 + t): the squared norms differ by (1 + t)^2
+        expected = (1.0 + t) ** 2 * (sigma_n + delta) ** 2 / sigma_n**2
+        assert condition_ratio(op, y, x, sigma_n, delta, eps) == pytest.approx(expected, rel=1e-10)
 
 
-def _ratios_seen(operator, y, sigma_n, config, init):
-    """(trace ratios, condition_ratio recomputed from scratch at each iterate)."""
+def _ratios_seen(operator, y, sigma_n, config, init, epsilon=0.0):
+    """(trace ratios, condition_ratio recomputed from scratch at each iterate at `epsilon`)."""
     direct = []
 
     def recompute(k, x, y_tilde):
-        direct.append(condition_ratio(operator, y, x, sigma_n, config.delta))
+        direct.append(condition_ratio(operator, y, x, sigma_n, config.delta, epsilon))
 
     _, trace = idbp_run(operator, y, sigma_n, MedianDenoiser(), config, init, observer=recompute)
+    assert all(r.epsilon == epsilon for r in trace.records)
     return [r.condition_ratio for r in trace.records], direct
 
 
@@ -296,9 +299,9 @@ def test_idbp_blur_monitor_matches_condition_ratio(scenario, shape):
     # both take their norms from the operator's backward projection
     truth = _random_grid(30 + scenario, *shape)
     sigma_n = 2.0
-    op = BlurOperator(generate_scenario_kernel(scenario), shape, epsilon=4e-3, sigma_n=sigma_n)
+    op = BlurOperator(generate_scenario_kernel(scenario), shape)
     y = add_gaussian_noise(op.forward(truth), sigma_n, RngState(40 + scenario))
-    ratios, direct = _ratios_seen(op, y, sigma_n, IdbpConfig(delta=5.0, iterations=8), y)
+    ratios, direct = _ratios_seen(op, y, sigma_n, IdbpConfig(delta=5.0, iterations=8, epsilon=4e-3), y, 4e-3)
     assert len(ratios) == len(direct) == 8
     assert ratios == direct
 
@@ -307,7 +310,8 @@ def test_idbp_blur_monitor_matches_condition_ratio(scenario, shape):
 def test_idbp_mask_monitor_equals_condition_ratio_exactly(delta):
     truth, op, _, y = _noisy_inpainting_instance(22)
     init = median_initialize(op, y)
-    ratios, direct = _ratios_seen(op, y, 10.0, IdbpConfig(delta=delta, iterations=6), init)
+    # masks project at weight 0 whatever the config's epsilon
+    ratios, direct = _ratios_seen(op, y, 10.0, IdbpConfig(delta=delta, iterations=6, epsilon=0.5), init)
     assert len(ratios) == 6 and ratios == direct
 
 
@@ -341,7 +345,7 @@ def _blurred_instance(seed, size=32):
 def test_auto_tune_without_trigger_matches_plain_run_bit_exactly():
     truth, kernel, sigma_n, y = _blurred_instance(16)
     eps = 0.05  # generous regularisation: margin comfortably above tau
-    op = BlurOperator(kernel, y.shape, epsilon=eps, sigma_n=sigma_n)
+    op = BlurOperator(kernel, y.shape)
     cfg = IdbpConfig(delta=5.0, iterations=6, epsilon=eps, condition_margin_tau=1.5)
     est_auto, tr_auto = idbp_auto_tuned(op, y, sigma_n, GaussianDenoiser(), cfg, y, ground_truth=truth)
     est_plain, tr_plain = idbp_run(op, y, sigma_n, GaussianDenoiser(), cfg, y, ground_truth=truth)
@@ -357,9 +361,9 @@ def _linear_auto_tuned(operator, y, sigma_n, denoiser, config, init, ground_trut
     trace = IterationTrace()
     sigma = sigma_n + config.delta
     restarts = 0
-    current = operator.with_epsilon(config.epsilon)
     while True:
-        project = current.backward_projection(y)
+        epsilon = float(config.epsilon + restarts * config.epsilon_increment)
+        project = operator.backward_projection(y, epsilon * sigma_n**2)
         y_tilde = init.copy()
         violated = False
         for k in range(1, config.iterations + 1):
@@ -369,7 +373,7 @@ def _linear_auto_tuned(operator, y, sigma_n, denoiser, config, init, ground_trut
             ratio = _feasibility_ratio(np.sqrt(residual_sq), float(np.linalg.norm(y_tilde - x_tilde)),
                                        sigma_n, config.delta)
             quality = psnr(ground_truth, x_tilde) if ground_truth is not None else float("nan")
-            trace.append(TraceRecord(k, quality, ratio, current.epsilon, restarts))
+            trace.append(TraceRecord(k, quality, ratio, epsilon, restarts))
             if observer is not None:
                 observer(k, x_tilde, y_tilde)
             if k > 1 and ratio < config.condition_margin_tau:
@@ -380,7 +384,6 @@ def _linear_auto_tuned(operator, y, sigma_n, denoiser, config, init, ground_trut
         restarts += 1
         if restarts > 200:
             raise RuntimeError("restart budget exhausted")
-        current = current.with_epsilon(config.epsilon + restarts * config.epsilon_increment)
 
 
 def _without_restarts(records):
@@ -398,7 +401,7 @@ def _protocol_deblurring(scenario, seed, size=64):
     """An auto-tuned deblurring problem as ``run_single`` builds it (README defaults)."""
     truth = synthetic_scene(size, size)
     config = default_deblur_idbp_config(scenario, epsilon=1e-3)
-    op, y, _, sigma_n = synthesize_deblurring(truth, scenario, None, RngState(seed), config.epsilon)
+    op, y, _, sigma_n = synthesize_deblurring(truth, scenario, None, RngState(seed))
     return truth, op, y, sigma_n, config
 
 
@@ -416,16 +419,47 @@ def test_auto_tune_search_matches_the_linear_loop_on_criterion_8():
     scene = synthetic_scene(128, 128)
     kernel = generate_scenario_kernel(1)
     sigma_n = float(np.sqrt(2.0))
-    y = add_gaussian_noise(BlurOperator(kernel, scene.shape).forward(scene), sigma_n, RngState(808))
-    op = BlurOperator(kernel, scene.shape, epsilon=1e-5, sigma_n=sigma_n)
+    op = BlurOperator(kernel, scene.shape)
+    y = add_gaussian_noise(op.forward(scene), sigma_n, RngState(808))
     cfg = IdbpConfig(delta=5.0, iterations=20, epsilon=1e-5, condition_margin_tau=3.0, epsilon_increment=5e-4)
     args = (op, y, sigma_n, DctDenoiser(), cfg, y, scene)
     _assert_same_accepted_pass(idbp_auto_tuned(*args), _linear_auto_tuned(*args))
 
 
+def _plain_scenario_1(seed, size=64):
+    """Scenario-1 blur of the synthetic scene through an operator that holds H alone."""
+    truth = synthetic_scene(size, size)
+    op = BlurOperator(generate_scenario_kernel(1), truth.shape)
+    sigma_n = float(np.sqrt(2.0))
+    return truth, op, add_gaussian_noise(op.forward(truth), sigma_n, RngState(seed)), sigma_n
+
+
+def test_auto_tune_weights_each_epsilon_by_the_solvers_sigma_n():
+    # the search weights epsilon_r by the sigma_n it is given; a weight taken
+    # from the operator (sigma_n = 0 unless set there) stayed 0 on every pass
+    # and raised "epsilon reached 0.021"
+    truth, op, y, sigma_n = _plain_scenario_1(0)
+    config = default_deblur_idbp_config(1, epsilon=1e-3)
+    args = (op, y, sigma_n, MedianDenoiser(), config, y, truth)
+    solved = idbp_auto_tuned(*args)
+    _assert_same_accepted_pass(solved, _linear_auto_tuned(*args))
+    assert solved[1].final_pass()[0].epsilon > config.epsilon
+
+
+def test_idbp_projects_at_the_epsilon_of_its_config():
+    # two configs that differ only in epsilon: different estimates, and each
+    # trace records its own epsilon
+    truth, op, y, sigma_n = _plain_scenario_1(1)
+    runs = {}
+    for eps in (7e-3, 0.5):
+        runs[eps] = idbp_run(op, y, sigma_n, MedianDenoiser(), IdbpConfig(iterations=4, epsilon=eps), y)
+        assert [r.epsilon for r in runs[eps][1].records] == [eps] * 4
+    assert runs[7e-3][0].tobytes() != runs[0.5][0].tobytes()
+
+
 def test_auto_tune_restarts_and_clears_margin():
     truth, kernel, sigma_n, y = _blurred_instance(17)
-    op = BlurOperator(kernel, y.shape, epsilon=1e-6, sigma_n=sigma_n)
+    op = BlurOperator(kernel, y.shape)
     cfg = IdbpConfig(delta=5.0, iterations=8, epsilon=1e-6,
                      condition_margin_tau=3.0, epsilon_increment=2e-3)
     est, trace = idbp_auto_tuned(op, y, sigma_n, GaussianDenoiser(), cfg, y)
@@ -445,7 +479,7 @@ def test_auto_tune_epsilon_is_exact_multiple_of_increment():
     # repeated addition drifts (0.0001 + 7 * 0.0001 steps reads 0.0008000000000000001);
     # every pass must run at exactly epsilon_0 + r * increment for its step r
     truth, kernel, sigma_n, y = _blurred_instance(17)
-    op = BlurOperator(kernel, y.shape, epsilon=1e-4, sigma_n=sigma_n)
+    op = BlurOperator(kernel, y.shape)
     cfg = IdbpConfig(delta=5.0, iterations=8, epsilon=1e-4, condition_margin_tau=3.0,
                      epsilon_increment=1e-4)
     _, trace = idbp_auto_tuned(op, y, sigma_n, GaussianDenoiser(), cfg, y)
@@ -459,7 +493,7 @@ def test_auto_tune_epsilon_is_exact_multiple_of_increment():
 
 def test_auto_tune_trace_indices_restart_from_one():
     truth, kernel, sigma_n, y = _blurred_instance(18)
-    op = BlurOperator(kernel, y.shape, epsilon=1e-6, sigma_n=sigma_n)
+    op = BlurOperator(kernel, y.shape)
     cfg = IdbpConfig(delta=5.0, iterations=8, epsilon=1e-6,
                      condition_margin_tau=3.0, epsilon_increment=2e-3)
     _, trace = idbp_auto_tuned(op, y, sigma_n, GaussianDenoiser(), cfg, y)
@@ -476,7 +510,7 @@ def test_auto_tune_trace_indices_restart_from_one():
 
 def test_auto_tune_denoises_the_initialization_once():
     truth, kernel, sigma_n, y = _blurred_instance(17)
-    op = BlurOperator(kernel, y.shape, epsilon=1e-4, sigma_n=sigma_n)
+    op = BlurOperator(kernel, y.shape)
     cfg = IdbpConfig(delta=5.0, iterations=8, epsilon=1e-4, condition_margin_tau=3.0,
                      epsilon_increment=1e-4)
     runs = []
@@ -511,7 +545,7 @@ def test_auto_tune_restart_budget():
     # search probes r = 1, extrapolates past the cap, probes r = 200 and
     # raises, where the first loop ran 201 passes
     truth, kernel, sigma_n, y = _blurred_instance(19)
-    op = BlurOperator(kernel, y.shape, epsilon=1e-6, sigma_n=sigma_n)
+    op = BlurOperator(kernel, y.shape)
     cfg = IdbpConfig(delta=5.0, iterations=2, epsilon=1e-6,
                      condition_margin_tau=1e9, epsilon_increment=1e-6)
     seen = []
@@ -526,7 +560,7 @@ def test_auto_tune_rejects_inpainting_and_noiseless():
     with pytest.raises(TypeError):
         idbp_auto_tuned(op, y, 10.0, MedianDenoiser(), IdbpConfig(), y)
     _, kernel, _, yb = _blurred_instance(21)
-    bop = BlurOperator(kernel, yb.shape, epsilon=1e-3, sigma_n=0.0)
+    bop = BlurOperator(kernel, yb.shape)
     with pytest.raises(ValueError):
         idbp_auto_tuned(bop, yb, 0.0, MedianDenoiser(), IdbpConfig(), yb)
 
@@ -534,7 +568,7 @@ def test_auto_tune_rejects_inpainting_and_noiseless():
 def test_auto_tune_restart_cap_bounds_the_step(monkeypatch):
     # the accepted step is r* = 73: a cap of 73 still reaches it, a cap of 72 raises
     truth, kernel, sigma_n, y = _blurred_instance(17)
-    op = BlurOperator(kernel, y.shape, epsilon=1e-4, sigma_n=sigma_n)
+    op = BlurOperator(kernel, y.shape)
     cfg = IdbpConfig(delta=5.0, iterations=8, epsilon=1e-4, condition_margin_tau=3.0,
                      epsilon_increment=1e-4)
     _, ref_trace = _linear_auto_tuned(op, y, sigma_n, GaussianDenoiser(), cfg, y)
@@ -550,21 +584,20 @@ def test_auto_tune_restart_cap_bounds_the_step(monkeypatch):
 
 class _ScriptedMonitor(BlurOperator):
     """Delta-kernel blur whose monitor reads script(epsilon, k) at iteration k
-    of a pass: its step moves x by all ones, and reports the residual norm
-    that gives that ratio."""
+    of a pass, with epsilon = weight / sigma_n^2 recovered from the weight
+    the pass binds at: its step moves x by all ones, and reports the
+    residual norm that gives that ratio."""
 
-    def __init__(self, script, shape, epsilon, sigma_n, delta):
-        super().__init__(_delta_kernel(), shape, epsilon=epsilon, sigma_n=sigma_n)
-        self.script, self.delta = script, delta
+    def __init__(self, script, shape, sigma_n, delta):
+        super().__init__(_delta_kernel(), shape)
+        self.script, self.sigma_n, self.delta = script, sigma_n, delta
 
-    def with_epsilon(self, epsilon):
-        return _ScriptedMonitor(self.script, self.shape, epsilon, self.sigma_n, self.delta)
-
-    def backward_projection(self, y):
+    def backward_projection(self, y, weight=0.0):
         iteration = itertools.count(1)
+        epsilon = weight / self.sigma_n**2
 
         def project(x):
-            ratio = self.script(self.epsilon, next(iteration))
+            ratio = self.script(epsilon, next(iteration))
             scale = self.sigma_n**2 / (self.sigma_n + self.delta) ** 2
             return x + 1.0, ratio * x.size * scale
 
@@ -586,7 +619,7 @@ def test_auto_tune_search_on_a_ratio_that_is_not_monotone():
         return 4.0 if r == 2 or r >= 43 else 2.0
 
     sigma_n, delta = 2.0, 5.0
-    op = _ScriptedMonitor(script, (8, 8), 0.0, sigma_n, delta)
+    op = _ScriptedMonitor(script, (8, 8), sigma_n, delta)
     cfg = IdbpConfig(delta=delta, iterations=6, epsilon=0.0, condition_margin_tau=3.0, epsilon_increment=1.0)
     y = np.zeros((8, 8))
     _, ref_trace = _linear_auto_tuned(op, y, sigma_n, lambda z, sigma: z, cfg, y)
@@ -721,12 +754,12 @@ def _projection_pnp_solve(operator, y, sigma_n, denoiser, config, init):
     ``pseudoinverse`` and ``project_null``, kept as the oracle for the bound
     backward-projection step."""
     sigma_eff = sigma_n if sigma_n > 0 else 0.001
-    data_op = operator.with_regularisation(config.lam, sigma_eff)
-    pinv_y = data_op.pseudoinverse(y)
+    weight = config.lam * sigma_eff**2
+    pinv_y = operator.pseudoinverse(y, weight)
     v = init.copy()
     u = np.zeros_like(init)
     for _ in range(config.iterations):
-        x = pinv_y + data_op.project_null(v - u)
+        x = pinv_y + operator.project_null(v - u, weight)
         v = denoiser(x + u, config.denoiser_sigma)
         u = u + (x - v)
     return x
