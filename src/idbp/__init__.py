@@ -19,7 +19,6 @@ from .denoisers import (
     ExternalDenoiserError,
     build_denoiser,
     estimate_conditions,
-    external_denoise,
 )
 from .solvers import (
     IdbpConfig,
@@ -53,7 +52,6 @@ __all__ = [
     "ExternalDenoiserError",
     "build_denoiser",
     "estimate_conditions",
-    "external_denoise",
     "IdbpConfig",
     "IterationTrace",
     "PnpConfig",

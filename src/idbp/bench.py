@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .denoisers import build_denoiser
+from .denoisers import DENOISERS, build_denoiser
 from .grid import add_gaussian_noise, as_grid, bsnr, psnr, sigma_for_bsnr
 from .operators import (
     SCENARIO_NOISE_VARIANCE,
@@ -42,9 +42,6 @@ from .solvers import (
 
 TASKS = ("inpaint", "deblur")
 SOLVERS = ("idbp", "idbp_auto", "pnp")
-# Kinds a spec can build from its own fields; shrink and the oracle
-# denoiser need constructor arguments (gamma, a ground truth) it does not carry.
-DENOISERS = ("median", "gaussian", "nlm", "dct_threshold", "external")
 
 # Manual per-scenario inverse-filter weights that pair well with delta = 5.
 DEFAULT_SCENARIO_EPSILON = {1: 7e-3, 2: 4e-3, 3: 8e-3, 4: 2e-3}
@@ -94,7 +91,8 @@ class ExperimentSpec:
     So is a task field of the other task: a ``scenario`` for inpainting, or
     a ``mask_fraction`` for deblurring other than its default 0.8.  That
     field keeps a float default, so an explicit 0.8 on a deblurring spec
-    cannot be told from an unset one and passes.
+    cannot be told from an unset one and passes.  An ``external_cmd`` is an
+    error too unless the denoiser is ``external``, the one kind that runs it.
     """
 
     task: str
@@ -123,6 +121,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown denoiser kind {self.denoiser!r} for an experiment; choose from {DENOISERS}")
         if self.denoiser == "external" and not self.external_cmd:
             raise ValueError("external denoiser requires a command")
+        if self.denoiser != "external" and self.external_cmd is not None:
+            raise ValueError(f"the {self.denoiser} denoiser does not read external_cmd; leave it unset")
         if self.sigma_n is not None and self.sigma_n < 0:
             raise ValueError("sigma_n must be nonnegative")
         if self.task == "deblur":
@@ -167,9 +167,7 @@ class ExperimentSpec:
                 raise ValueError(f"the {self.solver} solver does not read {name} for {self.task}; leave it unset")
 
     def build_denoiser(self):
-        if self.denoiser == "external":
-            return build_denoiser("external", command=self.external_cmd)
-        return build_denoiser(self.denoiser)
+        return build_denoiser(self.denoiser, self.external_cmd)
 
     def resolved(self) -> dict[str, str]:
         """Flat key=value echo of every setting that shaped the run."""
@@ -246,14 +244,17 @@ class SingleRunResult:
     psnr_out_db: float
     isnr_db: float
     bsnr_db: float
-    sigma_n: float
+
+    def row(self, name: str) -> ImageRow:
+        return ImageRow(name, self.psnr_in_db, self.psnr_out_db, self.isnr_db, self.bsnr_db)
 
 
 def run_single(spec: ExperimentSpec, image, rng: RngState) -> SingleRunResult:
     """Synthesize the degradation for one ground-truth image and restore it.
 
     The ISNR baseline is the solver input: the noisy blurred image for
-    deblurring, the median-filled observations for inpainting.
+    deblurring, the median-filled observations for inpainting.  Noiseless
+    deblurring has no noise power, so its BSNR is +inf.
     """
     x = as_grid(image)
     denoiser = spec.build_denoiser()
@@ -269,7 +270,7 @@ def run_single(spec: ExperimentSpec, image, rng: RngState) -> SingleRunResult:
         operator, y, blurred, sigma_n = synthesize_deblurring(x, spec.scenario, spec.sigma_n, rng)
         init = y.copy()
         baseline = y
-        bsnr_db = bsnr(blurred, sigma_n)
+        bsnr_db = bsnr(blurred, sigma_n) if sigma_n > 0 else float("inf")
 
     solve = {"idbp": idbp_run, "idbp_auto": idbp_auto_tuned, "pnp": pnp_run}[spec.solver]
     estimate, trace = solve(operator, y, sigma_n, denoiser, config, init, ground_truth=x)
@@ -283,7 +284,6 @@ def run_single(spec: ExperimentSpec, image, rng: RngState) -> SingleRunResult:
         psnr_out_db=psnr_out,
         isnr_db=psnr_out - psnr_in,
         bsnr_db=bsnr_db,
-        sigma_n=sigma_n,
     )
 
 
@@ -346,15 +346,7 @@ def run_benchmark(spec: ExperimentSpec, corpus: list[tuple[str, np.ndarray]]) ->
         except Exception as exc:  # noqa: BLE001 - batch isolation is the point
             rows.append(ImageRow(name=name, error=f"{type(exc).__name__}: {exc}"))
             continue
-        rows.append(
-            ImageRow(
-                name=name,
-                psnr_in_db=result.psnr_in_db,
-                psnr_out_db=result.psnr_out_db,
-                isnr_db=result.isnr_db,
-                bsnr_db=result.bsnr_db,
-            )
-        )
+        rows.append(result.row(name))
         traces[name] = result.trace
     return RunReport(rows=rows, config=spec.resolved(), traces=traces)
 

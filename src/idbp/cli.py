@@ -20,7 +20,6 @@ from . import verify as verify_mod
 from .bench import (
     DENOISERS,
     ExperimentSpec,
-    ImageRow,
     RunReport,
     emit_trace_csv,
     run_benchmark,
@@ -176,14 +175,7 @@ def _single_image_command(settings: _Settings, task: str, solver: str) -> int:
         emit_trace_csv(result.trace, trace_path)
     report_path = settings.get("report")
     if report_path:
-        row = ImageRow(
-            name=Path(path).stem,
-            psnr_in_db=result.psnr_in_db,
-            psnr_out_db=result.psnr_out_db,
-            isnr_db=result.isnr_db,
-            bsnr_db=result.bsnr_db,
-        )
-        write_summary_csv(RunReport(rows=[row], config=spec.resolved()), report_path)
+        write_summary_csv(RunReport(rows=[result.row(Path(path).stem)], config=spec.resolved()), report_path)
     return 0
 
 

@@ -3,8 +3,9 @@
 A denoiser is a callable mapping ``(z, sigma) -> denoised z`` for a 2-D
 grid and a nonnegative noise level.  All native kinds are deterministic,
 translation-equivariant in intensity, and return the input unchanged at
-sigma == 0.  A synthetic "oracle" kind with a known contraction constant
-exists purely to exercise the solver guarantees, and an external-process
+sigma == 0; each is fixed by its kind alone, with no settings.  A linear
+shrink and a synthetic "oracle" kind with a known contraction constant
+exist purely to exercise the solver guarantees, and an external-process
 bridge lets any loose executable act as the denoiser.
 """
 
@@ -128,6 +129,19 @@ def _separable_convolve(z: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return sliding_window_view(padded, taps.size, axis=1) @ taps
 
 
+def _dct_matrix(size: int) -> np.ndarray:
+    j = np.arange(size)
+    basis = np.cos(np.pi * (2 * j[None, :] + 1) * j[:, None] / (2 * size)) * np.sqrt(2.0 / size)
+    basis[0, :] = 1.0 / np.sqrt(size)
+    return basis
+
+
+# DctDenoiser's patch side, its hard threshold per unit of sigma, and its
+# orthonormal DCT basis.
+_DCT_PATCH = 8
+_DCT_THRESHOLD_FACTOR = 3.0
+_DCT_BASIS = _dct_matrix(_DCT_PATCH)
+
 # Patch rows per strip of DctDenoiser's horizontal pass, the fastest with
 # one BLAS thread.  Medians of interleaved calls at sigma 15, strips of 2, 4,
 # 8 and 16 rows: 35.9, 33.2, 34.2 and 40.9 ms at 256^2 (40 calls each),
@@ -142,33 +156,24 @@ _BLOCK_ROWS = 16
 class DctDenoiser:
     """Sliding-patch DCT hard thresholding with full-overlap uniform aggregation.
 
-    Every patch is transformed by the orthonormal 2-D DCT, AC coefficients
-    with magnitude below ``threshold_factor * sigma`` are zeroed (the DC
-    term always survives, which preserves flat regions and intensity
-    shifts), and overlapping reconstructions are averaged.
+    Every 8x8 patch is transformed by the orthonormal 2-D DCT, AC
+    coefficients with magnitude below 3 sigma are zeroed (the DC term always
+    survives, which preserves flat regions and intensity shifts), and
+    overlapping reconstructions are averaged.
     """
 
     kind = "dct_threshold"
-
-    def __init__(self, patch: int = 8, threshold_factor: float = 3.0) -> None:
-        if patch < 2:
-            raise ValueError("patch must be at least 2")
-        if threshold_factor < 0:
-            raise ValueError("threshold_factor must be nonnegative")
-        self.patch = patch
-        self.threshold_factor = threshold_factor
-        self._basis = _dct_matrix(patch)
 
     def __call__(self, z, sigma: float) -> np.ndarray:
         z = as_grid(z)
         if sigma == 0:
             return z.copy()
-        p = self.patch
+        p = _DCT_PATCH
         if z.shape[0] < p or z.shape[1] < p:
             raise ValueError(f"image {z.shape} smaller than patch {p}x{p}")
-        basis = self._basis
+        basis = _DCT_BASIS
         rows, cols = z.shape[0] - p + 1, z.shape[1] - p + 1
-        threshold = self.threshold_factor * sigma
+        threshold = _DCT_THRESHOLD_FACTOR * sigma
         # The 2-D patch DCT is separable.  A block of patch rows at a time:
         # transform its vertical windows, stored as (patch row, vertical
         # frequency, image column); finish the transform, threshold and
@@ -207,11 +212,10 @@ class DctDenoiser:
         return out / np.outer(np.convolve(np.ones(rows), ones), np.convolve(np.ones(cols), ones))
 
 
-def _dct_matrix(size: int) -> np.ndarray:
-    j = np.arange(size)
-    basis = np.cos(np.pi * (2 * j[None, :] + 1) * j[:, None] / (2 * size)) * np.sqrt(2.0 / size)
-    basis[0, :] = 1.0 / np.sqrt(size)
-    return basis
+# NlmDenoiser's patch side, search window side, and bandwidth per unit of sigma
+_NLM_PATCH = 7
+_NLM_SEARCH = 21
+_NLM_H_FACTOR = 0.6
 
 
 class NlmDenoiser:
@@ -225,28 +229,19 @@ class NlmDenoiser:
 
     kind = "nlm"
 
-    def __init__(self, patch: int = 7, search: int = 21, h_factor: float = 0.6) -> None:
-        if patch % 2 == 0 or search % 2 == 0:
-            raise ValueError("patch and search sizes must be odd")
-        if h_factor <= 0:
-            raise ValueError("h_factor must be positive")
-        self.patch = patch
-        self.search = search
-        self.h_factor = h_factor
-
     def __call__(self, z, sigma: float) -> np.ndarray:
         z = as_grid(z)
         if sigma == 0:
             return z.copy()
-        p = self.patch
+        p = _NLM_PATCH
         r = p // 2
         height, width = z.shape
         # patch sums stand in for patch means: the floor and the bandwidth
         # are scaled by the patch area instead
         area = float(p * p)
         noise_floor = 2.0 * sigma * sigma * area
-        scale = -1.0 / ((self.h_factor * sigma) ** 2 * area)
-        padded = np.pad(z, self.search // 2 + r, mode="reflect")
+        scale = -1.0 / ((_NLM_H_FACTOR * sigma) ** 2 * area)
+        padded = np.pad(z, _NLM_SEARCH // 2 + r, mode="reflect")
         z_padded = np.pad(z, r, mode="reflect")
         # Patch sums run over the squared difference reflect-padded by r.
         # Each offset differences whole slices of the two padded images, so
@@ -265,8 +260,8 @@ class NlmDenoiser:
         w = np.empty_like(z)
         numerator = np.zeros_like(z)
         weight_sum = np.zeros_like(z)
-        for di in range(self.search):
-            for dj in range(self.search):
+        for di in range(_NLM_SEARCH):
+            for dj in range(_NLM_SEARCH):
                 np.subtract(z_padded, padded[di : di + height + 2 * r, dj : dj + width + 2 * r], out=square)
                 square[border_rows] = square[row_sources]
                 square[:, border_cols] = square[:, col_sources]
@@ -345,60 +340,59 @@ def _format_sigma(sigma: float) -> str:
     return str(int(sigma)) if sigma.is_integer() else repr(sigma)
 
 
-def external_denoise(command, z, sigma: float, timeout: float = 300.0) -> np.ndarray:
-    """Run one denoising pass in a child process.
-
-    Wire protocol: the child receives the ASCII header line
-    ``IDBP1 <height> <width> <sigma>\\n`` followed by height * width
-    little-endian float32 pixels on stdin, and must answer with exactly
-    height * width little-endian float32 pixels on stdout.
-    """
-    z = as_grid(z)
-    height, width = z.shape
-    argv = shlex.split(command) if isinstance(command, str) else list(command)
-    if not argv:
-        raise ExternalDenoiserError("empty external denoiser command")
-    header = f"IDBP1 {height} {width} {_format_sigma(sigma)}\n".encode("ascii")
-    payload = z.astype("<f4").tobytes()
-    try:
-        proc = subprocess.run(
-            argv,
-            input=header + payload,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            timeout=timeout,
-        )
-    except FileNotFoundError as exc:
-        raise ExternalDenoiserError(f"cannot spawn {argv[0]!r}: {exc}") from exc
-    except subprocess.TimeoutExpired as exc:
-        raise ExternalDenoiserError(f"external denoiser timed out after {timeout} s") from exc
-    if proc.returncode != 0:
-        tail = proc.stderr.decode("utf-8", "replace")[-500:]
-        raise ExternalDenoiserError(
-            f"external denoiser exited with status {proc.returncode}: {tail}"
-        )
-    expected = height * width * 4
-    if len(proc.stdout) != expected:
-        raise ExternalDenoiserError(
-            f"protocol violation: expected {expected} payload bytes, received {len(proc.stdout)}"
-        )
-    out = np.frombuffer(proc.stdout, dtype="<f4").astype(np.float64).reshape(height, width)
-    if not np.all(np.isfinite(out)):
-        raise ExternalDenoiserError("external denoiser returned non-finite values")
-    return out
+# Seconds an external denoiser may take over one call.
+_EXTERNAL_TIMEOUT_S = 300.0
 
 
 class ExternalDenoiser:
-    """Denoiser backed by a child process speaking the IDBP1 wire protocol."""
+    """Denoiser backed by a child process, one run per call.
+
+    ``command`` is an argv list or a shell-style string.  Wire protocol: the
+    child receives the ASCII header line ``IDBP1 <height> <width> <sigma>\\n``
+    followed by height * width little-endian float32 pixels on stdin, and
+    must answer with exactly height * width little-endian float32 pixels on
+    stdout within ``_EXTERNAL_TIMEOUT_S`` seconds.
+    """
 
     kind = "external"
 
-    def __init__(self, command, timeout: float = 300.0) -> None:
+    def __init__(self, command) -> None:
         self.command = command
-        self.timeout = timeout
 
     def __call__(self, z, sigma: float) -> np.ndarray:
-        return external_denoise(self.command, z, sigma, timeout=self.timeout)
+        z = as_grid(z)
+        height, width = z.shape
+        argv = shlex.split(self.command) if isinstance(self.command, str) else list(self.command)
+        if not argv:
+            raise ExternalDenoiserError("empty external denoiser command")
+        header = f"IDBP1 {height} {width} {_format_sigma(sigma)}\n".encode("ascii")
+        payload = z.astype("<f4").tobytes()
+        try:
+            proc = subprocess.run(
+                argv,
+                input=header + payload,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                timeout=_EXTERNAL_TIMEOUT_S,
+            )
+        except FileNotFoundError as exc:
+            raise ExternalDenoiserError(f"cannot spawn {argv[0]!r}: {exc}") from exc
+        except subprocess.TimeoutExpired as exc:
+            raise ExternalDenoiserError(f"external denoiser timed out after {_EXTERNAL_TIMEOUT_S} s") from exc
+        if proc.returncode != 0:
+            tail = proc.stderr.decode("utf-8", "replace")[-500:]
+            raise ExternalDenoiserError(
+                f"external denoiser exited with status {proc.returncode}: {tail}"
+            )
+        expected = height * width * 4
+        if len(proc.stdout) != expected:
+            raise ExternalDenoiserError(
+                f"protocol violation: expected {expected} payload bytes, received {len(proc.stdout)}"
+            )
+        out = np.frombuffer(proc.stdout, dtype="<f4").astype(np.float64).reshape(height, width)
+        if not np.all(np.isfinite(out)):
+            raise ExternalDenoiserError("external denoiser returned non-finite values")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -406,23 +400,21 @@ class ExternalDenoiser:
 # ---------------------------------------------------------------------------
 
 _KINDS = {
-    "median": MedianDenoiser,
-    "gaussian": GaussianDenoiser,
-    "nlm": NlmDenoiser,
-    "dct_threshold": DctDenoiser,
-    "shrink": ShrinkDenoiser,
-    "oracle_linear": OracleLinearDenoiser,
-    "external": ExternalDenoiser,
+    cls.kind: cls for cls in (MedianDenoiser, GaussianDenoiser, NlmDenoiser, DctDenoiser, ExternalDenoiser)
 }
+# The kinds build_denoiser builds, and so the kinds an experiment can name.
+# Shrink and the oracle are built directly: they need a gamma or a ground truth.
+DENOISERS = tuple(_KINDS)
 
 
-def build_denoiser(kind: str, **params):
-    """Instantiate a denoiser by kind name; see _KINDS for the vocabulary."""
+def build_denoiser(kind: str, command=None):
+    """The denoiser of a kind in DENOISERS.  Only ``external`` takes an
+    argument, the ``command`` it runs; every other kind is fixed by its name."""
     try:
         cls = _KINDS[kind]
     except KeyError:
-        raise ValueError(f"unknown denoiser kind {kind!r}; choose from {sorted(_KINDS)}") from None
-    return cls(**params)
+        raise ValueError(f"unknown denoiser kind {kind!r}; choose from {DENOISERS}") from None
+    return cls() if command is None else cls(command)
 
 
 @dataclass

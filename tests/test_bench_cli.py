@@ -186,6 +186,8 @@ def test_experiment_spec_validation():
     (dict(task="inpaint", solver="pnp", scenario=1), "inpainting does not read scenario"),
     (dict(task="deblur", scenario=1, mask_fraction=0.5), "deblurring does not read mask_fraction"),
     (dict(task="deblur", solver="pnp", scenario=4, mask_fraction=0.0), "deblurring does not read mask_fraction"),
+    # nor is a command for a denoiser that runs none
+    (dict(task="inpaint", denoiser="median", external_cmd="foo"), "the median denoiser does not read external_cmd"),
 ])
 def test_experiment_spec_rejects_unusable_settings_when_built(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -270,6 +272,31 @@ def test_benchmark_scenario3_reports_40_db_bsnr():
     report = run_benchmark(spec, _tiny_corpus(2))
     for row in report.rows:
         assert row.bsnr_db == pytest.approx(40.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("solver", ["idbp", "pnp"])
+def test_run_single_restores_noiseless_deblurring(solver):
+    # no noise means no noise power: the BSNR is +inf, not an error
+    spec = ExperimentSpec(task="deblur", solver=solver, scenario=1, sigma_n=0, iterations=3)
+    result = run_single(spec, synthetic_scene(64, 64), RngState(0))
+    assert result.bsnr_db == float("inf")
+    assert result.isnr_db > 0
+
+
+def test_noiseless_idbp_deblurring_needs_a_kernel_without_spectral_zeros():
+    # scenario 4's binomial kernel has exact zeros in its spectrum
+    spec = ExperimentSpec(task="deblur", scenario=4, sigma_n=0, iterations=3)
+    with pytest.raises(ValueError, match="the inverse filter is undefined"):
+        run_single(spec, synthetic_scene(64, 64), RngState(0))
+
+
+def test_cli_noiseless_deblurring_exits_zero(scene_pgm, tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    code = cli_main(["deblur", "--scenario", "1", "--sigma-n", "0", "--input", str(scene_pgm),
+                     "--iters", "3", "--report", str(report)])
+    assert code == 0
+    assert "bsnr=inf dB" in capsys.readouterr().out
+    assert parse_summary_csv(report).rows[0].bsnr_db == float("inf")
 
 
 def test_benchmark_isolates_per_image_failures():
@@ -525,6 +552,7 @@ def test_cli_bench_deblur_scenario(tmp_path, capsys):
     ["--denoiser", "shrink"],  # so would a kind that needs constructor arguments
     ["pnp", "--scenario", "1", "--delta", "3", "--tau", "9"],  # settings PnP never reads
     ["--scenario", "1", "--mask-frac", "0.5"],  # deblurring never reads the mask fraction
+    ["--denoiser", "median", "--external-cmd", "foo"],  # nor does a native denoiser read a command
 ])
 def test_cli_bench_rejects_a_bad_spec_before_any_image(flags, tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from idbp import denoisers
+from idbp import bench, denoisers
 from idbp.denoisers import (
+    DENOISERS,
     DctDenoiser,
     DenoiserDiagnostics,
     ExternalDenoiser,
@@ -18,7 +19,6 @@ from idbp.denoisers import (
     ShrinkDenoiser,
     build_denoiser,
     estimate_conditions,
-    external_denoise,
 )
 from idbp.denoisers import _dct_matrix
 from idbp.grid import add_gaussian_noise
@@ -169,13 +169,13 @@ def test_dct_preserves_strong_structure():
     assert abs(float(out[:, 24:].mean()) - 200.0) < 2.0
 
 
-def _reference_dct(z, sigma, patch=8, threshold_factor=3.0):
+def _reference_dct(z, sigma):
     """The 4-D einsum and 64-slice overlap-add DctDenoiser, kept as the oracle."""
-    p = patch
+    p = 8
     basis = _dct_matrix(p)
     patches = sliding_window_view(z, (p, p))
     coeffs = np.einsum("ab,ijbc,dc->ijad", basis, patches, basis, optimize=True)
-    keep = np.abs(coeffs) > threshold_factor * sigma
+    keep = np.abs(coeffs) > 3.0 * sigma
     keep[:, :, 0, 0] = True
     coeffs *= keep
     recon = np.einsum("ba,ijbc,cd->ijad", basis, coeffs, basis, optimize=True)
@@ -189,31 +189,45 @@ def _reference_dct(z, sigma, patch=8, threshold_factor=3.0):
     return out / weight
 
 
+# Noise levels and (strip rows, block rows) layouts of the DCT sweeps.  The
+# ids keep the names of the patch sizes and threshold factors these tests
+# once swept; "3.0-8" is the default layout at sigma 10, the former default
+# denoiser.  Strips of 3 rows in blocks of 9 end partial at most heights.
+_DCT_SIGMAS = [pytest.param(0.5, id="2"), pytest.param(25.0, id="5"), pytest.param(10.0, id="8")]
+_DCT_LAYOUTS = [pytest.param((3, 9), id="0.0"), pytest.param((4, 16), id="3.0")]
+
+
+def _use_dct_layout(monkeypatch, layout):
+    strip_rows, block_rows = layout
+    monkeypatch.setattr(denoisers, "_STRIP_ROWS", strip_rows)
+    monkeypatch.setattr(denoisers, "_BLOCK_ROWS", block_rows)
+
+
 @pytest.mark.parametrize("shape", [(64, 64), (37, 53), (8, 8), (8, 40), (40, 8)])
-@pytest.mark.parametrize("patch", [2, 5, 8])
-@pytest.mark.parametrize("threshold_factor", [0.0, 3.0])
-def test_dct_matches_reference(shape, patch, threshold_factor):
+@pytest.mark.parametrize("sigma", _DCT_SIGMAS)
+@pytest.mark.parametrize("layout", _DCT_LAYOUTS)
+def test_dct_matches_reference(shape, sigma, layout, monkeypatch):
     # float operations are reordered, so agreement is bounded, not bit-exact
-    sigma = 10.0
+    _use_dct_layout(monkeypatch, layout)
     z = add_gaussian_noise(_random_grid(21, *shape), sigma, RngState(22))
-    out = DctDenoiser(patch, threshold_factor)(z, sigma)
-    ref = _reference_dct(z, sigma, patch, threshold_factor)
+    out = DctDenoiser()(z, sigma)
+    ref = _reference_dct(z, sigma)
     assert np.max(np.abs(out - ref)) <= 1e-9
 
 
-def _whole_image_dct(z, sigma, patch=8, threshold_factor=3.0, strip_rows=4):
+def _whole_image_dct(z, sigma, strip_rows):
     """DctDenoiser with image-sized stacks: all vertical windows transformed
     at once, strips of patch rows top-down into one (rows, p, W) column-sum
     stack, then one vertical inverse and row overlap-add; kept as the
     byte-equal oracle for the block-by-block pass."""
-    p = patch
+    p = 8
     basis = _dct_matrix(p)
     rows, cols = z.shape[0] - p + 1, z.shape[1] - p + 1
     vertical = np.ascontiguousarray((sliding_window_view(z, p, axis=0) @ basis.T).transpose(0, 2, 1))
     column_sums = np.zeros((rows, p, z.shape[1]))
     for top in range(0, rows, strip_rows):
         coeffs = sliding_window_view(vertical[top : top + strip_rows], p, axis=2) @ basis.T
-        keep = np.abs(coeffs) > threshold_factor * sigma
+        keep = np.abs(coeffs) > 3.0 * sigma
         keep[:, 0, :, 0] = True
         coeffs *= keep
         recon = coeffs @ basis
@@ -229,14 +243,14 @@ def _whole_image_dct(z, sigma, patch=8, threshold_factor=3.0, strip_rows=4):
 
 
 @pytest.mark.parametrize("shape", [(64, 64), (37, 53), (8, 8), (8, 40), (40, 8), (23, 17)])
-@pytest.mark.parametrize("patch", [2, 5, 8])
-@pytest.mark.parametrize("threshold_factor", [0.0, 3.0])
-def test_dct_strips_match_the_whole_image_pass_bytes(shape, patch, threshold_factor):
+@pytest.mark.parametrize("sigma", _DCT_SIGMAS)
+@pytest.mark.parametrize("layout", _DCT_LAYOUTS)
+def test_dct_strips_match_the_whole_image_pass_bytes(shape, sigma, layout, monkeypatch):
     # bottom-up blocks keep each pixel's sum over row offsets in increasing order
-    sigma = 10.0
+    _use_dct_layout(monkeypatch, layout)
     z = add_gaussian_noise(_random_grid(24, *shape), sigma, RngState(25))
-    out = DctDenoiser(patch, threshold_factor)(z, sigma)
-    assert out.tobytes() == _whole_image_dct(z, sigma, patch, threshold_factor).tobytes()
+    out = DctDenoiser()(z, sigma)
+    assert out.tobytes() == _whole_image_dct(z, sigma, strip_rows=layout[0]).tobytes()
 
 
 def test_dct_allocates_no_image_sized_stack():
@@ -277,10 +291,10 @@ def _box_mean(a, size):
     return sliding_window_view(padded, (size, size)).mean(axis=(2, 3))
 
 
-def _reference_nlm(z, sigma, patch=7, search=21, h_factor=0.6):
+def _reference_nlm(z, sigma):
     """The sliding-view NlmDenoiser, one full patch mean per offset, kept as the oracle."""
-    radius = search // 2
-    h2 = (h_factor * sigma) ** 2
+    patch, radius = 7, 10
+    h2 = (0.6 * sigma) ** 2
     noise_floor = 2.0 * sigma * sigma
     padded = np.pad(z, radius, mode="reflect")
     numerator = np.zeros_like(z)
@@ -296,17 +310,31 @@ def _reference_nlm(z, sigma, patch=7, search=21, h_factor=0.6):
     return numerator / weight_sum
 
 
-# the small shapes fall below the search window, the patch, or both
+def _nlm_input(kind, shape):
+    if kind == "noise":
+        return _random_grid(24, *shape)
+    if kind == "flat":  # every patch distance near the noise floor
+        return np.full(shape, 100.0)
+    return np.where(np.arange(shape[1]) < shape[1] // 2, 20.0, 220.0) * np.ones(shape)  # a step edge
+
+
+# Images under the noise.  The ids keep the names of the (patch, search)
+# sizes this test once swept; "7-21" is the noise input it always had.
+# Against the 7x7 patches and the 21x21 search window, the shapes below
+# 21 on a side fall inside the search window, and those below 7 inside the
+# patch too.
 @pytest.mark.parametrize(
     "shape", [(48, 48), (37, 53), (1, 20), (20, 1), (2, 2), (1, 1), (5, 5), (11, 11)]
 )
-@pytest.mark.parametrize("patch, search", [(7, 21), (3, 5), (5, 7)])
+@pytest.mark.parametrize(
+    "kind", [pytest.param("noise", id="7-21"), pytest.param("flat", id="3-5"), pytest.param("edge", id="5-7")]
+)
 @pytest.mark.parametrize("sigma", [2.0, 10.0, 50.0])
-def test_nlm_matches_reference(shape, patch, search, sigma):
+def test_nlm_matches_reference(shape, kind, sigma):
     # float operations are reordered, so agreement is bounded, not bit-exact
-    z = add_gaussian_noise(_random_grid(24, *shape), sigma, RngState(25))
-    out = NlmDenoiser(patch, search)(z, sigma)
-    ref = _reference_nlm(z, sigma, patch, search)
+    z = add_gaussian_noise(_nlm_input(kind, shape), sigma, RngState(25))
+    out = NlmDenoiser()(z, sigma)
+    ref = _reference_nlm(z, sigma)
     assert np.max(np.abs(out - ref)) <= 1e-9
 
 
@@ -314,7 +342,7 @@ def test_nlm_allocates_no_batch_of_offsets():
     # one float64 image per search row of offsets: what batching offsets would hold
     z = _random_grid(26, 128, 128)
     denoiser = NlmDenoiser()
-    offset_batch_bytes = denoiser.search * 128 * 128 * z.itemsize
+    offset_batch_bytes = 21 * 128 * 128 * z.itemsize
     tracemalloc.start()
     try:
         denoiser(z, 20.0)
@@ -348,10 +376,19 @@ def test_oracle_linear_definition():
 def test_build_denoiser_dispatch():
     assert isinstance(build_denoiser("median"), MedianDenoiser)
     with pytest.raises(TypeError):
-        build_denoiser("median", window=5)
-    assert build_denoiser("shrink", gamma=0.1).gamma == 0.1
-    with pytest.raises(ValueError, match="unknown denoiser kind"):
-        build_denoiser("bm3d")
+        build_denoiser("median", "cat")  # a native kind runs no command
+    assert build_denoiser("external", "cat").command == "cat"
+    # shrink and the oracle need a gamma or a ground truth: they are built directly
+    for kind in ("shrink", "oracle_linear", "bm3d"):
+        with pytest.raises(ValueError, match=f"unknown denoiser kind '{kind}'"):
+            build_denoiser(kind)
+
+
+@pytest.mark.parametrize("kind", DENOISERS)
+def test_experiment_spec_builds_every_kind(kind):
+    assert bench.DENOISERS is DENOISERS
+    command = "cat" if kind == "external" else None
+    assert bench.ExperimentSpec(task="inpaint", denoiser=kind, external_cmd=command).build_denoiser().kind == kind
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +494,7 @@ def _echo_command():
 
 def test_external_echo_round_trip():
     z = _random_grid(20, 12, 9).astype("<f4").astype(np.float64)  # representable in float32
-    out = external_denoise(_echo_command(), z, 10.0)
+    out = ExternalDenoiser(_echo_command())(z, 10.0)
     assert np.array_equal(out, z)
 
 
@@ -471,10 +508,10 @@ def test_external_header_bytes_exact():
         "sys.stdout.buffer.write(data[nl + 1:])"
     )
     z = np.zeros((256, 256))
-    out = external_denoise([sys.executable, "-c", child, "IDBP1 256 256 10"], z, 10.0)
-    assert np.array_equal(out, z)
+    denoiser = ExternalDenoiser([sys.executable, "-c", child, "IDBP1 256 256 10"])
+    assert np.array_equal(denoiser(z, 10.0), z)
     with pytest.raises(ExternalDenoiserError, match="status 3"):
-        external_denoise([sys.executable, "-c", child, "IDBP1 256 256 10"], z, 10.5)
+        denoiser(z, 10.5)
 
 
 def test_external_fractional_sigma_header():
@@ -485,7 +522,7 @@ def test_external_fractional_sigma_header():
         "sys.exit(3) if data[:nl] != b'IDBP1 4 6 2.5' else None;"
         "sys.stdout.buffer.write(data[nl + 1:])"
     )
-    external_denoise([sys.executable, "-c", child], np.zeros((4, 6)), 2.5)
+    ExternalDenoiser([sys.executable, "-c", child])(np.zeros((4, 6)), 2.5)
 
 
 def test_external_truncated_output_names_byte_counts():
@@ -496,22 +533,23 @@ def test_external_truncated_output_names_byte_counts():
         "sys.stdout.buffer.write(data[nl + 1:-4])"
     )
     with pytest.raises(ExternalDenoiserError, match=r"expected 256 .*received 252"):
-        external_denoise([sys.executable, "-c", child], np.zeros((8, 8)), 1.0)
+        ExternalDenoiser([sys.executable, "-c", child])(np.zeros((8, 8)), 1.0)
 
 
 def test_external_spawn_failure():
     with pytest.raises(ExternalDenoiserError, match="cannot spawn"):
-        external_denoise(["/definitely/not/a/real/binary"], np.zeros((4, 4)), 1.0)
+        ExternalDenoiser(["/definitely/not/a/real/binary"])(np.zeros((4, 4)), 1.0)
 
 
-def test_external_timeout():
+def test_external_timeout(monkeypatch):
+    monkeypatch.setattr(denoisers, "_EXTERNAL_TIMEOUT_S", 0.5)
     child = "import time,sys; sys.stdin.buffer.read(); time.sleep(10)"
-    with pytest.raises(ExternalDenoiserError, match="timed out"):
-        external_denoise([sys.executable, "-c", child], np.zeros((4, 4)), 1.0, timeout=0.5)
+    with pytest.raises(ExternalDenoiserError, match="timed out after 0.5 s"):
+        ExternalDenoiser([sys.executable, "-c", child])(np.zeros((4, 4)), 1.0)
 
 
 def test_external_command_as_string_is_shell_split():
-    out = external_denoise(f"{sys.executable} -c \"{ECHO_CHILD}\"", np.zeros((3, 3)), 1.0)
+    out = ExternalDenoiser(f"{sys.executable} -c \"{ECHO_CHILD}\"")(np.zeros((3, 3)), 1.0)
     assert np.array_equal(out, np.zeros((3, 3)))
 
 

@@ -30,21 +30,31 @@ def test_importing_the_package_loads_only_stdlib_and_numpy():
     assert loaded - set(sys.stdlib_module_names) - {"idbp", "numpy"} == set()
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def _private_reads(source: str) -> list[str]:
-    """Attributes `obj._name` (not dunders) read off anything but `self`."""
+    """Attributes `obj._name` (not dunders) read off anything but `self`,
+    and names `_name` imported from another module."""
     return [
         f"{node.lineno}: {ast.unparse(node)}"
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Attribute)
-        and node.attr.startswith("_")
-        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and _is_private(node.attr)
         and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        or isinstance(node, ast.ImportFrom)
+        and any(_is_private(alias.name) for alias in node.names)
     ]
 
 
 def test_no_module_reads_a_private_attribute_of_another_object():
     # an operator's data step is public: a solver that needs it must not
-    # reach behind another object's underscore
+    # reach behind another object's underscore; nor may a module import
+    # another's private table, such as the denoiser kinds
     assert _private_reads("op._step(y)\nself._step(y)\nop.__class__\nop.step(y)") == ["1: op._step"]
+    assert _private_reads("from .denoisers import DENOISERS\nfrom .denoisers import _KINDS") == [
+        "2: from .denoisers import _KINDS"
+    ]
     reads = {path.name: _private_reads(path.read_text()) for path in sorted((SRC / "idbp").glob("*.py"))}
     assert {name: found for name, found in reads.items() if found} == {}
