@@ -11,7 +11,10 @@ bridge lets any loose executable act as the denoiser.
 
 from __future__ import annotations
 
+import mmap
+import os
 import shlex
+import signal
 import subprocess
 from dataclasses import dataclass
 
@@ -145,11 +148,18 @@ _DCT_BASIS = _dct_matrix(_DCT_PATCH)
 # Patch rows per strip of DctDenoiser's horizontal pass, the fastest with
 # one BLAS thread.  Medians of interleaved calls at sigma 15, strips of 2, 4,
 # 8 and 16 rows: 35.9, 33.2, 34.2 and 40.9 ms at 256^2 (40 calls each),
-# 134, 131, 133 and 182 ms at 512^2 (12 calls each).
+# 134, 131, 133 and 182 ms at 512^2 (12 calls each).  Re-timed with the
+# helper, blocks of 16, three runs of 60 calls at 256^2 and 16 at 512^2:
+# strips of 2 and 4 rows took 28.9/30.1/30.0 and 29.5/30.6/30.2 ms at 256^2,
+# 100/102/106 and 102/105/111 ms at 512^2, a tie; in-process, strips of 2
+# gained at 256^2 only (43.3/47.5/44.5 against 48.9/51.6/48.8 ms).
 _STRIP_ROWS = 4
-# Patch rows per block of its vertical pass, a multiple of _STRIP_ROWS:
-# blocks of 8 to 64 rows ran equally fast at 256^2, and 16 allocated
-# the fewest fresh pages per call.
+# Patch rows per block of its vertical pass, a multiple of _STRIP_ROWS and
+# at least _DCT_PATCH - 1, as the helper needs: blocks of 8 to 64 rows ran
+# equally fast at 256^2, and 16 allocated the fewest fresh pages per call.
+# With the helper, strips of 4, two runs: blocks of 8, 16 and 32 rows took
+# 35.9/36.6, 29.8/30.6 and 30.4/29.9 ms at 256^2, 122/133, 109/121 and
+# 107/119 ms at 512^2.
 _BLOCK_ROWS = 16
 
 
@@ -160,6 +170,20 @@ class DctDenoiser:
     coefficients with magnitude below 3 sigma are zeroed (the DC term always
     survives, which preserves flat regions and intensity shifts), and
     overlapping reconstructions are averaged.
+
+    The patches are worked in blocks of ``_BLOCK_ROWS`` patch rows.  A call
+    splits its blocks with one helper process when the image has at least 2
+    blocks, the platform can fork, and the process runs one thread and may
+    run on at least 2 CPUs (so a BLAS with worker threads keeps every call
+    in-process; pin it to one thread, as with ``OPENBLAS_NUM_THREADS=1``).
+    The helper is forked on the first such call and serves every later one
+    in the process: it takes blocks from the bottom up while the process
+    takes them from the top down, until they meet.  Each pixel still sums
+    its patches in the in-process order, so the output is the same bytes.  A run then uses two
+    processes.  The helper's memory is its own, in the process's
+    ``RUSAGE_CHILDREN`` once it has exited (it exits with the process), not
+    in its ``RUSAGE_SELF``; only the mapping that carries the pixels both
+    ways is in both.
     """
 
     kind = "dct_threshold"
@@ -171,45 +195,211 @@ class DctDenoiser:
         p = _DCT_PATCH
         if z.shape[0] < p or z.shape[1] < p:
             raise ValueError(f"image {z.shape} smaller than patch {p}x{p}")
-        basis = _DCT_BASIS
         rows, cols = z.shape[0] - p + 1, z.shape[1] - p + 1
-        threshold = _DCT_THRESHOLD_FACTOR * sigma
-        # The 2-D patch DCT is separable.  A block of patch rows at a time:
-        # transform its vertical windows, stored as (patch row, vertical
-        # frequency, image column); finish the transform, threshold and
-        # invert horizontally a strip of patch rows at a time so the
-        # per-patch coefficients stay in cache; then invert vertically and
-        # add the block's patches into the output.  A strip's coefficients
-        # are stored frequency-major, (patch row, vertical frequency,
-        # horizontal frequency, patch column), so the threshold, the inverse
-        # and the overlap-add of each pixel offset all stream contiguous
-        # rows of columns.  Each coefficient is the same p-term sum as in a
-        # (column, frequency) layout, and the output the same bit for bit.
-        # Temporaries are block-sized, never image-sized.  Blocks run
-        # bottom-up: each output pixel then sums its patches in order of
-        # increasing row offset, as one pass over all patch rows does.
+        tops = range(0, rows, _BLOCK_ROWS)
         out = np.zeros_like(z)
-        windows = sliding_window_view(z, p, axis=0)
-        for block_top in reversed(range(0, rows, _BLOCK_ROWS)):
-            block_bottom = min(block_top + _BLOCK_ROWS, rows)
-            vertical = np.ascontiguousarray((windows[block_top:block_bottom] @ basis.T).transpose(0, 2, 1))
-            column_sums = np.zeros((block_bottom - block_top, p, z.shape[1]))
-            for top in range(0, block_bottom - block_top, _STRIP_ROWS):
-                strip_windows = sliding_window_view(vertical[top : top + _STRIP_ROWS], p, axis=2)
-                coeffs = basis @ np.swapaxes(strip_windows, -1, -2)
-                keep = np.abs(coeffs) > threshold
-                keep[:, 0, 0, :] = True
-                coeffs *= keep
-                recon = basis.T @ coeffs
-                strip = column_sums[top : top + _STRIP_ROWS]
-                for dj in range(p):
-                    strip[:, :, dj : dj + cols] += recon[:, :, dj]
-            recon = basis.T @ column_sums
-            for di in range(p):
-                out[block_top + di : block_bottom + di] += recon[:, di]
+        if len(tops) >= 2 and _free_cpus() >= 2 and hasattr(os, "fork"):
+            _add_blocks_with_helper(z, out, tops, sigma)
+        else:
+            _add_blocks(z, out, reversed(tops), sigma, _STRIP_ROWS, _BLOCK_ROWS)
         # every pixel is covered by (row overlaps) x (column overlaps) patches
         ones = np.ones(p)
         return out / np.outer(np.convolve(np.ones(rows), ones), np.convolve(np.ones(cols), ones))
+
+
+def _free_cpus() -> int:
+    """The CPUs this process may run on; 1 while it runs another thread, or
+    where the platform cannot tell.
+
+    Another thread could call the DCT at the same time as this one, and the
+    idle workers of a multithreaded BLAS spin on CPUs of their own after a
+    threaded call, such as the solvers' ``np.linalg.norm``: a helper process
+    sharing their CPU ran slower than no helper.
+    """
+    try:
+        return 1 if len(os.listdir("/proc/self/task")) > 1 else len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return 1
+
+
+def _add_blocks(z, out, tops, sigma, strip_rows, block_rows) -> list:
+    """Add the thresholded patches of the blocks of patch rows at ``tops``,
+    in that order, into ``out``, an output grid whose row 0 is z's.
+
+    Contributions to rows past the end of ``out`` are returned instead, as
+    ``(row, rows)`` pairs in the order they were made.
+    """
+    p = _DCT_PATCH
+    basis = _DCT_BASIS
+    threshold = _DCT_THRESHOLD_FACTOR * sigma
+    rows, cols = z.shape[0] - p + 1, z.shape[1] - p + 1
+    # The 2-D patch DCT is separable.  A block of patch rows at a time:
+    # transform its vertical windows, stored as (patch row, vertical
+    # frequency, image column); finish the transform, threshold and
+    # invert horizontally a strip of patch rows at a time so the
+    # per-patch coefficients stay in cache; then invert vertically and
+    # add the block's patches into the output.  A strip's coefficients
+    # are stored frequency-major, (patch row, vertical frequency,
+    # horizontal frequency, patch column), so the threshold, the inverse
+    # and the overlap-add of each pixel offset all stream contiguous
+    # rows of columns.  Each coefficient is the same p-term sum as in a
+    # (column, frequency) layout, and the output the same bit for bit.
+    # Temporaries are block-sized, never image-sized.  Blocks run
+    # bottom-up: each output pixel then sums its patches in order of
+    # increasing row offset, as one pass over all patch rows does.
+    held = []
+    windows = sliding_window_view(z, p, axis=0)
+    for block_top in tops:
+        block_bottom = min(block_top + block_rows, rows)
+        vertical = np.ascontiguousarray((windows[block_top:block_bottom] @ basis.T).transpose(0, 2, 1))
+        column_sums = np.zeros((block_bottom - block_top, p, z.shape[1]))
+        for top in range(0, block_bottom - block_top, strip_rows):
+            strip_windows = sliding_window_view(vertical[top : top + strip_rows], p, axis=2)
+            coeffs = basis @ np.swapaxes(strip_windows, -1, -2)
+            keep = np.abs(coeffs) > threshold
+            keep[:, 0, 0, :] = True
+            coeffs *= keep
+            recon = basis.T @ coeffs
+            strip = column_sums[top : top + strip_rows]
+            for dj in range(p):
+                strip[:, :, dj : dj + cols] += recon[:, :, dj]
+        recon = basis.T @ column_sums
+        for di in range(p):
+            target = out[block_top + di : block_bottom + di]
+            target += recon[: len(target), di]
+            if len(target) < block_bottom - block_top:
+                held.append((block_top + di + len(target), recon[len(target) :, di]))
+    return held
+
+
+def _add_blocks_with_helper(z, out, tops, sigma) -> None:
+    """``_add_blocks`` over all of ``tops`` bottom-up, shared with the helper
+    process: the helper takes blocks from the bottom up, this process from
+    the top down, each claiming the next until they meet.
+
+    Bottom-up, the helper adds its blocks from zeros as the in-process pass
+    does.  Top-down, a block comes before the block below it, whose
+    patches a pixel must sum first: this process holds back each block's
+    additions to the rows of the block below, and makes them, in their
+    order, once that block is added.  The last block it takes holds back
+    its additions to the helper's first rows until the helper is done.
+    This needs blocks of at least p - 1 patch rows, so that a block's
+    patches reach no further than the block below.
+    """
+    global _helper
+    if _helper is None or _helper.owner != os.getpid() or _helper.pixels < z.size:
+        # a helper forked by another process is that process's to stop
+        if _helper is not None and _helper.owner == os.getpid():
+            _helper.stop()
+        _helper = _BlockHelper(z.size)
+    helper = _helper
+    image, helper_out = helper.grids(z.shape)
+    held = []
+    try:
+        image[...] = z
+        helper.claims[:] = (0, len(tops))
+        helper.connection.send((sigma, list(tops), _STRIP_ROWS, _BLOCK_ROWS, z.shape))
+        while (block := helper.claim(from_top=True)) is not None:
+            end = tops[block + 1] if block + 1 < len(tops) else len(z)
+            above, held = held, _add_blocks(z, out[:end], [tops[block]], sigma, _STRIP_ROWS, _BLOCK_ROWS)
+            _add_held(out, above)
+        helper.connection.recv()
+    except BaseException as exc:
+        # the helper may have died, or may still owe this reply: never
+        # reuse it, so no later call reads a stale reply
+        _helper = None
+        helper.stop()
+        if isinstance(exc, (EOFError, OSError)):
+            raise RuntimeError(f"the DCT helper process {helper.process.pid} has died") from exc
+        raise
+    met = helper.claims[0]
+    if met < len(tops):
+        out[tops[met] :] = helper_out[tops[met] :]
+    _add_held(out, held)
+
+
+def _add_held(out, held) -> None:
+    """Make the additions ``_add_blocks`` held back, in their order."""
+    for row, rows in held:
+        out[row : row + len(rows)] += rows
+
+
+class _BlockHelper:
+    """A forked process that runs ``_add_blocks`` on request.
+
+    The pixels pass through two grids of up to ``pixels`` float64 values in
+    a memory mapping the two processes share, an image and an output grid,
+    with the next block each side may claim, and each request and its reply
+    through a pipe.  The helper closes its copy of this process's end of the
+    pipe, so this process's death reaches it as end of file, and it exits.
+    It is a daemon: multiprocessing stops and reaps it when this process
+    exits.
+    """
+
+    def __init__(self, pixels: int) -> None:
+        # imported here: only a call that splits its blocks pays for it
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        self.owner = os.getpid()
+        self.pixels = pixels
+        shared = mmap.mmap(-1, 2 * pixels * 8 + 16)
+        self.grid_values = np.frombuffer(shared, count=2 * pixels).reshape(2, pixels)
+        # the first block the top side may claim, and one past the last the bottom side may
+        self.claims = np.frombuffer(shared, dtype=np.int64, count=2, offset=2 * pixels * 8)
+        self.lock = context.Lock()
+        self.connection, helper_end = context.Pipe()
+        self.process = context.Process(
+            target=_serve_blocks, args=(self, helper_end), name="idbp-dct-helper", daemon=True
+        )
+        self.process.start()
+        helper_end.close()
+
+    def grids(self, shape) -> tuple[np.ndarray, np.ndarray]:
+        """The shared image and output grid of a request."""
+        size = shape[0] * shape[1]
+        return self.grid_values[0, :size].reshape(shape), self.grid_values[1, :size].reshape(shape)
+
+    def claim(self, from_top: bool) -> int | None:
+        """The next unclaimed block from the top or the bottom, if any."""
+        with self.lock:
+            first, end = self.claims
+            if first == end:
+                return None
+            if from_top:
+                self.claims[0] = first + 1
+                return int(first)
+            self.claims[1] = end - 1
+            return int(end - 1)
+
+    def stop(self) -> None:
+        """Kill the helper and reap it."""
+        self.connection.close()
+        self.process.kill()
+        self.process.join()
+
+
+# The process's one DCT helper, forked on the first call that splits its blocks
+_helper: _BlockHelper | None = None
+
+
+def _serve_blocks(helper: _BlockHelper, connection) -> None:
+    """The helper's loop: claim blocks of each shared image from the bottom
+    up and add them from zeros into the shared output grid, reply when no
+    block is left, and end at end of file."""
+    helper.connection.close()
+    # an interrupt from the terminal reaches the parent too, which stops the helper
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        while True:
+            sigma, tops, strip_rows, block_rows, shape = connection.recv()
+            image, out = helper.grids(shape)
+            while (block := helper.claim(from_top=False)) is not None:
+                out[tops[block] : tops[block + 1] if block + 1 < len(tops) else shape[0]] = 0.0
+                _add_blocks(image, out, [tops[block]], sigma, strip_rows, block_rows)
+            connection.send(None)
+    except (EOFError, BrokenPipeError, ConnectionResetError):
+        return
 
 
 # NlmDenoiser's patch side, search window side, and bandwidth per unit of sigma

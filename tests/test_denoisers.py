@@ -1,5 +1,10 @@
+import os
+import signal
+import subprocess
 import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,8 +258,10 @@ def test_dct_strips_match_the_whole_image_pass_bytes(shape, sigma, layout, monke
     assert out.tobytes() == _whole_image_dct(z, sigma, strip_rows=layout[0]).tobytes()
 
 
-def test_dct_allocates_no_image_sized_stack():
-    # one (patch rows, patch, width) float64 stack: what the whole-image pass holds three of
+def test_dct_allocates_no_image_sized_stack(monkeypatch):
+    # one (patch rows, patch, width) float64 stack: what the whole-image pass holds three of;
+    # all blocks in this process, where tracemalloc sees them
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
     z = _random_grid(26, 256, 256)
     denoiser = DctDenoiser()
     stack_bytes = (256 - 7) * 8 * 256 * z.itemsize
@@ -267,7 +274,8 @@ def test_dct_allocates_no_image_sized_stack():
     assert peak < stack_bytes
 
 
-def test_dct_allocates_no_four_dimensional_patch_tensor():
+def test_dct_allocates_no_four_dimensional_patch_tensor(monkeypatch):
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
     z = _random_grid(23, 128, 128)
     denoiser = DctDenoiser()
     patch_tensor_bytes = (128 - 7) ** 2 * 8 * 8 * z.itemsize
@@ -278,6 +286,175 @@ def test_dct_allocates_no_four_dimensional_patch_tensor():
     finally:
         tracemalloc.stop()
     assert peak < patch_tensor_bytes
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the DCT helper is forked")
+
+
+@needs_fork
+@pytest.mark.parametrize("shape", [(8, 8), (8, 40), (23, 17), (37, 53), (64, 64), (256, 256)])
+@pytest.mark.parametrize("sigma", _DCT_SIGMAS)
+@pytest.mark.parametrize("layout", _DCT_LAYOUTS)
+def test_dct_split_with_the_helper_matches_the_in_process_pass_bytes(shape, sigma, layout, monkeypatch):
+    _use_dct_layout(monkeypatch, layout)
+    z = add_gaussian_noise(_random_grid(27, *shape), sigma, RngState(28))
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
+    split = DctDenoiser()(z, sigma)
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    assert split.tobytes() == DctDenoiser()(z, sigma).tobytes()
+
+
+@pytest.fixture
+def fresh_helper():
+    """No DCT helper before the test, so the test forks its own with what
+    it patched, and none left after it."""
+
+    def stop():
+        if denoisers._helper is not None:
+            denoisers._helper.stop()
+        denoisers._helper = None
+
+    stop()
+    yield
+    stop()
+
+
+@needs_fork
+@pytest.mark.parametrize("slow", ["process", "helper"])
+def test_dct_split_matches_the_in_process_pass_bytes_wherever_the_sides_meet(slow, fresh_helper, monkeypatch):
+    # the side that sleeps before each of its blocks leaves the other all it can claim
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
+    z = add_gaussian_noise(_random_grid(33, 64, 64), 10.0, RngState(34))
+    blocks = len(range(0, 64 - 7, 16))
+    process, add_blocks = os.getpid(), denoisers._add_blocks
+
+    def sleepy(*args):
+        if (os.getpid() == process) == (slow == "process"):
+            time.sleep(0.2)
+        return add_blocks(*args)
+
+    monkeypatch.setattr(denoisers, "_add_blocks", sleepy)
+    split = DctDenoiser()(z, 10.0)
+    met = int(denoisers._helper.claims[0])
+    monkeypatch.setattr(denoisers, "_add_blocks", add_blocks)
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    assert split.tobytes() == DctDenoiser()(z, 10.0).tobytes()
+    assert met == 1 if slow == "process" else met >= blocks - 1
+
+
+@needs_fork
+def test_dct_split_claims_each_block_once_under_contention(monkeypatch):
+    # small images in blocks of 9 rows: the two sides meet within microseconds
+    # of each other, so a block claimed twice or never would change the bytes
+    _use_dct_layout(monkeypatch, (3, 9))
+    rng = RngState(35)
+    deadline = time.monotonic() + 5.0
+    calls = 0
+    while time.monotonic() < deadline and calls < 300:
+        height, width = 24 + calls % 40, 8 + (calls * 7) % 33
+        z = rng.gaussians(height * width).reshape(height, width) * 40.0 + 128.0
+        monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
+        split = DctDenoiser()(z, 10.0)
+        monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+        assert split.tobytes() == DctDenoiser()(z, 10.0).tobytes(), (height, width)
+        calls += 1
+    assert calls >= 50
+
+
+def _running(pid):
+    """Whether a process exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+# one 256^2 DCT call with the helper engaged, then the helper's pid; at
+# exit, after the handlers the call registers, whether the helper remains
+_HELPER_PROBE = """
+import atexit, os, time
+from idbp import denoisers
+from idbp.rng import RngState
+atexit.register(lambda: print(os.path.exists(f"/proc/{denoisers._helper.process.pid}"), flush=True))
+denoisers._free_cpus = lambda: 2
+denoisers.DctDenoiser()(RngState(29).gaussians(256 * 256).reshape(256, 256) * 40.0 + 128.0, 10.0)
+print(denoisers._helper.process.pid, flush=True)
+"""
+needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+
+
+def _python(code, **kwargs):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return [sys.executable, "-c", code], {**kwargs, "env": {**os.environ, "PYTHONPATH": path}}
+
+
+@needs_fork
+@needs_proc
+def test_dct_helper_ends_with_its_process():
+    argv, kwargs = _python(_HELPER_PROBE, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(argv, check=True, **kwargs)
+    helper, remains_at_exit = proc.stdout.split()
+    assert remains_at_exit == "False"
+    assert not _running(int(helper))
+
+
+@needs_fork
+@needs_proc
+def test_dct_helper_exits_when_its_process_is_killed():
+    argv, kwargs = _python(_HELPER_PROBE + "time.sleep(60)\n", stdout=subprocess.PIPE, text=True)
+    with subprocess.Popen(argv, **kwargs) as proc:
+        try:
+            helper = int(proc.stdout.readline())
+        finally:
+            proc.kill()
+    assert proc.wait(timeout=5) == -signal.SIGKILL
+    deadline = time.monotonic() + 5.0
+    try:
+        while _running(helper) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(helper)
+    finally:
+        if _running(helper):
+            os.kill(helper, signal.SIGKILL)
+
+
+@needs_fork
+def test_dct_call_after_the_helper_dies_raises_and_the_next_forks_anew(monkeypatch):
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
+    z = _random_grid(30, 64, 64)
+    expected = DctDenoiser()(z, 10.0)
+    os.kill(denoisers._helper.process.pid, signal.SIGKILL)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="helper process"):
+        DctDenoiser()(z, 10.0)
+    assert time.monotonic() - start < 5.0
+    assert DctDenoiser()(z, 10.0).tobytes() == expected.tobytes()
+
+
+class _Interrupted(Exception):
+    pass
+
+
+@needs_fork
+def test_dct_call_after_an_aborted_exchange_reads_no_stale_reply(monkeypatch):
+    # the helper answers the aborted request; the next call must not take that answer
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
+    first, second = _random_grid(31, 64, 64), _random_grid(32, 64, 64)
+    DctDenoiser()(first, 10.0)
+    add_blocks = denoisers._add_blocks
+
+    def interrupted(*args):
+        raise _Interrupted
+
+    monkeypatch.setattr(denoisers, "_add_blocks", interrupted)
+    with pytest.raises(_Interrupted):
+        DctDenoiser()(first, 10.0)
+    monkeypatch.setattr(denoisers, "_add_blocks", add_blocks)
+    out = DctDenoiser()(second, 10.0)
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    assert out.tobytes() == DctDenoiser()(second, 10.0).tobytes()
 
 
 def test_dct_rejects_images_smaller_than_patch():
