@@ -14,12 +14,7 @@ from .operators import (
     generate_random_mask,
     generate_scenario_kernel,
 )
-from .denoisers import (
-    DenoiserDiagnostics,
-    ExternalDenoiserError,
-    build_denoiser,
-    estimate_conditions,
-)
+from .denoisers import ExternalDenoiserError, build_denoiser
 from .solvers import (
     IdbpConfig,
     IterationTrace,
@@ -28,7 +23,6 @@ from .solvers import (
     condition_ratio,
     idbp_auto_tuned,
     idbp_run,
-    improved_measurements,
     median_initialize,
     pnp_run,
 )
@@ -48,10 +42,8 @@ __all__ = [
     "SCENARIO_NOISE_VARIANCE",
     "generate_random_mask",
     "generate_scenario_kernel",
-    "DenoiserDiagnostics",
     "ExternalDenoiserError",
     "build_denoiser",
-    "estimate_conditions",
     "IdbpConfig",
     "IterationTrace",
     "PnpConfig",
@@ -59,7 +51,6 @@ __all__ = [
     "condition_ratio",
     "idbp_auto_tuned",
     "idbp_run",
-    "improved_measurements",
     "median_initialize",
     "pnp_run",
 ]

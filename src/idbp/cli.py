@@ -56,33 +56,40 @@ def load_config_file(path) -> dict[str, str]:
     return settings
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, argparse.Action]]:
+    """The parser, and the flag behind each key ./idbp.cfg may set: the
+    flag's long name, with ``-`` read as ``_`` (``lambda`` sets --lambda)."""
     parser = _Parser(prog="idbp", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="input PGM (ground truth) or corpus directory for bench")
-    common.add_argument("--output", help="output path: restored PGM, or CSV directory for bench")
-    common.add_argument("--mask-frac", type=float, dest="mask_frac", help="fraction of missing pixels")
-    common.add_argument("--seed", type=int, help="master seed for masks and noise")
-    common.add_argument("--sigma-n", type=float, dest="sigma_n", help="noise standard deviation")
-    common.add_argument("--delta", type=float, help="denoiser noise-level inflation")
-    common.add_argument("--epsilon", type=float, help="inverse-filter regularisation weight")
-    common.add_argument("--auto-tune", action="store_true", default=None, dest="auto_tune",
-                        help="search for the smallest epsilon that keeps the feasibility margin (deblur)")
-    common.add_argument("--tau", type=float, help="feasibility margin threshold for auto-tuning")
-    common.add_argument("--eps-increment", type=float, dest="eps_increment",
-                        help="epsilon grid step for auto-tuning")
-    common.add_argument("--iters", type=int, help="iteration count")
-    common.add_argument("--denoiser", help="|".join(DENOISERS))
-    common.add_argument("--external-cmd", dest="external_cmd",
-                        help="command line for the external denoiser bridge")
-    common.add_argument("--scenario", type=int, help="deblurring scenario 1-4")
-    common.add_argument("--beta", type=float, help="prior weight (ADMM)")
-    common.add_argument("--lambda", type=float, dest="lam", help="penalty parameter (ADMM)")
-    common.add_argument("--trace", help="write per-iteration CSV here")
-    common.add_argument("--report", help="write summary CSV here")
+    options = []
+
+    def option(*flags, **kwargs):
+        options.append(common.add_argument(*flags, **kwargs))
+
+    option("--input", help="input PGM (ground truth) or corpus directory for bench")
+    option("--output", help="output path: restored PGM, or CSV directory for bench")
+    option("--mask-frac", type=float, dest="mask_frac", help="fraction of missing pixels")
+    option("--seed", type=int, help="master seed for masks and noise")
+    option("--sigma-n", type=float, dest="sigma_n", help="noise standard deviation")
+    option("--delta", type=float, help="denoiser noise-level inflation")
+    option("--epsilon", type=float, help="inverse-filter regularisation weight")
+    option("--auto-tune", action="store_true", default=None, dest="auto_tune",
+           help="search for the smallest epsilon that keeps the feasibility margin (deblur)")
+    option("--tau", type=float, help="feasibility margin threshold for auto-tuning")
+    option("--eps-increment", type=float, dest="eps_increment",
+           help="epsilon grid step for auto-tuning")
+    option("--iters", type=int, help="iteration count")
+    option("--denoiser", help="|".join(DENOISERS))
+    option("--external-cmd", dest="external_cmd",
+           help="command line for the external denoiser bridge")
+    option("--scenario", type=int, help="deblurring scenario 1-4")
+    option("--beta", type=float, help="prior weight (ADMM)")
+    option("--lambda", type=float, dest="lam", help="penalty parameter (ADMM)")
+    option("--trace", help="write per-iteration CSV here")
+    option("--report", help="write summary CSV here")
 
     sub.add_parser("inpaint", parents=[common], help="restore randomly missing pixels")
     sub.add_parser("deblur", parents=[common], help="restore a blurred noisy image")
@@ -91,38 +98,54 @@ def _build_parser() -> _Parser:
     bench.add_argument("solver", nargs="?", choices=("idbp", "idbp_auto", "pnp"),
                        help="solver for the batch (default idbp)")
     sub.add_parser("verify", help="run the numerical verification battery")
-    return parser
+    keys = {flag[2:].replace("-", "_"): action for action in options for flag in action.option_strings}
+    return parser, keys
+
+
+# The values a switch such as auto_tune may take in ./idbp.cfg
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                  "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_value(key: str, raw: str, action: argparse.Action):
+    """A ./idbp.cfg value read as its flag reads it."""
+    if action.nargs == 0:  # a switch
+        try:
+            return _SWITCH_VALUES[raw.lower()]
+        except KeyError:
+            raise UsageError(f"bad config value {key}={raw!r}: a switch takes one of "
+                             f"{'/'.join(_SWITCH_VALUES)}") from None
+    try:
+        return raw if action.type is None else action.type(raw)
+    except ValueError as exc:
+        raise UsageError(f"bad config value {key}={raw!r}: {exc}") from exc
 
 
 class _Settings:
-    """Precedence-aware view over CLI args and the optional config file."""
+    """Precedence-aware view over CLI args and the optional config file,
+    both by the flags' dest names.  Every config key must name a flag."""
 
-    def __init__(self, args: argparse.Namespace, file_cfg: dict[str, str]):
+    def __init__(self, args: argparse.Namespace, file_cfg: dict[str, str], keys: dict[str, argparse.Action]):
         self.args = args
-        self.file_cfg = file_cfg
+        self.file_values = {}
+        for key, raw in file_cfg.items():
+            if key not in keys:
+                raise UsageError(f"unknown config key {key!r} in {CONFIG_FILENAME}; "
+                                 f"keys are the flags' long names: {', '.join(sorted(keys))}")
+            self.file_values[keys[key].dest] = _config_value(key, raw, keys[key])
 
-    def get(self, key: str, builtin=None, cast=str):
-        value = getattr(self.args, key, None)
+    def get(self, dest: str, builtin=None):
+        value = getattr(self.args, dest, None)
         if value is not None:
             return value
-        if key in self.file_cfg:
-            raw = self.file_cfg[key]
-            try:
-                if cast is bool:
-                    return raw.lower() in ("1", "true", "yes", "on")
-                return cast(raw)
-            except ValueError as exc:
-                raise UsageError(f"bad config value {key}={raw!r}: {exc}") from exc
-        return builtin
+        return self.file_values.get(dest, builtin)
 
 
-# ExperimentSpec field -> (setting name, type)
+# ExperimentSpec field -> the dest of the flag that sets it
 _SPEC_SETTINGS = {
-    "denoiser": ("denoiser", str), "external_cmd": ("external_cmd", str), "seed": ("seed", int),
-    "mask_fraction": ("mask_frac", float), "sigma_n": ("sigma_n", float), "scenario": ("scenario", int),
-    "delta": ("delta", float), "epsilon": ("epsilon", float), "iterations": ("iters", int),
-    "tau": ("tau", float), "eps_increment": ("eps_increment", float), "beta": ("beta", float),
-    "lam": ("lam", float),
+    "denoiser": "denoiser", "external_cmd": "external_cmd", "seed": "seed", "mask_fraction": "mask_frac",
+    "sigma_n": "sigma_n", "scenario": "scenario", "delta": "delta", "epsilon": "epsilon",
+    "iterations": "iters", "tau": "tau", "eps_increment": "eps_increment", "beta": "beta", "lam": "lam",
 }
 
 
@@ -131,11 +154,11 @@ def _spec_from_settings(settings: _Settings, task: str, solver: str | None) -> E
 
     ``auto_tune`` turns idbp (or no solver) into idbp_auto, and is an error with pnp.
     """
-    if settings.get("auto_tune", False, bool):
+    if settings.get("auto_tune", False):
         if solver == "pnp":
             raise ValueError("--auto-tune selects the idbp_auto solver; it does not apply to pnp")
         solver = "idbp_auto"
-    fields = {name: settings.get(key, cast=cast) for name, (key, cast) in _SPEC_SETTINGS.items()}
+    fields = {name: settings.get(dest) for name, dest in _SPEC_SETTINGS.items()}
     if fields["denoiser"] == "external" and not fields["external_cmd"]:
         fields["external_cmd"] = os.environ.get("IDBP_EXTERNAL_DENOISER")
         if not fields["external_cmd"]:
@@ -184,13 +207,13 @@ def _cmd_inpaint(settings: _Settings) -> int:
 
 
 def _cmd_deblur(settings: _Settings) -> int:
-    if settings.get("scenario", cast=int) is None:
+    if settings.get("scenario") is None:
         raise UsageError("--scenario is required for deblur")
     return _single_image_command(settings, "deblur", "idbp")
 
 
 def _cmd_pnp(settings: _Settings) -> int:
-    task = "deblur" if settings.get("scenario", cast=int) is not None else "inpaint"
+    task = "deblur" if settings.get("scenario") is not None else "inpaint"
     return _single_image_command(settings, task, "pnp")
 
 
@@ -203,7 +226,7 @@ def _cmd_bench(settings: _Settings) -> int:
         raise FileNotFoundError(f"no .pgm files in {corpus_dir}")
     corpus = [(p.stem, load_pgm(p)) for p in paths]
 
-    task = "deblur" if settings.get("scenario", cast=int) is not None else "inpaint"
+    task = "deblur" if settings.get("scenario") is not None else "inpaint"
     spec = _spec_from_settings(settings, task, settings.args.solver)
 
     report = run_benchmark(spec, corpus)
@@ -226,7 +249,7 @@ def _cmd_bench(settings: _Settings) -> int:
 
 
 def cli_main(argv) -> int:
-    parser = _build_parser()
+    parser, keys = _build_parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
@@ -241,7 +264,7 @@ def cli_main(argv) -> int:
         return 0 if verify_mod.run_all() else 2
     try:
         file_cfg = load_config_file(CONFIG_FILENAME) if Path(CONFIG_FILENAME).exists() else {}
-        settings = _Settings(args, file_cfg)
+        settings = _Settings(args, file_cfg, keys)
         handler = {
             "inpaint": _cmd_inpaint,
             "deblur": _cmd_deblur,

@@ -3,10 +3,11 @@
 A denoiser is a callable mapping ``(z, sigma) -> denoised z`` for a 2-D
 grid and a nonnegative noise level.  All native kinds are deterministic,
 translation-equivariant in intensity, and return the input unchanged at
-sigma == 0; each is fixed by its kind alone, with no settings.  A linear
-shrink and a synthetic "oracle" kind with a known contraction constant
-exist purely to exercise the solver guarantees, and an external-process
-bridge lets any loose executable act as the denoiser.
+sigma == 0; each is fixed by its kind alone, with no settings.  An
+external-process bridge lets any loose executable act as the denoiser.
+The denoisers that exist only to check the solver guarantees, a linear
+shrink and an oracle with a known contraction constant, live with those
+checks in ``idbp.verify``.
 """
 
 from __future__ import annotations
@@ -16,13 +17,11 @@ import os
 import shlex
 import signal
 import subprocess
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import as_grid
-from .rng import RngState
 
 # ---------------------------------------------------------------------------
 # Native denoisers
@@ -473,49 +472,6 @@ class NlmDenoiser:
         return numerator
 
 
-class ShrinkDenoiser:
-    """Linear shrink z / (1 + gamma * sigma^2): the proximal map of the
-    quadratic prior (gamma / 2) ||x||^2.  Mainly a convex test oracle."""
-
-    kind = "shrink"
-
-    def __init__(self, gamma: float) -> None:
-        if gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        self.gamma = gamma
-
-    def __call__(self, z, sigma: float) -> np.ndarray:
-        z = as_grid(z)
-        if sigma == 0:
-            return z.copy()
-        return z / (1.0 + self.gamma * sigma * sigma)
-
-
-# ---------------------------------------------------------------------------
-# Oracle denoiser (ground truth in hand, constant known exactly)
-# ---------------------------------------------------------------------------
-
-
-class OracleLinearDenoiser:
-    """Affine pull toward the known truth: alpha * truth + (1 - alpha) * z.
-
-    Its null-space contraction constant is exactly 1 - alpha for every
-    operator, which makes solver convergence rates predictable.
-    """
-
-    kind = "oracle_linear"
-
-    def __init__(self, alpha: float, truth) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        self.alpha = alpha
-        self.truth = as_grid(truth)
-
-    def __call__(self, z, sigma: float) -> np.ndarray:
-        z = as_grid(z)
-        return self.alpha * self.truth + (1.0 - self.alpha) * z
-
-
 # ---------------------------------------------------------------------------
 # External-process bridge
 # ---------------------------------------------------------------------------
@@ -586,14 +542,14 @@ class ExternalDenoiser:
 
 
 # ---------------------------------------------------------------------------
-# Construction and diagnostics
+# Construction
 # ---------------------------------------------------------------------------
 
 _KINDS = {
     cls.kind: cls for cls in (MedianDenoiser, GaussianDenoiser, NlmDenoiser, DctDenoiser, ExternalDenoiser)
 }
-# The kinds build_denoiser builds, and so the kinds an experiment can name.
-# Shrink and the oracle are built directly: they need a gamma or a ground truth.
+# The kinds build_denoiser builds, and so the kinds an experiment can name:
+# every denoiser this module defines.
 DENOISERS = tuple(_KINDS)
 
 
@@ -605,57 +561,3 @@ def build_denoiser(kind: str, command=None):
     except KeyError:
         raise ValueError(f"unknown denoiser kind {kind!r}; choose from {DENOISERS}") from None
     return cls() if command is None else cls(command)
-
-
-@dataclass
-class DenoiserDiagnostics:
-    """Empirical lower bounds for the boundedness and contraction constants.
-
-    ``bound_estimate_B`` is the largest observed ||D(z) - z|| / sigma;
-    ``contraction_estimate_K`` the largest observed Lipschitz ratio of the
-    null-space-projected denoiser.  True constants can only be larger.
-    """
-
-    bound_estimate_B: float
-    contraction_estimate_K: float
-
-
-def estimate_conditions(
-    denoiser, operator, sample_images, sigma: float, rng: RngState
-) -> DenoiserDiagnostics:
-    """Probe a denoiser on sample images for its guarantee constants.
-
-    Pairs combine the samples with each other and with null-space-only
-    perturbations of themselves; the latter make the contraction estimate
-    tight for denoisers whose Lipschitz worst case lies in the null space.
-    """
-    samples = [as_grid(s) for s in sample_images]
-    if not samples:
-        raise ValueError("need at least one sample image")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-
-    denoised = [denoiser(s, sigma) for s in samples]
-    bound = max(float(np.linalg.norm(d - s)) / sigma for s, d in zip(samples, denoised))
-
-    pairs = [(i, j) for i in range(len(samples)) for j in range(i + 1, len(samples))]
-    contraction = 0.0
-    for i, j in pairs:
-        gap = float(np.linalg.norm(samples[i] - samples[j]))
-        if gap == 0.0:
-            continue
-        null_gap = float(
-            np.linalg.norm(operator.project_null(denoised[i]) - operator.project_null(denoised[j]))
-        )
-        contraction = max(contraction, null_gap / gap)
-    for base, base_denoised in zip(samples, denoised):
-        bump = operator.project_null(sigma * rng.gaussians(base.size).reshape(base.shape))
-        gap = float(np.linalg.norm(bump))
-        if gap == 0.0:
-            continue
-        shifted = denoiser(base + bump, sigma)
-        null_gap = float(
-            np.linalg.norm(operator.project_null(shifted) - operator.project_null(base_denoised))
-        )
-        contraction = max(contraction, null_gap / gap)
-    return DenoiserDiagnostics(bound_estimate_B=bound, contraction_estimate_K=contraction)

@@ -33,6 +33,20 @@ def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
+def sum_of_squares(a: np.ndarray) -> float:
+    """||a||^2 of a real or complex array, a complex entry counting |z|^2.
+
+    Summed by numpy's own loop, not by BLAS, whose summation order follows
+    its thread count once an array passes about 16k entries: the same bits
+    at any BLAS thread count.  The solvers' feasibility monitor and the
+    operators' residual norms all take their squared norms here.
+    """
+    flat = np.ascontiguousarray(a).reshape(-1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(np.float64)
+    return float(np.einsum("i,i->", flat, flat))
+
+
 def psnr(reference, estimate) -> float:
     """Peak signal-to-noise ratio in dB against a fixed peak of 255.
 

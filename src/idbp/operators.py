@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import as_grid
+from .grid import as_grid, sum_of_squares
 from .rng import RngState
 
 # ---------------------------------------------------------------------------
@@ -134,10 +134,9 @@ class InpaintingOperator(_Projecting):
 
         The operator's one data step: H+ y = where(mask, y / (1 + w), 0),
         Q x = where(mask, x - x / (1 + w), x), the residual through
-        ``forward``'s ``where``, and its squared norm summed as
-        ``np.linalg.norm`` sums it.  ``pseudoinverse`` and ``project_null``
-        are this step with zeros for x or y, so they keep its arithmetic by
-        construction.
+        ``forward``'s ``where``, and its squared norm by ``sum_of_squares``.
+        ``pseudoinverse`` and ``project_null`` are this step with zeros for
+        x or y, so they keep its arithmetic by construction.
         """
         scale = 1.0 + _check_weight(weight)
         y = self._grid(y)
@@ -145,8 +144,8 @@ class InpaintingOperator(_Projecting):
 
         def project(x):
             self._same_shape(x)
-            residual = (y - np.where(self.mask, x, 0.0)).ravel()
-            return pinv_y + np.where(self.mask, x - x / scale, x), float(residual.dot(residual))
+            residual = y - np.where(self.mask, x, 0.0)
+            return pinv_y + np.where(self.mask, x - x / scale, x), sum_of_squares(residual)
 
         return project
 
@@ -229,12 +228,11 @@ class BlurOperator(_Projecting):
             spectrum = np.fft.rfft2(self._same_shape(x))
             spectrum *= self.spectrum
             np.subtract(y_spectrum, spectrum, out=spectrum)
-            unpaired = spectrum[:, edges]
-            residual_sq = (2.0 * np.vdot(spectrum, spectrum).real - np.vdot(unpaired, unpaired).real) / size
+            residual_sq = (2.0 * sum_of_squares(spectrum) - sum_of_squares(spectrum[:, edges])) / size
             spectrum *= inverse
             projected = np.fft.irfft2(spectrum, s=self.shape)
             projected += x
-            return projected, float(residual_sq)
+            return projected, residual_sq
 
         return project
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import as_grid, psnr_of_grids, require_same_shape
+from .grid import as_grid, psnr_of_grids, require_same_shape, sum_of_squares
 from .operators import BlurOperator, InpaintingOperator
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,8 @@ def condition_ratio(operator, y, x_tilde, sigma_n: float, delta: float, epsilon:
         raise ValueError("sigma_n must be positive")
     x_tilde = as_grid(x_tilde)
     y_tilde, residual_sq = operator.backward_projection(y, epsilon * sigma_n**2)(x_tilde)
-    return _feasibility_ratio(math.sqrt(residual_sq), float(np.linalg.norm(y_tilde - x_tilde)), sigma_n, delta)
+    return _feasibility_ratio(math.sqrt(residual_sq), math.sqrt(sum_of_squares(y_tilde - x_tilde)),
+                              sigma_n, delta)
 
 
 def _feasibility_ratio(residual_norm: float, mapped_norm: float, sigma_n: float, delta: float) -> float:
@@ -244,7 +245,7 @@ def _idbp(
             x_tilde = _require_finite(x_tilde, "denoiser output", k)
             y_tilde, residual_sq = project(x_tilde)
             _require_finite(y_tilde, "projected iterate", k)
-            ratio = (_feasibility_ratio(math.sqrt(residual_sq), float(np.linalg.norm(y_tilde - x_tilde)),
+            ratio = (_feasibility_ratio(math.sqrt(residual_sq), math.sqrt(sum_of_squares(y_tilde - x_tilde)),
                                         sigma_n, config.delta)
                      if sigma_n > 0 else float("inf"))
             trace.append(TraceRecord(k, quality(x_tilde), ratio, epsilon, passes - 1))
@@ -449,7 +450,7 @@ def pnp_run(
 
 
 # ---------------------------------------------------------------------------
-# Initialization and analysis helpers
+# Initialization
 # ---------------------------------------------------------------------------
 
 
@@ -524,13 +525,3 @@ def median_initialize(operator: InpaintingOperator, y) -> np.ndarray:
         pending = pending[still_missing]
         diagonal = diagonal[still_missing]
     return values.reshape(height + 2, stride)[1:-1, 1:-1].copy()
-
-
-def improved_measurements(x_true, operator, noise) -> np.ndarray:
-    """Best measurements the projection step could ever deliver: x + H+ e.
-
-    This is the target the projected iterates approach when denoising is
-    perfect; analysis/tests compare trajectories against it.
-    """
-    x_true = as_grid(x_true)
-    return x_true + operator.pseudoinverse(noise)

@@ -589,6 +589,45 @@ def test_cli_config_file_precedence(scene_pgm, tmp_path, monkeypatch, capsys):
     assert settings == {"mask_frac": "0.3", "sigma_n": "10", "iters": "2"}
 
 
+def test_cli_config_file_keys_are_the_flags_long_names(scene_pgm, tmp_path, monkeypatch, capsys):
+    # --lambda's key is lambda, not argparse's dest name lam
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "idbp.cfg").write_text("lambda = 0.5\n")
+    code = cli_main(["pnp", "--input", str(scene_pgm), "--scenario", "1", "--iters", "1",
+                     "--denoiser", "gaussian", "--report", str(tmp_path / "r.csv")])
+    assert code == 0
+    assert parse_summary_csv(tmp_path / "r.csv").config["lambda"] == "0.5"
+    (tmp_path / "idbp.cfg").write_text("lam = 0.5\n")
+    assert cli_main(["pnp", "--input", str(scene_pgm), "--scenario", "1", "--iters", "1"]) == 1
+    assert "'lam'" in capsys.readouterr().err
+
+
+def test_cli_config_file_rejects_an_unknown_key(scene_pgm, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "idbp.cfg").write_text("iter = 3\n")
+    out = tmp_path / "out.pgm"
+    assert cli_main(["inpaint", "--input", str(scene_pgm), "--output", str(out)]) == 1
+    assert "unknown config key 'iter'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, accepted", [("ture", None), ("", None), ("On", True), ("no", False)])
+def test_cli_config_file_switch_takes_only_known_booleans(value, accepted, scene_pgm, tmp_path, monkeypatch,
+                                                          capsys):
+    # a misspelt true used to read as false and run plain idbp
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "idbp.cfg").write_text(f"auto_tune = {value}\n")
+    code = cli_main(["deblur", "--input", str(scene_pgm), "--scenario", "1", "--iters", "2",
+                     "--denoiser", "gaussian"])
+    captured = capsys.readouterr()
+    if accepted is None:
+        assert code == 1
+        assert f"auto_tune={value!r}" in captured.err
+    else:
+        assert code == 0
+        assert ("[idbp_auto]" if accepted else "[idbp]") in captured.out
+
+
 def test_cli_external_denoiser_via_env(scene_pgm, monkeypatch, capsys):
     echo = (
         "import sys;data=sys.stdin.buffer.read();"

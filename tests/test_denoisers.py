@@ -14,21 +14,18 @@ from idbp import bench, denoisers
 from idbp.denoisers import (
     DENOISERS,
     DctDenoiser,
-    DenoiserDiagnostics,
     ExternalDenoiser,
     ExternalDenoiserError,
     GaussianDenoiser,
     MedianDenoiser,
     NlmDenoiser,
-    OracleLinearDenoiser,
-    ShrinkDenoiser,
     build_denoiser,
-    estimate_conditions,
 )
 from idbp.denoisers import _dct_matrix
 from idbp.grid import add_gaussian_noise
 from idbp.operators import generate_random_mask
 from idbp.rng import RngState
+from idbp.verify import DenoiserDiagnostics, OracleLinearDenoiser, ShrinkDenoiser, estimate_conditions
 
 NATIVE = [MedianDenoiser(), GaussianDenoiser(), NlmDenoiser(), DctDenoiser(), ShrinkDenoiser(0.01)]
 

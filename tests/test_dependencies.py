@@ -58,3 +58,35 @@ def test_no_module_reads_a_private_attribute_of_another_object():
     ]
     reads = {path.name: _private_reads(path.read_text()) for path in sorted((SRC / "idbp").glob("*.py"))}
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def _package_imports(source: str) -> set[str]:
+    """The modules of the package that a module's source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "idbp" + (f".{node.module}" if node.module else "") if node.level == 1 else node.module
+            dotted = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in dotted if name.startswith("idbp."))
+    return found
+
+
+def test_only_the_cli_imports_the_acceptance_checks():
+    # the theory oracles live in verify, which no restoration needs
+    assert _package_imports(
+        "from . import verify as v\nfrom .verify import run_all\nimport idbp.verify\n"
+        "from idbp import rng\nfrom .grid import as_grid\nimport os.path\nfrom numpy import fft"
+    ) == {"verify", "rng", "grid"}
+    importers = {path.stem for path in sorted((SRC / "idbp").glob("*.py"))
+                 if "verify" in _package_imports(path.read_text())}
+    assert importers == {"cli"}
+
+
+def test_denoisers_import_neither_rng_nor_verify():
+    imports = _package_imports((SRC / "idbp" / "denoisers.py").read_text())
+    assert "grid" in imports
+    assert imports & {"rng", "verify"} == set()

@@ -1,20 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from idbp import solvers
 from idbp.bench import ExperimentSpec, default_deblur_idbp_config, run_single, synthesize_deblurring
-from idbp.denoisers import (
-    DctDenoiser,
-    GaussianDenoiser,
-    MedianDenoiser,
-    OracleLinearDenoiser,
-    ShrinkDenoiser,
-    build_denoiser,
-)
-from idbp.grid import add_gaussian_noise, psnr
+from idbp.denoisers import DctDenoiser, GaussianDenoiser, MedianDenoiser, build_denoiser
+from idbp.grid import add_gaussian_noise, psnr, sum_of_squares
 from idbp.operators import (
     BlurOperator,
     InpaintingOperator,
@@ -33,10 +30,12 @@ from idbp.solvers import (
     condition_ratio,
     idbp_auto_tuned,
     idbp_run,
-    improved_measurements,
     median_initialize,
     pnp_run,
 )
+from idbp.verify import OracleLinearDenoiser, ShrinkDenoiser, improved_measurements
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _random_grid(seed, h, w, scale=40.0, offset=128.0):
@@ -315,6 +314,29 @@ def test_idbp_mask_monitor_equals_condition_ratio_exactly(delta):
     assert len(ratios) == 6 and ratios == direct
 
 
+_TRACE_PROBE = """
+from idbp.bench import ExperimentSpec, run_single
+from idbp.rng import RngState
+from idbp.scenes import synthetic_scene
+spec = ExperimentSpec(task="deblur", solver="idbp", denoiser="median", scenario=1, iterations=5)
+print(repr(run_single(spec, synthetic_scene(256, 256), RngState(0)).trace.records))
+"""
+
+
+def test_idbp_blur_trace_records_do_not_depend_on_the_blas_thread_count():
+    # at 256^2 a BLAS dot product sums in an order that follows its thread
+    # count; the monitor's norms must not
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    records = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _TRACE_PROBE], capture_output=True, text=True,
+                              check=True, env=env)
+        records.append(proc.stdout)
+    assert records[0].startswith("[TraceRecord(iteration=1,")
+    assert records[0] == records[1]
+
+
 def test_condition_ratio_zero_residual_is_infinite():
     op = InpaintingOperator(np.ones((4, 4), dtype=bool))
     y = _random_grid(15, 4, 4)
@@ -370,7 +392,7 @@ def _linear_auto_tuned(operator, y, sigma_n, denoiser, config, init, ground_trut
             x_tilde = denoiser(y_tilde, sigma)
             # the loop's own projection and ratio arithmetic, so estimates and records compare exactly
             y_tilde, residual_sq = project(x_tilde)
-            ratio = _feasibility_ratio(np.sqrt(residual_sq), float(np.linalg.norm(y_tilde - x_tilde)),
+            ratio = _feasibility_ratio(np.sqrt(residual_sq), np.sqrt(sum_of_squares(y_tilde - x_tilde)),
                                        sigma_n, config.delta)
             quality = psnr(ground_truth, x_tilde) if ground_truth is not None else float("nan")
             trace.append(TraceRecord(k, quality, ratio, epsilon, restarts))
