@@ -3,8 +3,10 @@
 A denoiser is a callable mapping ``(z, sigma) -> denoised z`` for a 2-D
 grid and a nonnegative noise level.  All native kinds are deterministic,
 translation-equivariant in intensity, and return the input unchanged at
-sigma == 0; each is fixed by its kind alone, with no settings.  An
-external-process bridge lets any loose executable act as the denoiser.
+sigma == 0; each is fixed by its kind alone, with no settings.  The DCT
+and the NLM share their calls with one forked helper process when the
+process has a second CPU to itself.  An external-process bridge lets any
+loose executable act as the denoiser.
 The denoisers that exist only to check the solver guarantees, a linear
 shrink and an oracle with a known contraction constant, live with those
 checks in ``idbp.verify``.
@@ -171,18 +173,11 @@ class DctDenoiser:
     overlapping reconstructions are averaged.
 
     The patches are worked in blocks of ``_BLOCK_ROWS`` patch rows.  A call
-    splits its blocks with one helper process when the image has at least 2
-    blocks, the platform can fork, and the process runs one thread and may
-    run on at least 2 CPUs (so a BLAS with worker threads keeps every call
-    in-process; pin it to one thread, as with ``OPENBLAS_NUM_THREADS=1``).
-    The helper is forked on the first such call and serves every later one
-    in the process: it takes blocks from the bottom up while the process
-    takes them from the top down, until they meet.  Each pixel still sums
-    its patches in the in-process order, so the output is the same bytes.  A run then uses two
-    processes.  The helper's memory is its own, in the process's
-    ``RUSAGE_CHILDREN`` once it has exited (it exits with the process), not
-    in its ``RUSAGE_SELF``; only the mapping that carries the pixels both
-    ways is in both.
+    splits its blocks with the helper process (see ``_split_with_helper``)
+    when the image has at least 2 blocks and ``_may_split()``: the helper
+    takes blocks from the bottom up while the process takes them from the
+    top down, until they meet.  Each pixel still sums its patches in the
+    in-process order, so the output is the same bytes.
     """
 
     kind = "dct_threshold"
@@ -197,28 +192,13 @@ class DctDenoiser:
         rows, cols = z.shape[0] - p + 1, z.shape[1] - p + 1
         tops = range(0, rows, _BLOCK_ROWS)
         out = np.zeros_like(z)
-        if len(tops) >= 2 and _free_cpus() >= 2 and hasattr(os, "fork"):
+        if len(tops) >= 2 and _may_split():
             _add_blocks_with_helper(z, out, tops, sigma)
         else:
             _add_blocks(z, out, reversed(tops), sigma, _STRIP_ROWS, _BLOCK_ROWS)
         # every pixel is covered by (row overlaps) x (column overlaps) patches
         ones = np.ones(p)
         return out / np.outer(np.convolve(np.ones(rows), ones), np.convolve(np.ones(cols), ones))
-
-
-def _free_cpus() -> int:
-    """The CPUs this process may run on; 1 while it runs another thread, or
-    where the platform cannot tell.
-
-    Another thread could call the DCT at the same time as this one, and the
-    idle workers of a multithreaded BLAS spin on CPUs of their own after a
-    threaded call, such as the solvers' ``np.linalg.norm``: a helper process
-    sharing their CPU ran slower than no helper.
-    """
-    try:
-        return 1 if len(os.listdir("/proc/self/task")) > 1 else len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return 1
 
 
 def _add_blocks(z, out, tops, sigma, strip_rows, block_rows) -> list:
@@ -285,36 +265,23 @@ def _add_blocks_with_helper(z, out, tops, sigma) -> None:
     This needs blocks of at least p - 1 patch rows, so that a block's
     patches reach no further than the block below.
     """
-    global _helper
-    if _helper is None or _helper.owner != os.getpid() or _helper.pixels < z.size:
-        # a helper forked by another process is that process's to stop
-        if _helper is not None and _helper.owner == os.getpid():
-            _helper.stop()
-        _helper = _BlockHelper(z.size)
-    helper = _helper
-    image, helper_out = helper.grids(z.shape)
     held = []
-    try:
-        image[...] = z
-        helper.claims[:] = (0, len(tops))
-        helper.connection.send((sigma, list(tops), _STRIP_ROWS, _BLOCK_ROWS, z.shape))
-        while (block := helper.claim(from_top=True)) is not None:
-            end = tops[block + 1] if block + 1 < len(tops) else len(z)
-            above, held = held, _add_blocks(z, out[:end], [tops[block]], sigma, _STRIP_ROWS, _BLOCK_ROWS)
-            _add_held(out, above)
-        helper.connection.recv()
-    except BaseException as exc:
-        # the helper may have died, or may still owe this reply: never
-        # reuse it, so no later call reads a stale reply
-        _helper = None
-        helper.stop()
-        if isinstance(exc, (EOFError, OSError)):
-            raise RuntimeError(f"the DCT helper process {helper.process.pid} has died") from exc
-        raise
-    met = helper.claims[0]
-    if met < len(tops):
-        out[tops[met] :] = helper_out[tops[met] :]
+
+    def add_block(block):
+        nonlocal held
+        end = tops[block + 1] if block + 1 < len(tops) else len(z)
+        above, held = held, _add_blocks(z, out[:end], [tops[block]], sigma, _STRIP_ROWS, _BLOCK_ROWS)
+        _add_held(out, above)
+
+    _split_with_helper(z, out, tops, add_block, _add_block_from_zeros, sigma, list(tops), _STRIP_ROWS, _BLOCK_ROWS)
     _add_held(out, held)
+
+
+def _add_block_from_zeros(z, out, block, sigma, tops, strip_rows, block_rows) -> None:
+    """The helper's DCT job: add the block at ``tops[block]`` into ``out``
+    over zeros."""
+    out[tops[block] : tops[block + 1] if block + 1 < len(tops) else len(z)] = 0.0
+    _add_blocks(z, out, [tops[block]], sigma, strip_rows, block_rows)
 
 
 def _add_held(out, held) -> None:
@@ -323,12 +290,191 @@ def _add_held(out, held) -> None:
         out[row : row + len(rows)] += rows
 
 
-class _BlockHelper:
-    """A forked process that runs ``_add_blocks`` on request.
+# NlmDenoiser's patch side, search window side, and bandwidth per unit of sigma
+_NLM_PATCH = 7
+_NLM_SEARCH = 21
+_NLM_H_FACTOR = 0.6
+
+
+class NlmDenoiser:
+    """Non-local means: 7x7 patches compared over a 21x21 search window.
+
+    Weights follow exp(-max(d2 - 2 sigma^2, 0) / h^2) with bandwidth
+    h = 0.6 sigma, where d2 is the mean squared difference of reflect-padded
+    patches.  Each search offset costs a separable box sum, linear in the
+    patch size, and the number of offsets is quadratic in the search radius.
+
+    Output rows depend on no other output row.  A call on an image at least
+    2 patches tall and 1 patch wide splits its rows in halves with the
+    helper process (see ``_split_with_helper``) when ``_may_split()``: this
+    process takes the top half and the helper the bottom one, or both if
+    the helper has not claimed it yet.  Each half is the same arithmetic on
+    the same values as the in-process pass, so the output is the same bytes.
+    """
+
+    kind = "nlm"
+
+    def __call__(self, z, sigma: float) -> np.ndarray:
+        z = as_grid(z)
+        if sigma == 0:
+            return z.copy()
+        height, width = z.shape
+        out = np.empty_like(z)
+        if height >= 2 * _NLM_PATCH and width >= _NLM_PATCH and _may_split():
+            bounds = (0, height // 2, height)
+
+            def own(half):
+                _nlm_band(z, out, half, sigma, bounds)
+
+            _split_with_helper(z, out, bounds[:2], own, _nlm_band, sigma, bounds)
+        else:
+            _nlm_rows(z, sigma, 0, height, out)
+        return out
+
+
+def _nlm_band(z, out, band, sigma, bounds) -> None:
+    """The NLM job: output rows ``bounds[band]`` to ``bounds[band + 1]``."""
+    _nlm_rows(z, sigma, bounds[band], bounds[band + 1], out)
+
+
+def _nlm_rows(z, sigma, top, bottom, out) -> None:
+    """Non-local means of rows ``top`` to ``bottom`` of z, into those rows of out."""
+    p = _NLM_PATCH
+    r = p // 2
+    height, width = z.shape
+    rows = bottom - top
+    # patch sums stand in for patch means: the floor and the bandwidth
+    # are scaled by the patch area instead
+    area = float(p * p)
+    noise_floor = 2.0 * sigma * sigma * area
+    scale = -1.0 / ((_NLM_H_FACTOR * sigma) ** 2 * area)
+    # the slabs of the two padded images that the rows read: the rows and
+    # 2r halo rows, and the search window's rows around them
+    padded = np.pad(z, _NLM_SEARCH // 2 + r, mode="reflect")[top : bottom + _NLM_SEARCH - 1 + 2 * r]
+    z_padded = np.pad(z, r, mode="reflect")[top : bottom + 2 * r]
+    # Patch sums run over the squared difference reflect-padded by r.
+    # Each offset differences whole slices of the two padded slabs, so
+    # every pass streams contiguous rows; the border rows and columns,
+    # which hold the difference of unrelated pixels, are then overwritten
+    # with the rows and columns they reflect.  Reflection is an index map,
+    # so this matches np.pad even for images smaller than the patch.  The
+    # slab holds every border row's source: all rows of the image, or a
+    # split call's half, whose source rows lie within 2r rows of it.
+    padded_rows = np.pad(np.arange(height), r, mode="reflect")
+    cols = np.pad(np.arange(width), r, mode="reflect")
+    border_rows = np.r_[:r, r + height : height + 2 * r]
+    border_rows = border_rows[(border_rows >= top) & (border_rows < bottom + 2 * r)]
+    border_cols = np.r_[:r, r + width : width + 2 * r]
+    row_sources = r + padded_rows[border_rows] - top
+    border_rows -= top
+    col_sources = r + cols[border_cols]
+    square = np.empty_like(z_padded)
+    vertical = np.empty((rows, width + 2 * r))
+    w = np.empty((rows, width))
+    numerator = out[top:bottom]
+    numerator.fill(0.0)
+    weight_sum = np.zeros_like(numerator)
+    for di in range(_NLM_SEARCH):
+        for dj in range(_NLM_SEARCH):
+            np.subtract(z_padded, padded[di : di + rows + 2 * r, dj : dj + width + 2 * r], out=square)
+            square[border_rows] = square[row_sources]
+            square[:, border_cols] = square[:, col_sources]
+            np.square(square, out=square)
+            np.copyto(vertical, square[:rows])
+            for k in range(1, p):
+                vertical += square[k : k + rows]
+            np.copyto(w, vertical[:, :width])
+            for k in range(1, p):
+                w += vertical[:, k : k + width]
+            w -= noise_floor
+            np.maximum(w, 0.0, out=w)
+            w *= scale
+            np.exp(w, out=w)
+            weight_sum += w
+            w *= padded[di + r : di + r + rows, dj + r : dj + r + width]
+            numerator += w
+    numerator /= weight_sum
+
+
+# ---------------------------------------------------------------------------
+# The helper process
+# ---------------------------------------------------------------------------
+
+
+def _may_split() -> bool:
+    """Whether a denoiser call may share its work with the helper process:
+    the platform can fork, and the process has 2 CPUs to itself."""
+    return _free_cpus() >= 2 and hasattr(os, "fork")
+
+
+def _free_cpus() -> int:
+    """The CPUs this process may run on; 1 while it runs another thread, or
+    where the platform cannot tell.
+
+    Another thread could call a denoiser at the same time as this one.  And
+    a multithreaded BLAS such as OpenBLAS starts its worker threads when it
+    loads, so an unpinned process counts more than one thread even though
+    the solvers' norms (``grid.sum_of_squares``) call no BLAS: the test is
+    whether other threads exist, not whether they run.  Workers that a
+    threaded BLAS call wakes spin on CPUs of their own for a while after it,
+    and a helper sharing their CPU ran slower than no helper.  Pin the BLAS
+    to one thread, as with ``OPENBLAS_NUM_THREADS=1``, to use the helper.
+    """
+    try:
+        return 1 if len(os.listdir("/proc/self/task")) > 1 else len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return 1
+
+
+def _split_with_helper(z, out, starts, own, job, *args) -> None:
+    """Work a denoiser call's units, whose first output rows are ``starts``,
+    in this process and the helper process at once.
+
+    The helper runs ``job(image, grid, unit, *args)``, a module-level
+    function, on units from the bottom up into its own output grid; this
+    process runs ``own(unit)`` on them from the top down; each claims the
+    next unit until they meet.  The helper's rows are then copied into
+    ``out``.  The helper is forked on the first call and serves every later
+    one in the process, of any denoiser kind; it is forked again only for a
+    larger image.  A run then uses two processes.  The helper's memory is
+    its own, in the process's ``RUSAGE_CHILDREN`` once it has exited (it
+    exits with the process), not in its ``RUSAGE_SELF``; only the mapping
+    that carries the pixels both ways is in both.
+    """
+    global _helper
+    if _helper is None or _helper.owner != os.getpid() or _helper.pixels < z.size:
+        # a helper forked by another process is that process's to stop
+        if _helper is not None and _helper.owner == os.getpid():
+            _helper.stop()
+        _helper = _Helper(z.size)
+    helper = _helper
+    image, helper_out = helper.grids(z.shape)
+    try:
+        image[...] = z
+        helper.claims[:] = (0, len(starts))
+        helper.connection.send((job, z.shape, args))
+        while (unit := helper.claim(from_top=True)) is not None:
+            own(unit)
+        helper.connection.recv()
+    except BaseException as exc:
+        # the helper may have died, or may still owe this reply: never
+        # reuse it, so no later call reads a stale reply
+        _helper = None
+        helper.stop()
+        if isinstance(exc, (EOFError, OSError)):
+            raise RuntimeError(f"the denoiser helper process {helper.process.pid} has died") from exc
+        raise
+    met = helper.claims[0]
+    if met < len(starts):
+        out[starts[met] :] = helper_out[starts[met] :]
+
+
+class _Helper:
+    """A forked process that runs denoiser jobs on request.
 
     The pixels pass through two grids of up to ``pixels`` float64 values in
     a memory mapping the two processes share, an image and an output grid,
-    with the next block each side may claim, and each request and its reply
+    with the next unit each side may claim, and each request and its reply
     through a pipe.  The helper closes its copy of this process's end of the
     pipe, so this process's death reaches it as end of file, and it exits.
     It is a daemon: multiprocessing stops and reaps it when this process
@@ -336,7 +482,7 @@ class _BlockHelper:
     """
 
     def __init__(self, pixels: int) -> None:
-        # imported here: only a call that splits its blocks pays for it
+        # imported here: only a call that splits its work pays for it
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
@@ -344,12 +490,12 @@ class _BlockHelper:
         self.pixels = pixels
         shared = mmap.mmap(-1, 2 * pixels * 8 + 16)
         self.grid_values = np.frombuffer(shared, count=2 * pixels).reshape(2, pixels)
-        # the first block the top side may claim, and one past the last the bottom side may
+        # the first unit the top side may claim, and one past the last the bottom side may
         self.claims = np.frombuffer(shared, dtype=np.int64, count=2, offset=2 * pixels * 8)
         self.lock = context.Lock()
         self.connection, helper_end = context.Pipe()
         self.process = context.Process(
-            target=_serve_blocks, args=(self, helper_end), name="idbp-dct-helper", daemon=True
+            target=_serve, args=(self, helper_end), name="idbp-denoiser-helper", daemon=True
         )
         self.process.start()
         helper_end.close()
@@ -360,7 +506,7 @@ class _BlockHelper:
         return self.grid_values[0, :size].reshape(shape), self.grid_values[1, :size].reshape(shape)
 
     def claim(self, from_top: bool) -> int | None:
-        """The next unclaimed block from the top or the bottom, if any."""
+        """The next unclaimed unit from the top or the bottom, if any."""
         with self.lock:
             first, end = self.claims
             if first == end:
@@ -378,98 +524,26 @@ class _BlockHelper:
         self.process.join()
 
 
-# The process's one DCT helper, forked on the first call that splits its blocks
-_helper: _BlockHelper | None = None
+# The process's one helper, forked on the first call that splits its work
+_helper: _Helper | None = None
 
 
-def _serve_blocks(helper: _BlockHelper, connection) -> None:
-    """The helper's loop: claim blocks of each shared image from the bottom
-    up and add them from zeros into the shared output grid, reply when no
-    block is left, and end at end of file."""
+def _serve(helper: _Helper, connection) -> None:
+    """The helper's loop: for each request, claim units of the shared image
+    from the bottom up and run the request's job on each into the shared
+    output grid, reply when no unit is left, and end at end of file."""
     helper.connection.close()
     # an interrupt from the terminal reaches the parent too, which stops the helper
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         while True:
-            sigma, tops, strip_rows, block_rows, shape = connection.recv()
+            job, shape, args = connection.recv()
             image, out = helper.grids(shape)
-            while (block := helper.claim(from_top=False)) is not None:
-                out[tops[block] : tops[block + 1] if block + 1 < len(tops) else shape[0]] = 0.0
-                _add_blocks(image, out, [tops[block]], sigma, strip_rows, block_rows)
+            while (unit := helper.claim(from_top=False)) is not None:
+                job(image, out, unit, *args)
             connection.send(None)
     except (EOFError, BrokenPipeError, ConnectionResetError):
         return
-
-
-# NlmDenoiser's patch side, search window side, and bandwidth per unit of sigma
-_NLM_PATCH = 7
-_NLM_SEARCH = 21
-_NLM_H_FACTOR = 0.6
-
-
-class NlmDenoiser:
-    """Non-local means: 7x7 patches compared over a 21x21 search window.
-
-    Weights follow exp(-max(d2 - 2 sigma^2, 0) / h^2) with bandwidth
-    h = 0.6 sigma, where d2 is the mean squared difference of reflect-padded
-    patches.  Each search offset costs a separable box sum, linear in the
-    patch size, and the number of offsets is quadratic in the search radius.
-    """
-
-    kind = "nlm"
-
-    def __call__(self, z, sigma: float) -> np.ndarray:
-        z = as_grid(z)
-        if sigma == 0:
-            return z.copy()
-        p = _NLM_PATCH
-        r = p // 2
-        height, width = z.shape
-        # patch sums stand in for patch means: the floor and the bandwidth
-        # are scaled by the patch area instead
-        area = float(p * p)
-        noise_floor = 2.0 * sigma * sigma * area
-        scale = -1.0 / ((_NLM_H_FACTOR * sigma) ** 2 * area)
-        padded = np.pad(z, _NLM_SEARCH // 2 + r, mode="reflect")
-        z_padded = np.pad(z, r, mode="reflect")
-        # Patch sums run over the squared difference reflect-padded by r.
-        # Each offset differences whole slices of the two padded images, so
-        # every pass streams contiguous rows; the 2r border rows and columns,
-        # which hold the difference of unrelated pixels, are then overwritten
-        # with the rows and columns they reflect.  Reflection is an index
-        # map, so this matches np.pad even for images smaller than the patch.
-        rows = np.pad(np.arange(height), r, mode="reflect")
-        cols = np.pad(np.arange(width), r, mode="reflect")
-        border_rows = np.r_[:r, r + height : height + 2 * r]
-        border_cols = np.r_[:r, r + width : width + 2 * r]
-        row_sources = r + rows[border_rows]
-        col_sources = r + cols[border_cols]
-        square = np.empty_like(z_padded)
-        vertical = np.empty((height, width + 2 * r))
-        w = np.empty_like(z)
-        numerator = np.zeros_like(z)
-        weight_sum = np.zeros_like(z)
-        for di in range(_NLM_SEARCH):
-            for dj in range(_NLM_SEARCH):
-                np.subtract(z_padded, padded[di : di + height + 2 * r, dj : dj + width + 2 * r], out=square)
-                square[border_rows] = square[row_sources]
-                square[:, border_cols] = square[:, col_sources]
-                np.square(square, out=square)
-                np.copyto(vertical, square[:height])
-                for k in range(1, p):
-                    vertical += square[k : k + height]
-                np.copyto(w, vertical[:, :width])
-                for k in range(1, p):
-                    w += vertical[:, k : k + width]
-                w -= noise_floor
-                np.maximum(w, 0.0, out=w)
-                w *= scale
-                np.exp(w, out=w)
-                weight_sum += w
-                w *= padded[di + r : di + r + height, dj + r : dj + r + width]
-                numerator += w
-        numerator /= weight_sum
-        return numerator
 
 
 # ---------------------------------------------------------------------------

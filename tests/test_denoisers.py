@@ -285,7 +285,7 @@ def test_dct_allocates_no_four_dimensional_patch_tensor(monkeypatch):
     assert peak < patch_tensor_bytes
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the DCT helper is forked")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
 
 
 @needs_fork
@@ -303,8 +303,8 @@ def test_dct_split_with_the_helper_matches_the_in_process_pass_bytes(shape, sigm
 
 @pytest.fixture
 def fresh_helper():
-    """No DCT helper before the test, so the test forks its own with what
-    it patched, and none left after it."""
+    """No helper before the test, so the test forks its own with what it
+    patched, and none left after it."""
 
     def stop():
         if denoisers._helper is not None:
@@ -367,17 +367,20 @@ def _running(pid):
     return stat.rpartition(")")[2].split()[0] != "Z"
 
 
-# one 256^2 DCT call with the helper engaged, then the helper's pid; at
-# exit, after the handlers the call registers, whether the helper remains
+# one 256^2 call of a denoiser kind with the helper engaged, then the
+# helper's pid; at exit, after the handlers the call registers, whether the
+# helper remains
 _HELPER_PROBE = """
 import atexit, os, time
 from idbp import denoisers
 from idbp.rng import RngState
-atexit.register(lambda: print(os.path.exists(f"/proc/{denoisers._helper.process.pid}"), flush=True))
+atexit.register(lambda: print(os.path.exists(f"/proc/{{denoisers._helper.process.pid}}"), flush=True))
 denoisers._free_cpus = lambda: 2
-denoisers.DctDenoiser()(RngState(29).gaussians(256 * 256).reshape(256, 256) * 40.0 + 128.0, 10.0)
+denoisers.build_denoiser({kind!r})(RngState(29).gaussians(256 * 256).reshape(256, 256) * 40.0 + 128.0, 10.0)
 print(denoisers._helper.process.pid, flush=True)
 """
+# the denoiser kinds that split their calls with the helper
+_SPLITTING = ["dct_threshold", "nlm"]
 needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
 
 
@@ -389,8 +392,9 @@ def _python(code, **kwargs):
 
 @needs_fork
 @needs_proc
-def test_dct_helper_ends_with_its_process():
-    argv, kwargs = _python(_HELPER_PROBE, capture_output=True, text=True, timeout=60)
+@pytest.mark.parametrize("kind", _SPLITTING)
+def test_helper_ends_with_its_process(kind):
+    argv, kwargs = _python(_HELPER_PROBE.format(kind=kind), capture_output=True, text=True, timeout=60)
     proc = subprocess.run(argv, check=True, **kwargs)
     helper, remains_at_exit = proc.stdout.split()
     assert remains_at_exit == "False"
@@ -399,8 +403,9 @@ def test_dct_helper_ends_with_its_process():
 
 @needs_fork
 @needs_proc
-def test_dct_helper_exits_when_its_process_is_killed():
-    argv, kwargs = _python(_HELPER_PROBE + "time.sleep(60)\n", stdout=subprocess.PIPE, text=True)
+@pytest.mark.parametrize("kind", _SPLITTING)
+def test_helper_exits_when_its_process_is_killed(kind):
+    argv, kwargs = _python(_HELPER_PROBE.format(kind=kind) + "time.sleep(60)\n", stdout=subprocess.PIPE, text=True)
     with subprocess.Popen(argv, **kwargs) as proc:
         try:
             helper = int(proc.stdout.readline())
@@ -418,40 +423,75 @@ def test_dct_helper_exits_when_its_process_is_killed():
 
 
 @needs_fork
-def test_dct_call_after_the_helper_dies_raises_and_the_next_forks_anew(monkeypatch):
+@pytest.mark.parametrize("kind", _SPLITTING)
+def test_call_after_the_helper_dies_raises_and_the_next_forks_anew(kind, monkeypatch):
     monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
+    denoiser = build_denoiser(kind)
     z = _random_grid(30, 64, 64)
-    expected = DctDenoiser()(z, 10.0)
+    expected = denoiser(z, 10.0)
     os.kill(denoisers._helper.process.pid, signal.SIGKILL)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="helper process"):
-        DctDenoiser()(z, 10.0)
+        denoiser(z, 10.0)
     assert time.monotonic() - start < 5.0
-    assert DctDenoiser()(z, 10.0).tobytes() == expected.tobytes()
+    assert denoiser(z, 10.0).tobytes() == expected.tobytes()
 
 
 class _Interrupted(Exception):
     pass
 
 
+# the function that works this process's share of a split call
+_ROWS_OF = {"dct_threshold": "_add_blocks", "nlm": "_nlm_rows"}
+
+
 @needs_fork
-def test_dct_call_after_an_aborted_exchange_reads_no_stale_reply(monkeypatch):
-    # the helper answers the aborted request; the next call must not take that answer
+@pytest.mark.parametrize("kind", _SPLITTING)
+def test_call_after_an_aborted_exchange_reads_no_stale_reply(kind, fresh_helper, monkeypatch):
+    # The helper, slowed down, answers the aborted request while this process
+    # works the next call alone; a helper kept after the abort would owe one
+    # reply more than the calls it serves, and the call after would take that
+    # reply before the helper had added its rows.
     monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
-    first, second = _random_grid(31, 64, 64), _random_grid(32, 64, 64)
-    DctDenoiser()(first, 10.0)
-    add_blocks = denoisers._add_blocks
+    process, rows = os.getpid(), getattr(denoisers, _ROWS_OF[kind])
+    aborted = False
 
-    def interrupted(*args):
-        raise _Interrupted
+    def slow_helper(*args):
+        if os.getpid() != process:
+            time.sleep(0.2)
+        elif aborted:
+            raise _Interrupted
+        return rows(*args)
 
-    monkeypatch.setattr(denoisers, "_add_blocks", interrupted)
+    monkeypatch.setattr(denoisers, _ROWS_OF[kind], slow_helper)
+    denoiser = build_denoiser(kind)
+    first, later = _random_grid(31, 64, 64), [_random_grid(32 + i, 64, 64) for i in range(2)]
+    denoiser(first, 10.0)
+    aborted = True
     with pytest.raises(_Interrupted):
-        DctDenoiser()(first, 10.0)
-    monkeypatch.setattr(denoisers, "_add_blocks", add_blocks)
-    out = DctDenoiser()(second, 10.0)
+        denoiser(first, 10.0)
+    aborted = False
+    outputs = [denoiser(z, 10.0) for z in later]
+    monkeypatch.setattr(denoisers, _ROWS_OF[kind], rows)
     monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
-    assert out.tobytes() == DctDenoiser()(second, 10.0).tobytes()
+    for z, out in zip(later, outputs):
+        assert out.tobytes() == denoiser(z, 10.0).tobytes()
+
+
+@needs_fork
+def test_dct_and_nlm_calls_share_one_helper(fresh_helper, monkeypatch):
+    # the larger image first, so that no later call needs a larger helper
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
+    calls = [(kind, _random_grid(38 + i, 64 - 8 * i, 48)) for i, kind in enumerate(_SPLITTING * 3)]
+    outputs = []
+    pids = set()
+    for kind, z in calls:
+        outputs.append(build_denoiser(kind)(z, 10.0))
+        pids.add(denoisers._helper.process.pid)
+    assert len(pids) == 1
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    for (kind, z), out in zip(calls, outputs):
+        assert out.tobytes() == build_denoiser(kind)(z, 10.0).tobytes(), kind
 
 
 def test_dct_rejects_images_smaller_than_patch():
@@ -497,13 +537,15 @@ def _nlm_input(kind, shape):
 # Against the 7x7 patches and the 21x21 search window, the shapes below
 # 21 on a side fall inside the search window, and those below 7 inside the
 # patch too.
-@pytest.mark.parametrize(
-    "shape", [(48, 48), (37, 53), (1, 20), (20, 1), (2, 2), (1, 1), (5, 5), (11, 11)]
-)
-@pytest.mark.parametrize(
-    "kind", [pytest.param("noise", id="7-21"), pytest.param("flat", id="3-5"), pytest.param("edge", id="5-7")]
-)
-@pytest.mark.parametrize("sigma", [2.0, 10.0, 50.0])
+_NLM_TINY_SHAPES = [(1, 20), (20, 1), (2, 2), (1, 1), (5, 5), (11, 11)]
+_NLM_SHAPES = [(48, 48), (37, 53)] + _NLM_TINY_SHAPES
+_NLM_KINDS = [pytest.param("noise", id="7-21"), pytest.param("flat", id="3-5"), pytest.param("edge", id="5-7")]
+_NLM_SIGMAS = [2.0, 10.0, 50.0]
+
+
+@pytest.mark.parametrize("shape", _NLM_SHAPES)
+@pytest.mark.parametrize("kind", _NLM_KINDS)
+@pytest.mark.parametrize("sigma", _NLM_SIGMAS)
 def test_nlm_matches_reference(shape, kind, sigma):
     # float operations are reordered, so agreement is bounded, not bit-exact
     z = add_gaussian_noise(_nlm_input(kind, shape), sigma, RngState(25))
@@ -512,8 +554,10 @@ def test_nlm_matches_reference(shape, kind, sigma):
     assert np.max(np.abs(out - ref)) <= 1e-9
 
 
-def test_nlm_allocates_no_batch_of_offsets():
-    # one float64 image per search row of offsets: what batching offsets would hold
+def test_nlm_allocates_no_batch_of_offsets(monkeypatch):
+    # one float64 image per search row of offsets: what batching offsets
+    # would hold; in-process, so that tracemalloc sees the whole call
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
     z = _random_grid(26, 128, 128)
     denoiser = NlmDenoiser()
     offset_batch_bytes = 21 * 128 * 128 * z.itemsize
@@ -524,6 +568,31 @@ def test_nlm_allocates_no_batch_of_offsets():
     finally:
         tracemalloc.stop()
     assert peak < offset_batch_bytes
+
+
+@needs_fork
+@pytest.mark.parametrize("shape", _NLM_SHAPES + [(128, 128), (256, 256)])
+@pytest.mark.parametrize("kind", _NLM_KINDS)
+@pytest.mark.parametrize("sigma", _NLM_SIGMAS)
+def test_nlm_split_with_the_helper_matches_the_in_process_pass_bytes(shape, kind, sigma, monkeypatch):
+    z = add_gaussian_noise(_nlm_input(kind, shape), sigma, RngState(25))
+    tiny = shape in _NLM_TINY_SHAPES
+    split_with_helper, splits = denoisers._split_with_helper, []
+
+    def counted(*args):
+        splits.append(args[0].shape)
+        split_with_helper(*args)
+
+    monkeypatch.setattr(denoisers, "_split_with_helper", counted)
+    if tiny:
+        monkeypatch.setattr(denoisers, "_helper", None)
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
+    split = NlmDenoiser()(z, sigma)
+    assert splits == ([] if tiny else [shape])
+    if tiny:
+        assert denoisers._helper is None
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    assert split.tobytes() == NlmDenoiser()(z, sigma).tobytes()
 
 
 def test_nlm_averages_repeating_texture():
