@@ -4,7 +4,10 @@ A run treats each corpus image as ground truth, synthesizes the degradation
 from a per-image seed (master seed + corpus index), restores it with the
 requested solver, and reports PSNR of the degraded input, PSNR of the
 restoration, their difference (ISNR), and for deblurring the BSNR of the
-blurred input.  Synthesis returns the plain operator H, and the solver
+blurred input.  ``run_single`` composes one such restoration from two
+public steps: ``synthesize`` (the one branch on the task) returns the
+``Problem``, and ``restore`` (the one solver dispatch) solves it with the
+spec's config.  Synthesis returns the plain operator H, and the solver
 passes its own regularisation weight to it.  All CSV output uses fixed
 6-decimal formatting with LF line endings and parses back losslessly at
 that precision; summary fields holding a comma, quote or line break are
@@ -14,6 +17,7 @@ quoted.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -123,8 +127,8 @@ class ExperimentSpec:
             raise ValueError("external denoiser requires a command")
         if self.denoiser != "external" and self.external_cmd is not None:
             raise ValueError(f"the {self.denoiser} denoiser does not read external_cmd; leave it unset")
-        if self.sigma_n is not None and self.sigma_n < 0:
-            raise ValueError("sigma_n must be nonnegative")
+        if self.sigma_n is not None and not 0.0 <= self.sigma_n < math.inf:
+            raise ValueError("sigma_n must be finite and nonnegative")
         if self.task == "deblur":
             if self.scenario not in SCENARIO_NOISE_VARIANCE:
                 raise ValueError("deblur requires scenario in 1..4")
@@ -222,10 +226,12 @@ def synthesize_deblurring(
     Returns (operator, observations, clean blurred image, sigma_n actually
     used); a None sigma_n triggers the scenario-table default, which for
     scenario 3 calibrates the noise so the BSNR is 40 dB for this
-    particular image.  ``epsilon`` is unused: the solver passes its own
-    regularisation weight to the operator.  The parameter stays because
-    the benchmark harness in ``perfbench/workloads.py`` passes it by
-    position.
+    particular image.  ``synthesize`` calls this for a deblurring spec.
+    ``epsilon`` is unused: the solver passes its own regularisation weight
+    to the operator.  The parameter stays only because the benchmark
+    harness in ``perfbench/workloads.py`` passes it by position; it goes
+    when that harness builds its problems with ``synthesize`` and solves
+    them with ``restore``.
     """
     blur = BlurOperator(generate_scenario_kernel(scenario), x.shape)
     blurred = blur.forward(x)
@@ -234,6 +240,53 @@ def synthesize_deblurring(
         sigma_n = sigma_for_bsnr(blurred, 40.0) if variance is None else float(np.sqrt(variance))
     y = add_gaussian_noise(blurred, sigma_n, rng)
     return blur, y, blurred, sigma_n
+
+
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """One synthesized degradation: what a solver call takes besides the
+    config and the denoiser, plus what the report reads.
+
+    ``baseline`` is the ISNR reference, the solver input: the median-filled
+    observations for inpainting, the noisy blurred image for deblurring.
+    ``bsnr_db`` is NaN for inpainting and +inf for noiseless deblurring.
+    """
+
+    operator: InpaintingOperator | BlurOperator
+    y: np.ndarray
+    sigma_n: float
+    init: np.ndarray
+    baseline: np.ndarray
+    bsnr_db: float
+
+
+def synthesize(spec: ExperimentSpec, image, rng: RngState) -> Problem:
+    """The degradation of one ground-truth image, drawn from ``rng``, and the
+    solver's starting image: the median fill for inpainting, a copy of the
+    observations for deblurring."""
+    x = as_grid(image)
+    if spec.task == "inpaint":
+        sigma_n = spec.sigma_n or 0.0
+        operator, y = synthesize_inpainting(x, spec.mask_fraction, sigma_n, rng)
+        init = median_initialize(operator, y)
+        return Problem(operator, y, sigma_n, init, baseline=init, bsnr_db=float("nan"))
+    operator, y, blurred, sigma_n = synthesize_deblurring(x, spec.scenario, spec.sigma_n, rng)
+    bsnr_db = bsnr(blurred, sigma_n) if sigma_n > 0 else float("inf")
+    return Problem(operator, y, sigma_n, y.copy(), baseline=y, bsnr_db=bsnr_db)
+
+
+def restore(
+    spec: ExperimentSpec, problem: Problem, denoiser, ground_truth=None, observer=None
+) -> tuple[np.ndarray, IterationTrace]:
+    """Solve a synthesized problem with the spec's solver and ``spec.config``.
+
+    The solver is looked up in this module when called, and ``observer``
+    (called once per iteration) is handed on only when given.
+    """
+    solve = {"idbp": idbp_run, "idbp_auto": idbp_auto_tuned, "pnp": pnp_run}[spec.solver]
+    watch = {} if observer is None else {"observer": observer}
+    return solve(problem.operator, problem.y, problem.sigma_n, denoiser, spec.config, problem.init,
+                 ground_truth=ground_truth, **watch)
 
 
 @dataclass
@@ -250,32 +303,12 @@ class SingleRunResult:
 
 
 def run_single(spec: ExperimentSpec, image, rng: RngState) -> SingleRunResult:
-    """Synthesize the degradation for one ground-truth image and restore it.
-
-    The ISNR baseline is the solver input: the noisy blurred image for
-    deblurring, the median-filled observations for inpainting.  Noiseless
-    deblurring has no noise power, so its BSNR is +inf.
-    """
+    """``synthesize`` the degradation of one ground-truth image, ``restore``
+    it with the spec's denoiser, and measure PSNR against the image."""
     x = as_grid(image)
-    denoiser = spec.build_denoiser()
-    config = spec.config
-
-    if spec.task == "inpaint":
-        sigma_n = spec.sigma_n or 0.0
-        operator, y = synthesize_inpainting(x, spec.mask_fraction, sigma_n, rng)
-        init = median_initialize(operator, y)
-        baseline = init
-        bsnr_db = float("nan")
-    else:
-        operator, y, blurred, sigma_n = synthesize_deblurring(x, spec.scenario, spec.sigma_n, rng)
-        init = y.copy()
-        baseline = y
-        bsnr_db = bsnr(blurred, sigma_n) if sigma_n > 0 else float("inf")
-
-    solve = {"idbp": idbp_run, "idbp_auto": idbp_auto_tuned, "pnp": pnp_run}[spec.solver]
-    estimate, trace = solve(operator, y, sigma_n, denoiser, config, init, ground_truth=x)
-
-    psnr_in = psnr(x, baseline)
+    problem = synthesize(spec, x, rng)
+    estimate, trace = restore(spec, problem, spec.build_denoiser(), ground_truth=x)
+    psnr_in = psnr(x, problem.baseline)
     psnr_out = psnr(x, estimate)
     return SingleRunResult(
         estimate=estimate,
@@ -283,7 +316,7 @@ def run_single(spec: ExperimentSpec, image, rng: RngState) -> SingleRunResult:
         psnr_in_db=psnr_in,
         psnr_out_db=psnr_out,
         isnr_db=psnr_out - psnr_in,
-        bsnr_db=bsnr_db,
+        bsnr_db=problem.bsnr_db,
     )
 
 

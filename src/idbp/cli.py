@@ -12,6 +12,7 @@ with precedence builtin defaults < ./idbp.cfg < command-line flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from pathlib import Path
 from . import verify as verify_mod
 from .bench import (
     DENOISERS,
+    SOLVERS,
     ExperimentSpec,
     RunReport,
     emit_trace_csv,
@@ -71,7 +73,7 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.Action]]:
 
     option("--input", help="input PGM (ground truth) or corpus directory for bench")
     option("--output", help="output path: restored PGM, or CSV directory for bench")
-    option("--mask-frac", type=float, dest="mask_frac", help="fraction of missing pixels")
+    option("--mask-frac", type=float, dest="mask_fraction", help="fraction of missing pixels")
     option("--seed", type=int, help="master seed for masks and noise")
     option("--sigma-n", type=float, dest="sigma_n", help="noise standard deviation")
     option("--delta", type=float, help="denoiser noise-level inflation")
@@ -81,7 +83,7 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.Action]]:
     option("--tau", type=float, help="feasibility margin threshold for auto-tuning")
     option("--eps-increment", type=float, dest="eps_increment",
            help="epsilon grid step for auto-tuning")
-    option("--iters", type=int, help="iteration count")
+    option("--iters", type=int, dest="iterations", help="iteration count")
     option("--denoiser", help="|".join(DENOISERS))
     option("--external-cmd", dest="external_cmd",
            help="command line for the external denoiser bridge")
@@ -95,7 +97,7 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.Action]]:
     sub.add_parser("deblur", parents=[common], help="restore a blurred noisy image")
     sub.add_parser("pnp", parents=[common], help="restore with the ADMM solver")
     bench = sub.add_parser("bench", parents=[common], help="run a corpus benchmark")
-    bench.add_argument("solver", nargs="?", choices=("idbp", "idbp_auto", "pnp"),
+    bench.add_argument("solver", nargs="?", choices=SOLVERS,
                        help="solver for the batch (default idbp)")
     sub.add_parser("verify", help="run the numerical verification battery")
     keys = {flag[2:].replace("-", "_"): action for action in options for flag in action.option_strings}
@@ -141,24 +143,17 @@ class _Settings:
         return self.file_values.get(dest, builtin)
 
 
-# ExperimentSpec field -> the dest of the flag that sets it
-_SPEC_SETTINGS = {
-    "denoiser": "denoiser", "external_cmd": "external_cmd", "seed": "seed", "mask_fraction": "mask_frac",
-    "sigma_n": "sigma_n", "scenario": "scenario", "delta": "delta", "epsilon": "epsilon",
-    "iterations": "iters", "tau": "tau", "eps_increment": "eps_increment", "beta": "beta", "lam": "lam",
-}
-
-
 def _spec_from_settings(settings: _Settings, task: str, solver: str | None) -> ExperimentSpec:
     """The spec of what a flag or ./idbp.cfg sets; the spec's defaults cover the rest.
 
+    A spec field is read by its name, the dest of the flag that sets it.
     ``auto_tune`` turns idbp (or no solver) into idbp_auto, and is an error with pnp.
     """
     if settings.get("auto_tune", False):
         if solver == "pnp":
             raise ValueError("--auto-tune selects the idbp_auto solver; it does not apply to pnp")
         solver = "idbp_auto"
-    fields = {name: settings.get(dest) for name, dest in _SPEC_SETTINGS.items()}
+    fields = {field.name: settings.get(field.name) for field in dataclasses.fields(ExperimentSpec) if field.init}
     if fields["denoiser"] == "external" and not fields["external_cmd"]:
         fields["external_cmd"] = os.environ.get("IDBP_EXTERNAL_DENOISER")
         if not fields["external_cmd"]:

@@ -62,18 +62,18 @@ class IdbpConfig:
     epsilon_increment: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError("delta must be finite and nonnegative")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
         if self.output_mode not in OUTPUT_MODES:
             raise ValueError(f"output_mode must be one of {OUTPUT_MODES}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.condition_margin_tau <= 1:
-            raise ValueError("condition_margin_tau must exceed 1")
-        if self.epsilon_increment <= 0:
-            raise ValueError("epsilon_increment must be positive")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and nonnegative")
+        if not 1.0 < self.condition_margin_tau < math.inf:
+            raise ValueError("condition_margin_tau must be finite and exceed 1")
+        if not 0.0 < self.epsilon_increment < math.inf:
+            raise ValueError("epsilon_increment must be finite and positive")
 
 
 # Largest step index r of the auto-tuned weight epsilon_0 + r * increment.
@@ -96,10 +96,10 @@ class PnpConfig:
     iterations: int
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("lam must be finite and positive")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
 

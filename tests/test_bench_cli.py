@@ -14,8 +14,10 @@ from idbp.bench import (
     emit_trace_csv,
     parse_summary_csv,
     parse_trace_csv,
+    restore,
     run_benchmark,
     run_single,
+    synthesize,
     write_summary_csv,
 )
 from idbp.cli import cli_main, load_config_file
@@ -24,6 +26,9 @@ from idbp.pgm import load_pgm, save_pgm
 from idbp.rng import RngState
 from idbp.scenes import synthetic_scene
 from idbp.solvers import IterationTrace, PnpConfig, TraceRecord
+
+
+NAN, INF = float("nan"), float("inf")
 
 
 def _tiny_corpus(n=3, size=48):
@@ -188,6 +193,21 @@ def test_experiment_spec_validation():
     (dict(task="deblur", solver="pnp", scenario=4, mask_fraction=0.0), "deblurring does not read mask_fraction"),
     # nor is a command for a denoiser that runs none
     (dict(task="inpaint", denoiser="median", external_cmd="foo"), "the median denoiser does not read external_cmd"),
+    # NaN passes every `x < 0` and `x <= 0` test, and no setting may be infinite
+    (dict(task="inpaint", sigma_n=NAN), "sigma_n must be finite"),
+    (dict(task="deblur", scenario=1, sigma_n=INF), "sigma_n must be finite"),
+    (dict(task="inpaint", sigma_n=10.0, delta=NAN), "delta must be finite"),
+    (dict(task="deblur", scenario=2, delta=INF), "delta must be finite"),
+    (dict(task="deblur", scenario=1, epsilon=NAN), "epsilon must be finite"),
+    (dict(task="deblur", scenario=1, epsilon=INF), "epsilon must be finite"),
+    (dict(task="deblur", solver="idbp_auto", scenario=1, tau=NAN), "condition_margin_tau must be finite"),
+    (dict(task="deblur", solver="idbp_auto", scenario=1, tau=INF), "condition_margin_tau must be finite"),
+    (dict(task="deblur", solver="idbp_auto", scenario=1, eps_increment=NAN), "epsilon_increment must be finite"),
+    (dict(task="deblur", solver="idbp_auto", scenario=1, eps_increment=INF), "epsilon_increment must be finite"),
+    (dict(task="deblur", solver="pnp", scenario=1, beta=NAN), "beta must be finite"),
+    (dict(task="inpaint", solver="pnp", beta=INF), "beta must be finite"),
+    (dict(task="deblur", solver="pnp", scenario=1, lam=INF), "lam must be finite"),
+    (dict(task="inpaint", solver="pnp", lam=NAN), "lam must be finite"),
 ])
 def test_experiment_spec_rejects_unusable_settings_when_built(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -228,6 +248,36 @@ def test_run_single_hands_the_spec_config_to_the_solver(monkeypatch):
     spec = ExperimentSpec(task="inpaint", solver="pnp", denoiser="median", iterations=2)
     run_single(spec, _tiny_corpus(1)[0][1], RngState(0))
     assert seen == [(spec.config, 0.0)] and seen[0][0] is spec.config
+
+
+# one restoration of each solver and task; the inpainting pair covers noisy and noiseless
+_COMPOSED = [
+    ExperimentSpec(task="inpaint", sigma_n=10.0, iterations=4, seed=3),
+    ExperimentSpec(task="inpaint", mask_fraction=0.6, iterations=4, seed=4),
+    ExperimentSpec(task="inpaint", solver="pnp", denoiser="median", sigma_n=5.0, iterations=4, seed=5),
+    ExperimentSpec(task="deblur", scenario=2, denoiser="median", iterations=4, seed=6),
+    ExperimentSpec(task="deblur", solver="idbp_auto", scenario=1, denoiser="gaussian", iterations=4, seed=7),
+    ExperimentSpec(task="deblur", solver="pnp", scenario=3, denoiser="gaussian", iterations=4, seed=8),
+]
+
+
+@pytest.mark.parametrize("spec", _COMPOSED, ids=lambda s: f"{s.task}-{s.solver}-{s.sigma_n}")
+def test_synthesize_then_restore_is_run_single(spec):
+    image = synthetic_scene(64, 48)
+    expected_rng, rng = RngState(spec.seed), RngState(spec.seed)
+    expected = run_single(spec, image, expected_rng)
+    estimate, trace = restore(spec, synthesize(spec, image, rng), spec.build_denoiser(), ground_truth=image)
+    assert estimate.tobytes() == expected.estimate.tobytes()
+    assert repr(trace.records) == repr(expected.trace.records)
+    assert rng.counter == expected_rng.counter > 0
+
+
+@pytest.mark.parametrize("spec", _COMPOSED[2:5], ids=lambda s: s.solver)
+def test_restore_calls_the_observer_once_per_trace_record(spec):
+    calls = []
+    problem = synthesize(spec, synthetic_scene(48, 48), RngState(spec.seed))
+    _, trace = restore(spec, problem, spec.build_denoiser(), observer=lambda k, *arrays: calls.append(k))
+    assert calls == [record.iteration for record in trace.records]
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +523,21 @@ def test_cli_runtime_errors(tmp_path):
     ["deblur", "--scenario", "1", "--mask-frac", "0.5"],
 ], ids=["inpaint-scenario", "deblur-mask-frac"])
 def test_cli_rejects_a_setting_of_the_other_task(argv, scene_pgm, tmp_path, capsys):
+    out, trace, report = tmp_path / "restored.pgm", tmp_path / "trace.csv", tmp_path / "report.csv"
+    code = cli_main([*argv, "--input", str(scene_pgm), "--iters", "2",
+                     "--output", str(out), "--trace", str(trace), "--report", str(report)])
+    assert code == 2
+    assert "ValueError" in capsys.readouterr().err
+    assert not out.exists() and not trace.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["inpaint", "--sigma-n", "10", "--delta", "nan"],
+    ["deblur", "--scenario", "1", "--sigma-n", "inf"],
+], ids=["inpaint-delta-nan", "deblur-sigma-n-inf"])
+def test_cli_rejects_a_non_finite_setting_before_restoring(argv, scene_pgm, tmp_path, capsys):
+    # a NaN delta used to run to NaN ratios in the trace; an infinite sigma_n
+    # got as far as a divide-by-zero in the BSNR
     out, trace, report = tmp_path / "restored.pgm", tmp_path / "trace.csv", tmp_path / "report.csv"
     code = cli_main([*argv, "--input", str(scene_pgm), "--iters", "2",
                      "--output", str(out), "--trace", str(trace), "--report", str(report)])

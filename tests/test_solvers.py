@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from idbp import solvers
-from idbp.bench import ExperimentSpec, default_deblur_idbp_config, run_single, synthesize_deblurring
+from idbp.bench import ExperimentSpec, default_deblur_idbp_config, run_single, synthesize
 from idbp.denoisers import DctDenoiser, GaussianDenoiser, MedianDenoiser, build_denoiser
 from idbp.grid import add_gaussian_noise, psnr, sum_of_squares
 from idbp.operators import (
@@ -420,11 +420,11 @@ def _assert_same_accepted_pass(solved, oracle):
 
 
 def _protocol_deblurring(scenario, seed, size=64):
-    """An auto-tuned deblurring problem as ``run_single`` builds it (README defaults)."""
+    """An auto-tuned deblurring problem from ``bench.synthesize``, with its spec's config."""
+    spec = ExperimentSpec(task="deblur", solver="idbp_auto", scenario=scenario, seed=seed)
     truth = synthetic_scene(size, size)
-    config = default_deblur_idbp_config(scenario, epsilon=1e-3)
-    op, y, _, sigma_n = synthesize_deblurring(truth, scenario, None, RngState(seed))
-    return truth, op, y, sigma_n, config
+    problem = synthesize(spec, truth, RngState(spec.seed))
+    return truth, problem.operator, problem.y, problem.sigma_n, spec.config
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
