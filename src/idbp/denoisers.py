@@ -46,7 +46,9 @@ class MedianDenoiser:
     3x3 grid", Graphics Gems, 1990): each vertical triple is sorted once
     into (low, mid, high), and that sort serves the three horizontally
     adjacent windows.  The median of a window is med3(max of its lows, med3
-    of its mids, min of its highs): 18 strip-sized min/max in all.
+    of its mids, min of its highs): 18 strip-sized min/max in all.  The 12
+    that read a window's three columns run on flat rows of the padded
+    pitch (width + 2), each one contiguous loop (see ``_median_of_3x3``).
 
     Selection only compares and copies, so the output is np.median's, bit
     for bit.
@@ -71,8 +73,16 @@ class MedianDenoiser:
 
 
 def _median_of_3x3(strip: np.ndarray, out: np.ndarray) -> None:
-    """3x3 medians of a padded strip into out, by shared column sorts."""
-    width = out.shape[1]
+    """3x3 medians of a padded strip into out, by shared column sorts.
+
+    The sorted triples keep the strip's row pitch (width + 2), and the
+    passes over a window's three columns run on their flat views, where
+    window (i, j) starts at i * pitch + j.  The last two windows of each
+    row run on into the next row: they are junk, which only the flat
+    passes compute and the copy into out skips.  Each real window gets
+    the same comparisons of the same values as in the 2-D layout.
+    """
+    rows, width = out.shape
     a, b, c = strip[:-2], strip[1:-1], strip[2:]
     # sort each vertical triple: low, mid, high
     low = np.minimum(a, b)
@@ -83,13 +93,18 @@ def _median_of_3x3(strip: np.ndarray, out: np.ndarray) -> None:
     np.minimum(low, c, out=low)
     # each window's three columns: max of the lows, min of the highs,
     # med3 of the mids
-    left, centre, right = slice(0, width), slice(1, width + 1), slice(2, width + 2)
-    lows = np.maximum(low[:, left], low[:, centre])
-    np.maximum(lows, low[:, right], out=lows)
-    highs = np.minimum(high[:, left], high[:, centre])
-    np.minimum(highs, high[:, right], out=highs)
-    mids = _med3(mid[:, left], mid[:, centre], mid[:, right])
-    _med3(lows, mids, highs, out=out)
+    pitch = width + 2
+    low, mid, high = low.reshape(-1), mid.reshape(-1), high.reshape(-1)
+    windows = rows * pitch - 2
+    left, centre, right = slice(0, windows), slice(1, windows + 1), slice(2, windows + 2)
+    lows = np.maximum(low[left], low[centre])
+    np.maximum(lows, low[right], out=lows)
+    highs = np.minimum(high[left], high[centre])
+    np.minimum(highs, high[right], out=highs)
+    mids = _med3(mid[left], mid[centre], mid[right])
+    medians = np.empty((rows, pitch))
+    _med3(lows, mids, highs, out=medians.reshape(-1)[:windows])
+    out[...] = medians[:, :width]
 
 
 def _med3(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -338,9 +353,25 @@ def _nlm_band(z, out, band, sigma, bounds) -> None:
 
 
 def _nlm_rows(z, sigma, top, bottom, out) -> None:
-    """Non-local means of rows ``top`` to ``bottom`` of z, into those rows of out."""
+    """Non-local means of rows ``top`` to ``bottom`` of z, into those rows of out.
+
+    Every per-offset array has the row pitch of the padded slab (width +
+    26) and is worked through its flat view, where element (i, j) sits at
+    i * pitch + j.  Shifting by a search offset (di, dj) is then reading
+    from flat di * pitch + dj, and each pass of an offset is one
+    contiguous loop.  The columns past a row's width are junk: a shifted
+    read there runs on into the next row.  No output pixel reads them: a
+    row's box sums reach no further right than its padded width, and the
+    division writes only the first ``width`` columns.  Like the real
+    columns, they difference two image values, never a value and a zero,
+    so a constant image squares to zeros there too, whatever its
+    magnitude.  Every output pixel gets the operations of the 2-D pass
+    over the two padded slabs, in the same order, so the output is the
+    same bytes.
+    """
     p = _NLM_PATCH
     r = p // 2
+    s = _NLM_SEARCH // 2
     height, width = z.shape
     rows = bottom - top
     # patch sums stand in for patch means: the floor and the bandwidth
@@ -348,52 +379,64 @@ def _nlm_rows(z, sigma, top, bottom, out) -> None:
     area = float(p * p)
     noise_floor = 2.0 * sigma * sigma * area
     scale = -1.0 / ((_NLM_H_FACTOR * sigma) ** 2 * area)
-    # the slabs of the two padded images that the rows read: the rows and
-    # 2r halo rows, and the search window's rows around them
-    padded = np.pad(z, _NLM_SEARCH // 2 + r, mode="reflect")[top : bottom + _NLM_SEARCH - 1 + 2 * r]
-    z_padded = np.pad(z, r, mode="reflect")[top : bottom + 2 * r]
+    # the slab of the padded image that the rows read: the rows and 2r
+    # halo rows, and the search window's rows around them
+    padded = np.pad(z, s + r, mode="reflect")[top : bottom + 2 * (s + r)]
+    pitch = padded.shape[1]
+    flat = padded.reshape(-1)
     # Patch sums run over the squared difference reflect-padded by r.
-    # Each offset differences whole slices of the two padded slabs, so
-    # every pass streams contiguous rows; the border rows and columns,
-    # which hold the difference of unrelated pixels, are then overwritten
-    # with the rows and columns they reflect.  Reflection is an index map,
-    # so this matches np.pad even for images smaller than the patch.  The
+    # Each offset differences z reflect-padded by r, the inner part of the
+    # same slab, and the slab shifted by the offset, over the span that the
+    # last row's padded width reaches.  The border positions, which hold
+    # the difference of unrelated pixels, are then overwritten in one
+    # gather with the positions they reflect, the ones whose source is
+    # not themselves.  Reflection is an index map, so
+    # this matches np.pad even for images smaller than the patch.  The
     # slab holds every border row's source: all rows of the image, or a
     # split call's half, whose source rows lie within 2r rows of it.
-    padded_rows = np.pad(np.arange(height), r, mode="reflect")
-    cols = np.pad(np.arange(width), r, mode="reflect")
-    border_rows = np.r_[:r, r + height : height + 2 * r]
-    border_rows = border_rows[(border_rows >= top) & (border_rows < bottom + 2 * r)]
-    border_cols = np.r_[:r, r + width : width + 2 * r]
-    row_sources = r + padded_rows[border_rows] - top
-    border_rows -= top
-    col_sources = r + cols[border_cols]
-    square = np.empty_like(z_padded)
-    vertical = np.empty((rows, width + 2 * r))
-    w = np.empty((rows, width))
-    numerator = out[top:bottom]
-    numerator.fill(0.0)
-    weight_sum = np.zeros_like(numerator)
+    source_rows = r + np.pad(np.arange(height), r, mode="reflect")[top : bottom + 2 * r] - top
+    source_cols = r + np.pad(np.arange(width), r, mode="reflect")
+    sources = source_rows[:, None] * pitch + source_cols
+    targets = np.arange(rows + 2 * r)[:, None] * pitch + np.arange(width + 2 * r)
+    border = sources != targets
+    sources, targets = sources[border], targets[border]
+    # zeros past the span, which the junk of the box sums reads
+    squares = np.zeros((rows + 2 * r) * pitch)
+    differences = squares[: (rows + 2 * r - 1) * pitch + width + 2 * r]
+    z_padded = flat[s * pitch + s :][: differences.size]
+    vertical = np.empty(rows * pitch)
+    # the span the last row's width reaches, in the weights and the sums
+    span = (rows - 1) * pitch + width
+    w = np.empty(span)
+    numerator = np.zeros((rows, pitch))
+    weight_sum = np.zeros((rows, pitch))
+    numerator_span = numerator.reshape(-1)[:span]
+    weight_sum_span = weight_sum.reshape(-1)[:span]
+    # the terms of the box sums: the squares k rows down, then the
+    # vertical sums k columns right
+    square_rows = [squares[k * pitch : k * pitch + vertical.size] for k in range(p)]
+    vertical_cols = [vertical[k : k + span] for k in range(p)]
     for di in range(_NLM_SEARCH):
         for dj in range(_NLM_SEARCH):
-            np.subtract(z_padded, padded[di : di + rows + 2 * r, dj : dj + width + 2 * r], out=square)
-            square[border_rows] = square[row_sources]
-            square[:, border_cols] = square[:, col_sources]
-            np.square(square, out=square)
-            np.copyto(vertical, square[:rows])
-            for k in range(1, p):
-                vertical += square[k : k + rows]
-            np.copyto(w, vertical[:, :width])
-            for k in range(1, p):
-                w += vertical[:, k : k + width]
+            shift = di * pitch + dj
+            np.subtract(z_padded, flat[shift : shift + differences.size], out=differences)
+            squares[targets] = squares[sources]
+            np.square(squares, out=squares)
+            np.add(square_rows[0], square_rows[1], out=vertical)
+            for term in square_rows[2:]:
+                vertical += term
+            np.add(vertical_cols[0], vertical_cols[1], out=w)
+            for term in vertical_cols[2:]:
+                w += term
             w -= noise_floor
             np.maximum(w, 0.0, out=w)
             w *= scale
             np.exp(w, out=w)
-            weight_sum += w
-            w *= padded[di + r : di + r + rows, dj + r : dj + r + width]
-            numerator += w
-    numerator /= weight_sum
+            weight_sum_span += w
+            shift += r * pitch + r
+            w *= flat[shift : shift + span]
+            numerator_span += w
+    np.divide(numerator[:, :width], weight_sum[:, :width], out=out[top:bottom])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -524,6 +525,54 @@ def _reference_nlm(z, sigma):
     return numerator / weight_sum
 
 
+def _slab_nlm_rows(z, sigma, top, bottom, out):
+    """The 2-D slab ``_nlm_rows``, every pass over strided rows of the padded
+    slabs, kept as the byte-exact oracle of the pitch layout."""
+    p = denoisers._NLM_PATCH
+    r = p // 2
+    height, width = z.shape
+    rows = bottom - top
+    area = float(p * p)
+    noise_floor = 2.0 * sigma * sigma * area
+    scale = -1.0 / ((denoisers._NLM_H_FACTOR * sigma) ** 2 * area)
+    padded = np.pad(z, denoisers._NLM_SEARCH // 2 + r, mode="reflect")[top : bottom + denoisers._NLM_SEARCH - 1 + 2 * r]
+    z_padded = np.pad(z, r, mode="reflect")[top : bottom + 2 * r]
+    padded_rows = np.pad(np.arange(height), r, mode="reflect")
+    cols = np.pad(np.arange(width), r, mode="reflect")
+    border_rows = np.r_[:r, r + height : height + 2 * r]
+    border_rows = border_rows[(border_rows >= top) & (border_rows < bottom + 2 * r)]
+    border_cols = np.r_[:r, r + width : width + 2 * r]
+    row_sources = r + padded_rows[border_rows] - top
+    border_rows -= top
+    col_sources = r + cols[border_cols]
+    square = np.empty_like(z_padded)
+    vertical = np.empty((rows, width + 2 * r))
+    w = np.empty((rows, width))
+    numerator = out[top:bottom]
+    numerator.fill(0.0)
+    weight_sum = np.zeros_like(numerator)
+    for di in range(denoisers._NLM_SEARCH):
+        for dj in range(denoisers._NLM_SEARCH):
+            np.subtract(z_padded, padded[di : di + rows + 2 * r, dj : dj + width + 2 * r], out=square)
+            square[border_rows] = square[row_sources]
+            square[:, border_cols] = square[:, col_sources]
+            np.square(square, out=square)
+            np.copyto(vertical, square[:rows])
+            for k in range(1, p):
+                vertical += square[k : k + rows]
+            np.copyto(w, vertical[:, :width])
+            for k in range(1, p):
+                w += vertical[:, k : k + width]
+            w -= noise_floor
+            np.maximum(w, 0.0, out=w)
+            w *= scale
+            np.exp(w, out=w)
+            weight_sum += w
+            w *= padded[di + r : di + r + rows, dj + r : dj + r + width]
+            numerator += w
+    numerator /= weight_sum
+
+
 def _nlm_input(kind, shape):
     if kind == "noise":
         return _random_grid(24, *shape)
@@ -552,6 +601,40 @@ def test_nlm_matches_reference(shape, kind, sigma):
     out = NlmDenoiser()(z, sigma)
     ref = _reference_nlm(z, sigma)
     assert np.max(np.abs(out - ref)) <= 1e-9
+
+
+@pytest.mark.parametrize("shape", _NLM_SHAPES + [(128, 128), (100, 256)])
+@pytest.mark.parametrize("kind", _NLM_KINDS)
+@pytest.mark.parametrize("sigma", _NLM_SIGMAS)
+def test_nlm_rows_match_the_slab_pass_bytes(shape, kind, sigma):
+    # the whole image and the two halves of a split call; a 1-row image
+    # has no empty top half to work
+    z = add_gaussian_noise(_nlm_input(kind, shape), sigma, RngState(25))
+    height = shape[0]
+    for top, bottom in [(0, height), (0, height // 2), (height // 2, height)]:
+        if top == bottom:
+            continue
+        out, ref = np.zeros(shape), np.zeros(shape)
+        denoisers._nlm_rows(z, sigma, top, bottom, out)
+        _slab_nlm_rows(z, sigma, top, bottom, ref)
+        assert out.tobytes() == ref.tobytes(), (top, bottom)
+
+
+@pytest.mark.parametrize("value", [1e160, -1e160])
+@pytest.mark.parametrize("cpus", [pytest.param(1, id="in-process"), pytest.param(2, id="split", marks=needs_fork)])
+def test_nlm_junk_columns_raise_no_warning(value, cpus, fresh_helper, monkeypatch):
+    # The columns past each row's width square differences of image values,
+    # as the real ones do: zeros there would square to 1e320 and overflow.
+    # The helper is forked under the error filter, so a warning in its half
+    # kills it and fails the call.
+    z = np.full((20, 23), value)
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: cpus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = NlmDenoiser()(z, 10.0)
+    ref = np.empty_like(z)
+    _slab_nlm_rows(z, 10.0, 0, 20, ref)
+    assert out.tobytes() == ref.tobytes()
 
 
 def test_nlm_allocates_no_batch_of_offsets(monkeypatch):
