@@ -19,6 +19,7 @@ import os
 import shlex
 import signal
 import subprocess
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -162,20 +163,24 @@ _DCT_THRESHOLD_FACTOR = 3.0
 _DCT_BASIS = _dct_matrix(_DCT_PATCH)
 
 # Patch rows per strip of DctDenoiser's horizontal pass, the fastest with
-# one BLAS thread.  Medians of interleaved calls at sigma 15, strips of 2, 4,
-# 8 and 16 rows: 35.9, 33.2, 34.2 and 40.9 ms at 256^2 (40 calls each),
-# 134, 131, 133 and 182 ms at 512^2 (12 calls each).  Re-timed with the
-# helper, blocks of 16, three runs of 60 calls at 256^2 and 16 at 512^2:
-# strips of 2 and 4 rows took 28.9/30.1/30.0 and 29.5/30.6/30.2 ms at 256^2,
-# 100/102/106 and 102/105/111 ms at 512^2, a tie; in-process, strips of 2
-# gained at 256^2 only (43.3/47.5/44.5 against 48.9/51.6/48.8 ms).
+# one BLAS thread at 256^2.  Medians of interleaved calls at sigma 15, in
+# blocks of 16 rows, strips of 2, 4 and 8 rows, on the row-pitch strips:
+# in-process, 18.5/18.4, 18.9/18.5 and 20.4/19.9 ms at 256^2 (two runs of
+# 40 calls), 76.0/76.8, 78.3/82.5 and 87.5/91.1 ms at 512^2 (12 calls);
+# with the helper, 14.2/11.6, 14.7/10.9 and 15.4/11.4 ms at 256^2,
+# 42.5/42.7, 44.6/45.6 and 45.9/49.2 ms at 512^2.  Strips of 2 against 4,
+# three runs of 60 calls at 256^2 and 24 at 512^2: in-process 19.6/19.1/19.9
+# against 19.3/18.2/18.6 ms and 77.7/85.5/79.8 against 79.7/90.6/82.0 ms;
+# with the helper 13.3/13.0/15.7 against 11.6/11.1/13.8 ms and
+# 46.2/44.2/47.2 against 50.6/43.7/47.5 ms, no gain that holds.
 _STRIP_ROWS = 4
 # Patch rows per block of its vertical pass, a multiple of _STRIP_ROWS and
-# at least _DCT_PATCH - 1, as the helper needs: blocks of 8 to 64 rows ran
-# equally fast at 256^2, and 16 allocated the fewest fresh pages per call.
-# With the helper, strips of 4, two runs: blocks of 8, 16 and 32 rows took
-# 35.9/36.6, 29.8/30.6 and 30.4/29.9 ms at 256^2, 122/133, 109/121 and
-# 107/119 ms at 512^2.
+# at least _DCT_PATCH - 1, as the helper needs.  In the runs above, strips
+# of 4 in blocks of 8 and 32 rows took 19.4/19.5 and 19.9/20.2 ms in-process
+# and 14.1/11.7 and 15.5/13.4 ms with the helper at 256^2, 82.0/83.9 and
+# 83.1/82.2 ms in-process and 47.7/47.0 and 44.6/52.2 ms with the helper at
+# 512^2, none faster than blocks of 16, which also allocated the fewest
+# fresh pages per call when the strips were not reused.
 _BLOCK_ROWS = 16
 
 
@@ -226,44 +231,87 @@ def _add_blocks(z, out, tops, sigma, strip_rows, block_rows) -> list:
     p = _DCT_PATCH
     basis = _DCT_BASIS
     threshold = _DCT_THRESHOLD_FACTOR * sigma
-    rows, cols = z.shape[0] - p + 1, z.shape[1] - p + 1
+    rows, width = z.shape[0] - p + 1, z.shape[1]
+    cols = width - p + 1
     # The 2-D patch DCT is separable.  A block of patch rows at a time:
     # transform its vertical windows, stored as (patch row, vertical
     # frequency, image column); finish the transform, threshold and
     # invert horizontally a strip of patch rows at a time so the
     # per-patch coefficients stay in cache; then invert vertically and
     # add the block's patches into the output.  A strip's coefficients
-    # are stored frequency-major, (patch row, vertical frequency,
-    # horizontal frequency, patch column), so the threshold, the inverse
-    # and the overlap-add of each pixel offset all stream contiguous
-    # rows of columns.  Each coefficient is the same p-term sum as in a
+    # are stored (patch row, vertical frequency, horizontal frequency,
+    # column) and its inverse (column offset, patch row, vertical
+    # frequency, column), both at the image's row pitch, in a workspace
+    # that every strip reuses (see ``_strip_workspace``).  The products
+    # write only the first ``cols`` columns of each row and the threshold
+    # runs over whole rows, so the junk columns past ``cols`` keep the
+    # workspace's zeros.  The overlap-add of column offset dj is then one
+    # flat add of the inverse into the strip's column sums, dj places on,
+    # where each row's junk lands on its own last columns or on the next
+    # row's first dj.  That changes no bit: a column sum starts at +0.0,
+    # a round-to-nearest sum that starts at +0.0 is never -0.0, and any
+    # other s + 0.0 is s.  Each coefficient is the same p-term sum as in a
     # (column, frequency) layout, and the output the same bit for bit.
     # Temporaries are block-sized, never image-sized.  Blocks run
     # bottom-up: each output pixel then sums its patches in order of
     # increasing row offset, as one pass over all patch rows does.
+    coeffs, magnitudes, keep, recon = _strip_workspace(strip_rows, width)
     held = []
     windows = sliding_window_view(z, p, axis=0)
     for block_top in tops:
         block_bottom = min(block_top + block_rows, rows)
         vertical = np.ascontiguousarray((windows[block_top:block_bottom] @ basis.T).transpose(0, 2, 1))
-        column_sums = np.zeros((block_bottom - block_top, p, z.shape[1]))
+        # (patch row, vertical frequency, window element, patch column)
+        block_windows = np.swapaxes(sliding_window_view(vertical, p, axis=2), -1, -2)
+        column_sums = np.zeros((block_bottom - block_top, p, width))
         for top in range(0, block_bottom - block_top, strip_rows):
-            strip_windows = sliding_window_view(vertical[top : top + strip_rows], p, axis=2)
-            coeffs = basis @ np.swapaxes(strip_windows, -1, -2)
-            keep = np.abs(coeffs) > threshold
-            keep[:, 0, 0, :] = True
-            coeffs *= keep
-            recon = basis.T @ coeffs
-            strip = column_sums[top : top + strip_rows]
+            strip_windows = block_windows[top : top + strip_rows]
+            n = len(strip_windows)
+            strip_coeffs, strip_keep = coeffs[:n], keep[:n]
+            np.matmul(basis, strip_windows, out=strip_coeffs[..., :cols])
+            np.greater(np.abs(strip_coeffs, out=magnitudes[:n]), threshold, out=strip_keep)
+            strip_keep[:, 0, 0] = True
+            strip_coeffs *= strip_keep
+            np.matmul(basis.T, strip_coeffs[..., :cols], out=recon[:, :n, :, :cols].transpose(1, 2, 0, 3))
+            sums = column_sums[top : top + n].reshape(-1)
             for dj in range(p):
-                strip[:, :, dj : dj + cols] += recon[:, :, dj]
-        recon = basis.T @ column_sums
+                sums[dj:] += recon[dj, :n].reshape(-1)[: sums.size - dj]
+        # a fresh array per block: the rows held back point into it
+        block_recon = basis.T @ column_sums
         for di in range(p):
             target = out[block_top + di : block_bottom + di]
-            target += recon[: len(target), di]
+            target += block_recon[: len(target), di]
             if len(target) < block_bottom - block_top:
-                held.append((block_top + di + len(target), recon[len(target) :, di]))
+                held.append((block_top + di + len(target), block_recon[len(target) :, di]))
     return held
+
+
+# Each thread's strip workspace for _add_blocks, with the (strip rows,
+# width) it was made for
+_strip_workspaces = threading.local()
+
+
+def _strip_workspace(strip_rows, width) -> tuple:
+    """The calling thread's coefficient, magnitude, keep and inverse arrays
+    of an ``_add_blocks`` strip at this width, reused by every strip, block
+    and call.  The coefficients and the inverse start as zeros, which their
+    junk columns keep.
+
+    A thread keeps one workspace, remade when the layout changes.  The
+    forked helper inherits the forking thread's and writes its own copy.
+    """
+    key = (strip_rows, width)
+    if getattr(_strip_workspaces, "key", None) != key:
+        p = _DCT_PATCH
+        coeffs = np.zeros((strip_rows, p, p, width))
+        _strip_workspaces.arrays = (
+            coeffs,
+            np.empty_like(coeffs),
+            np.empty(coeffs.shape, dtype=bool),
+            np.zeros((p, strip_rows, p, width)),
+        )
+        _strip_workspaces.key = key
+    return _strip_workspaces.arrays
 
 
 def _add_blocks_with_helper(z, out, tops, sigma) -> None:

@@ -2,9 +2,11 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +302,99 @@ def test_dct_split_with_the_helper_matches_the_in_process_pass_bytes(shape, sigm
     split = DctDenoiser()(z, sigma)
     monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
     assert split.tobytes() == DctDenoiser()(z, sigma).tobytes()
+
+
+def _strided_add_blocks(z, out, tops, sigma, strip_rows, block_rows):
+    """``_add_blocks`` with each strip's coefficients and inverse at the
+    pitch of the patch columns, fresh arrays per strip, and one 2-D
+    overlap-add per column offset; kept as the byte-equal oracle of the
+    row-pitch pass."""
+    p = 8
+    basis = _dct_matrix(p)
+    threshold = 3.0 * sigma
+    rows, cols = z.shape[0] - p + 1, z.shape[1] - p + 1
+    held = []
+    windows = sliding_window_view(z, p, axis=0)
+    for block_top in tops:
+        block_bottom = min(block_top + block_rows, rows)
+        vertical = np.ascontiguousarray((windows[block_top:block_bottom] @ basis.T).transpose(0, 2, 1))
+        column_sums = np.zeros((block_bottom - block_top, p, z.shape[1]))
+        for top in range(0, block_bottom - block_top, strip_rows):
+            strip_windows = sliding_window_view(vertical[top : top + strip_rows], p, axis=2)
+            coeffs = basis @ np.swapaxes(strip_windows, -1, -2)
+            keep = np.abs(coeffs) > threshold
+            keep[:, 0, 0, :] = True
+            coeffs *= keep
+            recon = basis.T @ coeffs
+            strip = column_sums[top : top + strip_rows]
+            for dj in range(p):
+                strip[:, :, dj : dj + cols] += recon[:, :, dj]
+        recon = basis.T @ column_sums
+        for di in range(p):
+            target = out[block_top + di : block_bottom + di]
+            target += recon[: len(target), di]
+            if len(target) < block_bottom - block_top:
+                held.append((block_top + di + len(target), recon[len(target) :, di]))
+    return held
+
+
+def _dct_inputs(shape, sigma):
+    """A noisy image, an all-zero one, and one of half-integers of both
+    signs, whose patch sums cancel exactly, by name."""
+    return {
+        "noisy": add_gaussian_noise(_random_grid(42, *shape), sigma, RngState(43)),
+        "zeros": np.zeros(shape),
+        "signs": np.round(_random_grid(41, *shape, scale=2.0, offset=0.0)) * 0.5,
+    }
+
+
+# widths of 1, 2 and 8 to 10 patch columns and one of 38; heights of one
+# patch row, and of 23 and 34 rows, which end in a partial strip and block
+# in both layouts
+_ROW_PITCH_SHAPES = [(256, 256), (512, 512)] + [
+    (height, width) for width in (8, 9, 15, 16, 17, 45) for height in (8, 30, 41)
+]
+
+
+@pytest.mark.parametrize("shape", _ROW_PITCH_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("sigma", _DCT_SIGMAS)
+@pytest.mark.parametrize("layout", _DCT_LAYOUTS)
+@pytest.mark.parametrize("cpus", [pytest.param(1, id="in-process"), pytest.param(2, id="split", marks=needs_fork)])
+def test_dct_row_pitch_pass_matches_the_strided_pass_bytes(shape, sigma, layout, cpus, monkeypatch):
+    # tobytes() also tells +0.0 from -0.0
+    _use_dct_layout(monkeypatch, layout)
+    inputs = _dct_inputs(shape, sigma)
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: cpus)
+    outputs = {kind: DctDenoiser()(z, sigma) for kind, z in inputs.items()}
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    monkeypatch.setattr(denoisers, "_add_blocks", _strided_add_blocks)
+    for kind, z in inputs.items():
+        assert outputs[kind].tobytes() == DctDenoiser()(z, sigma).tobytes(), kind
+
+
+def test_dct_calls_from_two_threads_match_their_single_threaded_bytes(monkeypatch):
+    # Both images have one width, so a strip workspace the threads shared
+    # would mix their coefficients.  The barrier starts the calls together,
+    # and a short switch interval interleaves them between numpy calls too.
+    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    denoiser = DctDenoiser()
+    images = [add_gaussian_noise(_random_grid(44 + i, 96 + 32 * i, 128), 10.0, RngState(46 + i)) for i in range(2)]
+    expected = [denoiser(z, 10.0).tobytes() for z in images]
+    barrier = threading.Barrier(2)
+
+    def calls(z):
+        barrier.wait(timeout=10)
+        return [denoiser(z, 10.0).tobytes() for _ in range(12)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            outputs = list(pool.map(calls, images, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, (own, single) in enumerate(zip(outputs, expected)):
+        assert all(out == single for out in own), i
 
 
 @pytest.fixture
