@@ -124,7 +124,7 @@ class ExperimentSpec:
         if self.denoiser not in DENOISERS:
             raise ValueError(f"unknown denoiser kind {self.denoiser!r} for an experiment; choose from {DENOISERS}")
         if self.denoiser == "external" and not self.external_cmd:
-            raise ValueError("external denoiser requires a command")
+            raise ValueError("external denoiser requires a command; set external_cmd")
         if self.denoiser != "external" and self.external_cmd is not None:
             raise ValueError(f"the {self.denoiser} denoiser does not read external_cmd; leave it unset")
         if self.sigma_n is not None and not 0.0 <= self.sigma_n < math.inf:
@@ -281,12 +281,11 @@ def restore(
     """Solve a synthesized problem with the spec's solver and ``spec.config``.
 
     The solver is looked up in this module when called, and ``observer``
-    (called once per iteration) is handed on only when given.
+    (called once per iteration) is handed on to it.
     """
     solve = {"idbp": idbp_run, "idbp_auto": idbp_auto_tuned, "pnp": pnp_run}[spec.solver]
-    watch = {} if observer is None else {"observer": observer}
     return solve(problem.operator, problem.y, problem.sigma_n, denoiser, spec.config, problem.init,
-                 ground_truth=ground_truth, **watch)
+                 ground_truth=ground_truth, observer=observer)
 
 
 @dataclass

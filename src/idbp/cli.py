@@ -156,8 +156,6 @@ def _spec_from_settings(settings: _Settings, task: str, solver: str | None) -> E
     fields = {field.name: settings.get(field.name) for field in dataclasses.fields(ExperimentSpec) if field.init}
     if fields["denoiser"] == "external" and not fields["external_cmd"]:
         fields["external_cmd"] = os.environ.get("IDBP_EXTERNAL_DENOISER")
-        if not fields["external_cmd"]:
-            raise UsageError("--denoiser external needs --external-cmd or IDBP_EXTERNAL_DENOISER")
     fields.update(task=task, solver=solver)
     return ExperimentSpec(**{name: value for name, value in fields.items() if value is not None})
 

@@ -494,27 +494,29 @@ def _nlm_rows(z, sigma, top, bottom, out) -> None:
 
 def _may_split() -> bool:
     """Whether a denoiser call may share its work with the helper process:
-    the platform can fork, and the process has 2 CPUs to itself."""
-    return _free_cpus() >= 2 and hasattr(os, "fork")
+    the platform can fork, the process may run on 2 CPUs or more, it runs
+    no second Python thread, and none of its other threads is running.
+    False where the platform cannot tell.
 
-
-def _free_cpus() -> int:
-    """The CPUs this process may run on; 1 while it runs another thread, or
-    where the platform cannot tell.
-
-    Another thread could call a denoiser at the same time as this one.  And
-    a multithreaded BLAS such as OpenBLAS starts its worker threads when it
-    loads, so an unpinned process counts more than one thread even though
-    the solvers' norms (``grid.sum_of_squares``) call no BLAS: the test is
-    whether other threads exist, not whether they run.  Workers that a
-    threaded BLAS call wakes spin on CPUs of their own for a while after it,
-    and a helper sharing their CPU ran slower than no helper.  Pin the BLAS
-    to one thread, as with ``OPENBLAS_NUM_THREADS=1``, to use the helper.
+    A second Python thread could call a denoiser at the same time as this
+    one, so its existence is enough.  The other threads are those of a
+    multithreaded BLAS such as OpenBLAS, started when numpy loads it: idle,
+    they sleep.  Workers that a threaded BLAS call wakes spin on CPUs of
+    their own for a while after it, and a helper sharing their CPU ran
+    slower than no helper, so a call made while one runs stays in-process.
     """
     try:
-        return 1 if len(os.listdir("/proc/self/task")) > 1 else len(os.sched_getaffinity(0))
+        if not hasattr(os, "fork") or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
+            return False
+        caller = str(threading.get_native_id())
+        for task in os.listdir("/proc/self/task"):
+            if task != caller:
+                with open(f"/proc/self/task/{task}/stat") as stat:
+                    if stat.read().rpartition(")")[2].split()[0] == "R":
+                        return False
+        return True
     except (AttributeError, OSError):
-        return 1
+        return False
 
 
 def _split_with_helper(z, out, starts, own, job, *args) -> None:

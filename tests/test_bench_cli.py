@@ -240,7 +240,7 @@ def test_experiment_spec_replace_resolves_an_unset_sigma_n_for_the_new_task():
 def test_run_single_hands_the_spec_config_to_the_solver(monkeypatch):
     seen = []
 
-    def fake_solver(operator, y, sigma_n, denoiser, config, init, ground_truth=None):
+    def fake_solver(operator, y, sigma_n, denoiser, config, init, ground_truth=None, observer=None):
         seen.append((config, sigma_n))
         return init, IterationTrace()
 
@@ -534,10 +534,13 @@ def test_cli_rejects_a_setting_of_the_other_task(argv, scene_pgm, tmp_path, caps
 @pytest.mark.parametrize("argv", [
     ["inpaint", "--sigma-n", "10", "--delta", "nan"],
     ["deblur", "--scenario", "1", "--sigma-n", "inf"],
-], ids=["inpaint-delta-nan", "deblur-sigma-n-inf"])
-def test_cli_rejects_a_non_finite_setting_before_restoring(argv, scene_pgm, tmp_path, capsys):
+    ["inpaint", "--denoiser", "external"],
+], ids=["inpaint-delta-nan", "deblur-sigma-n-inf", "inpaint-external-without-command"])
+def test_cli_rejects_a_non_finite_setting_before_restoring(argv, scene_pgm, tmp_path, monkeypatch, capsys):
     # a NaN delta used to run to NaN ratios in the trace; an infinite sigma_n
-    # got as far as a divide-by-zero in the BSNR
+    # got as far as a divide-by-zero in the BSNR; an external denoiser with
+    # no command, from neither the flag nor the environment, is as unusable
+    monkeypatch.delenv("IDBP_EXTERNAL_DENOISER", raising=False)
     out, trace, report = tmp_path / "restored.pgm", tmp_path / "trace.csv", tmp_path / "report.csv"
     code = cli_main([*argv, "--input", str(scene_pgm), "--iters", "2",
                      "--output", str(out), "--trace", str(trace), "--report", str(report)])

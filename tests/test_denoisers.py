@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import subprocess
@@ -261,7 +262,7 @@ def test_dct_strips_match_the_whole_image_pass_bytes(shape, sigma, layout, monke
 def test_dct_allocates_no_image_sized_stack(monkeypatch):
     # one (patch rows, patch, width) float64 stack: what the whole-image pass holds three of;
     # all blocks in this process, where tracemalloc sees them
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: False)
     z = _random_grid(26, 256, 256)
     denoiser = DctDenoiser()
     stack_bytes = (256 - 7) * 8 * 256 * z.itemsize
@@ -275,7 +276,7 @@ def test_dct_allocates_no_image_sized_stack(monkeypatch):
 
 
 def test_dct_allocates_no_four_dimensional_patch_tensor(monkeypatch):
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: False)
     z = _random_grid(23, 128, 128)
     denoiser = DctDenoiser()
     patch_tensor_bytes = (128 - 7) ** 2 * 8 * 8 * z.itemsize
@@ -298,9 +299,9 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is f
 def test_dct_split_with_the_helper_matches_the_in_process_pass_bytes(shape, sigma, layout, monkeypatch):
     _use_dct_layout(monkeypatch, layout)
     z = add_gaussian_noise(_random_grid(27, *shape), sigma, RngState(28))
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: True)
     split = DctDenoiser()(z, sigma)
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: False)
     assert split.tobytes() == DctDenoiser()(z, sigma).tobytes()
 
 
@@ -359,27 +360,29 @@ _ROW_PITCH_SHAPES = [(256, 256), (512, 512)] + [
 @pytest.mark.parametrize("shape", _ROW_PITCH_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
 @pytest.mark.parametrize("sigma", _DCT_SIGMAS)
 @pytest.mark.parametrize("layout", _DCT_LAYOUTS)
-@pytest.mark.parametrize("cpus", [pytest.param(1, id="in-process"), pytest.param(2, id="split", marks=needs_fork)])
-def test_dct_row_pitch_pass_matches_the_strided_pass_bytes(shape, sigma, layout, cpus, monkeypatch):
+@pytest.mark.parametrize("split", [pytest.param(False, id="in-process"), pytest.param(True, id="split", marks=needs_fork)])
+def test_dct_row_pitch_pass_matches_the_strided_pass_bytes(shape, sigma, layout, split, monkeypatch):
     # tobytes() also tells +0.0 from -0.0
     _use_dct_layout(monkeypatch, layout)
     inputs = _dct_inputs(shape, sigma)
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: cpus)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: split)
     outputs = {kind: DctDenoiser()(z, sigma) for kind, z in inputs.items()}
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: False)
     monkeypatch.setattr(denoisers, "_add_blocks", _strided_add_blocks)
     for kind, z in inputs.items():
         assert outputs[kind].tobytes() == DctDenoiser()(z, sigma).tobytes(), kind
 
 
-def test_dct_calls_from_two_threads_match_their_single_threaded_bytes(monkeypatch):
+def test_dct_calls_from_two_threads_match_their_single_threaded_bytes(fresh_helper, monkeypatch):
     # Both images have one width, so a strip workspace the threads shared
     # would mix their coefficients.  The barrier starts the calls together,
     # and a short switch interval interleaves them between numpy calls too.
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    # Unpatched, a process that runs two Python threads forks no helper.
     denoiser = DctDenoiser()
     images = [add_gaussian_noise(_random_grid(44 + i, 96 + 32 * i, 128), 10.0, RngState(46 + i)) for i in range(2)]
-    expected = [denoiser(z, 10.0).tobytes() for z in images]
+    with monkeypatch.context() as patch:
+        patch.setattr(denoisers, "_may_split", lambda: False)
+        expected = [denoiser(z, 10.0).tobytes() for z in images]
     barrier = threading.Barrier(2)
 
     def calls(z):
@@ -395,6 +398,7 @@ def test_dct_calls_from_two_threads_match_their_single_threaded_bytes(monkeypatc
         sys.setswitchinterval(interval)
     for i, (own, single) in enumerate(zip(outputs, expected)):
         assert all(out == single for out in own), i
+    assert denoisers._helper is None
 
 
 @pytest.fixture
@@ -416,7 +420,7 @@ def fresh_helper():
 @pytest.mark.parametrize("slow", ["process", "helper"])
 def test_dct_split_matches_the_in_process_pass_bytes_wherever_the_sides_meet(slow, fresh_helper, monkeypatch):
     # the side that sleeps before each of its blocks leaves the other all it can claim
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: True)
     z = add_gaussian_noise(_random_grid(33, 64, 64), 10.0, RngState(34))
     blocks = len(range(0, 64 - 7, 16))
     process, add_blocks = os.getpid(), denoisers._add_blocks
@@ -430,7 +434,7 @@ def test_dct_split_matches_the_in_process_pass_bytes_wherever_the_sides_meet(slo
     split = DctDenoiser()(z, 10.0)
     met = int(denoisers._helper.claims[0])
     monkeypatch.setattr(denoisers, "_add_blocks", add_blocks)
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: False)
     assert split.tobytes() == DctDenoiser()(z, 10.0).tobytes()
     assert met == 1 if slow == "process" else met >= blocks - 1
 
@@ -446,9 +450,9 @@ def test_dct_split_claims_each_block_once_under_contention(monkeypatch):
     while time.monotonic() < deadline and calls < 300:
         height, width = 24 + calls % 40, 8 + (calls * 7) % 33
         z = rng.gaussians(height * width).reshape(height, width) * 40.0 + 128.0
-        monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
+        monkeypatch.setattr(denoisers, "_may_split", lambda: True)
         split = DctDenoiser()(z, 10.0)
-        monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+        monkeypatch.setattr(denoisers, "_may_split", lambda: False)
         assert split.tobytes() == DctDenoiser()(z, 10.0).tobytes(), (height, width)
         calls += 1
     assert calls >= 50
@@ -471,7 +475,7 @@ import atexit, os, time
 from idbp import denoisers
 from idbp.rng import RngState
 atexit.register(lambda: print(os.path.exists(f"/proc/{{denoisers._helper.process.pid}}"), flush=True))
-denoisers._free_cpus = lambda: 2
+denoisers._may_split = lambda: True
 denoisers.build_denoiser({kind!r})(RngState(29).gaussians(256 * 256).reshape(256, 256) * 40.0 + 128.0, 10.0)
 print(denoisers._helper.process.pid, flush=True)
 """
@@ -518,10 +522,68 @@ def test_helper_exits_when_its_process_is_killed(kind):
             os.kill(helper, signal.SIGKILL)
 
 
+@pytest.mark.parametrize("platform", ["one-cpu", "no-fork"])
+def test_no_split_with_one_cpu_or_without_fork(platform, monkeypatch):
+    if platform == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(os, "fork", raising=False)
+    assert denoisers._may_split() is False
+
+
+# In a process with two BLAS threads: its task and CPU counts; after a
+# rest, whether a 256^2 DCT call forked the helper and matched the
+# in-process bytes; whether a call may split right after a threaded
+# product, and again after another rest
+_BLAS_PROBE = """
+import json, os, time
+import numpy as np
+from idbp import denoisers
+from idbp.rng import RngState
+report = dict(tasks=len(os.listdir("/proc/self/task")), cpus=len(os.sched_getaffinity(0)))
+z = RngState(29).gaussians(256 * 256).reshape(256, 256) * 40.0 + 128.0
+time.sleep(0.5)
+split = denoisers.DctDenoiser()(z, 10.0)
+report.update(forked=denoisers._helper is not None)
+a = np.ones((1000, 1000))
+a @ a
+report.update(after_product=denoisers._may_split())
+time.sleep(1.0)
+report.update(after_rest=denoisers._may_split())
+denoisers._may_split = lambda: False
+report.update(equal=split.tobytes() == denoisers.DctDenoiser()(z, 10.0).tobytes())
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def blas_threaded_child():
+    """What ``_BLAS_PROBE`` reports; skips the test where the process has
+    no second task or no second CPU."""
+    argv, kwargs = _python(_BLAS_PROBE, capture_output=True, text=True, timeout=120)
+    kwargs["env"].update(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    report = json.loads(subprocess.run(argv, check=True, **kwargs).stdout)
+    if report["tasks"] < 2 or report["cpus"] < 2:
+        pytest.skip(f"{report['tasks']} task(s) on {report['cpus']} CPU(s)")
+    return report
+
+
+@needs_fork
+@needs_proc
+def test_idle_blas_threads_leave_a_call_to_split_bytes_equal(blas_threaded_child):
+    assert blas_threaded_child["forked"] and blas_threaded_child["equal"]
+
+
+@needs_fork
+@needs_proc
+def test_no_split_right_after_a_threaded_blas_product_until_its_threads_rest(blas_threaded_child):
+    assert not blas_threaded_child["after_product"] and blas_threaded_child["after_rest"]
+
+
 @needs_fork
 @pytest.mark.parametrize("kind", _SPLITTING)
 def test_call_after_the_helper_dies_raises_and_the_next_forks_anew(kind, monkeypatch):
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: True)
     denoiser = build_denoiser(kind)
     z = _random_grid(30, 64, 64)
     expected = denoiser(z, 10.0)
@@ -548,7 +610,7 @@ def test_call_after_an_aborted_exchange_reads_no_stale_reply(kind, fresh_helper,
     # works the next call alone; a helper kept after the abort would owe one
     # reply more than the calls it serves, and the call after would take that
     # reply before the helper had added its rows.
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: True)
     process, rows = os.getpid(), getattr(denoisers, _ROWS_OF[kind])
     aborted = False
 
@@ -569,7 +631,7 @@ def test_call_after_an_aborted_exchange_reads_no_stale_reply(kind, fresh_helper,
     aborted = False
     outputs = [denoiser(z, 10.0) for z in later]
     monkeypatch.setattr(denoisers, _ROWS_OF[kind], rows)
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: False)
     for z, out in zip(later, outputs):
         assert out.tobytes() == denoiser(z, 10.0).tobytes()
 
@@ -577,7 +639,7 @@ def test_call_after_an_aborted_exchange_reads_no_stale_reply(kind, fresh_helper,
 @needs_fork
 def test_dct_and_nlm_calls_share_one_helper(fresh_helper, monkeypatch):
     # the larger image first, so that no later call needs a larger helper
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: True)
     calls = [(kind, _random_grid(38 + i, 64 - 8 * i, 48)) for i, kind in enumerate(_SPLITTING * 3)]
     outputs = []
     pids = set()
@@ -585,7 +647,7 @@ def test_dct_and_nlm_calls_share_one_helper(fresh_helper, monkeypatch):
         outputs.append(build_denoiser(kind)(z, 10.0))
         pids.add(denoisers._helper.process.pid)
     assert len(pids) == 1
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: False)
     for (kind, z), out in zip(calls, outputs):
         assert out.tobytes() == build_denoiser(kind)(z, 10.0).tobytes(), kind
 
@@ -716,14 +778,14 @@ def test_nlm_rows_match_the_slab_pass_bytes(shape, kind, sigma):
 
 
 @pytest.mark.parametrize("value", [1e160, -1e160])
-@pytest.mark.parametrize("cpus", [pytest.param(1, id="in-process"), pytest.param(2, id="split", marks=needs_fork)])
-def test_nlm_junk_columns_raise_no_warning(value, cpus, fresh_helper, monkeypatch):
+@pytest.mark.parametrize("split", [pytest.param(False, id="in-process"), pytest.param(True, id="split", marks=needs_fork)])
+def test_nlm_junk_columns_raise_no_warning(value, split, fresh_helper, monkeypatch):
     # The columns past each row's width square differences of image values,
     # as the real ones do: zeros there would square to 1e320 and overflow.
     # The helper is forked under the error filter, so a warning in its half
     # kills it and fails the call.
     z = np.full((20, 23), value)
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: cpus)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: split)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         out = NlmDenoiser()(z, 10.0)
@@ -735,7 +797,7 @@ def test_nlm_junk_columns_raise_no_warning(value, cpus, fresh_helper, monkeypatc
 def test_nlm_allocates_no_batch_of_offsets(monkeypatch):
     # one float64 image per search row of offsets: what batching offsets
     # would hold; in-process, so that tracemalloc sees the whole call
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: False)
     z = _random_grid(26, 128, 128)
     denoiser = NlmDenoiser()
     offset_batch_bytes = 21 * 128 * 128 * z.itemsize
@@ -764,12 +826,12 @@ def test_nlm_split_with_the_helper_matches_the_in_process_pass_bytes(shape, kind
     monkeypatch.setattr(denoisers, "_split_with_helper", counted)
     if tiny:
         monkeypatch.setattr(denoisers, "_helper", None)
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 2)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: True)
     split = NlmDenoiser()(z, sigma)
     assert splits == ([] if tiny else [shape])
     if tiny:
         assert denoisers._helper is None
-    monkeypatch.setattr(denoisers, "_free_cpus", lambda: 1)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: False)
     assert split.tobytes() == NlmDenoiser()(z, sigma).tobytes()
 
 
