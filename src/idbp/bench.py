@@ -96,7 +96,8 @@ class ExperimentSpec:
     a ``mask_fraction`` for deblurring other than its default 0.8.  That
     field keeps a float default, so an explicit 0.8 on a deblurring spec
     cannot be told from an unset one and passes.  An ``external_cmd`` is an
-    error too unless the denoiser is ``external``, the one kind that runs it.
+    error too unless the denoiser is ``external``, the one kind that runs it,
+    and so is one with a line break, which the summary's header cannot hold.
     """
 
     task: str
@@ -127,6 +128,8 @@ class ExperimentSpec:
             raise ValueError("external denoiser requires a command; set external_cmd")
         if self.denoiser != "external" and self.external_cmd is not None:
             raise ValueError(f"the {self.denoiser} denoiser does not read external_cmd; leave it unset")
+        if self.external_cmd is not None and ("\n" in self.external_cmd or "\r" in self.external_cmd):
+            raise ValueError("external_cmd must be one line: the summary echoes it on one")
         if self.sigma_n is not None and not 0.0 <= self.sigma_n < math.inf:
             raise ValueError("sigma_n must be finite and nonnegative")
         if self.task == "deblur":

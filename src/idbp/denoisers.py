@@ -1,7 +1,8 @@
 """Pluggable denoising operators D(z; sigma).
 
 A denoiser is a callable mapping ``(z, sigma) -> denoised z`` for a 2-D
-grid and a nonnegative noise level.  All native kinds are deterministic,
+grid and a finite nonnegative noise level; every kind raises ValueError
+for any other sigma.  All native kinds are deterministic,
 translation-equivariant in intensity, and return the input unchanged at
 sigma == 0; each is fixed by its kind alone, with no settings.  The DCT
 and the NLM share their calls with one forked helper process when the
@@ -31,6 +32,13 @@ from .grid import as_grid
 # ---------------------------------------------------------------------------
 
 
+def _check_sigma(sigma) -> None:
+    """Reject a noise level that is not finite and nonnegative, which no
+    denoiser kind can use."""
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
+
+
 # Pixels per row strip of MedianDenoiser: a strip's temporaries stay in
 # cache (32 rows at 256^2, 16 at 512^2).
 _MEDIAN_STRIP_PIXELS = 8192
@@ -58,6 +66,7 @@ class MedianDenoiser:
     kind = "median"
 
     def __call__(self, z, sigma: float) -> np.ndarray:
+        _check_sigma(sigma)
         z = as_grid(z)
         if sigma == 0:
             return z.copy()
@@ -131,6 +140,7 @@ class GaussianDenoiser:
     kind = "gaussian"
 
     def __call__(self, z, sigma: float) -> np.ndarray:
+        _check_sigma(sigma)
         z = as_grid(z)
         if sigma == 0:
             return z.copy()
@@ -175,12 +185,13 @@ _DCT_BASIS = _dct_matrix(_DCT_PATCH)
 # 46.2/44.2/47.2 against 50.6/43.7/47.5 ms, no gain that holds.
 _STRIP_ROWS = 4
 # Patch rows per block of its vertical pass, a multiple of _STRIP_ROWS and
-# at least _DCT_PATCH - 1, as the helper needs.  In the runs above, strips
-# of 4 in blocks of 8 and 32 rows took 19.4/19.5 and 19.9/20.2 ms in-process
-# and 14.1/11.7 and 15.5/13.4 ms with the helper at 256^2, 82.0/83.9 and
-# 83.1/82.2 ms in-process and 47.7/47.0 and 44.6/52.2 ms with the helper at
-# 512^2, none faster than blocks of 16, which also allocated the fewest
-# fresh pages per call when the strips were not reused.
+# at least _DCT_PATCH - 1, so that a block's patches reach no further than
+# the block below, as the hold-back of _share_rows needs.  In the runs
+# above, strips of 4 in blocks of 8 and 32 rows took 19.4/19.5 and
+# 19.9/20.2 ms in-process and 14.1/11.7 and 15.5/13.4 ms with the helper at
+# 256^2, 82.0/83.9 and 83.1/82.2 ms in-process and 47.7/47.0 and 44.6/52.2
+# ms with the helper at 512^2, none faster than blocks of 16, which also
+# allocated the fewest fresh pages per call when the strips were not reused.
 _BLOCK_ROWS = 16
 
 
@@ -192,17 +203,17 @@ class DctDenoiser:
     survives, which preserves flat regions and intensity shifts), and
     overlapping reconstructions are averaged.
 
-    The patches are worked in blocks of ``_BLOCK_ROWS`` patch rows.  A call
-    splits its blocks with the helper process (see ``_split_with_helper``)
-    when the image has at least 2 blocks and ``_may_split()``: the helper
-    takes blocks from the bottom up while the process takes them from the
-    top down, until they meet.  Each pixel still sums its patches in the
-    in-process order, so the output is the same bytes.
+    The patches are worked in blocks of ``_BLOCK_ROWS`` patch rows, and
+    each block is a band of output rows for ``_share_rows``, from its first
+    patch row to the next block's; the last band runs to the image's last
+    row.  Each pixel sums its patches in the in-process order wherever the
+    bands run, so the output is the same bytes.
     """
 
     kind = "dct_threshold"
 
     def __call__(self, z, sigma: float) -> np.ndarray:
+        _check_sigma(sigma)
         z = as_grid(z)
         if sigma == 0:
             return z.copy()
@@ -210,20 +221,18 @@ class DctDenoiser:
         if z.shape[0] < p or z.shape[1] < p:
             raise ValueError(f"image {z.shape} smaller than patch {p}x{p}")
         rows, cols = z.shape[0] - p + 1, z.shape[1] - p + 1
-        tops = range(0, rows, _BLOCK_ROWS)
-        out = np.zeros_like(z)
-        if len(tops) >= 2 and _may_split():
-            _add_blocks_with_helper(z, out, tops, sigma)
-        else:
-            _add_blocks(z, out, reversed(tops), sigma, _STRIP_ROWS, _BLOCK_ROWS)
+        out = np.empty_like(z)
+        bounds = [*range(0, rows, _BLOCK_ROWS), len(z)]
+        _share_rows(z, out, bounds, _add_blocks, sigma, _STRIP_ROWS, _BLOCK_ROWS)
         # every pixel is covered by (row overlaps) x (column overlaps) patches
         ones = np.ones(p)
         return out / np.outer(np.convolve(np.ones(rows), ones), np.convolve(np.ones(cols), ones))
 
 
-def _add_blocks(z, out, tops, sigma, strip_rows, block_rows) -> list:
-    """Add the thresholded patches of the blocks of patch rows at ``tops``,
-    in that order, into ``out``, an output grid whose row 0 is z's.
+def _add_blocks(z, out, top, bottom, sigma, strip_rows, block_rows) -> list:
+    """The DCT job: zero rows ``top`` to ``bottom`` of ``out``, an output
+    grid whose row 0 is z's, then add the thresholded patches of the blocks
+    of patch rows from ``top`` up to ``bottom``, bottom-up.
 
     Contributions to rows past the end of ``out`` are returned instead, as
     ``(row, rows)`` pairs in the order they were made.
@@ -258,14 +267,15 @@ def _add_blocks(z, out, tops, sigma, strip_rows, block_rows) -> list:
     coeffs, magnitudes, keep, recon = _strip_workspace(strip_rows, width)
     held = []
     windows = sliding_window_view(z, p, axis=0)
-    for block_top in tops:
+    out[top:bottom] = 0.0
+    for block_top in reversed(range(top, min(bottom, rows), block_rows)):
         block_bottom = min(block_top + block_rows, rows)
         vertical = np.ascontiguousarray((windows[block_top:block_bottom] @ basis.T).transpose(0, 2, 1))
         # (patch row, vertical frequency, window element, patch column)
         block_windows = np.swapaxes(sliding_window_view(vertical, p, axis=2), -1, -2)
         column_sums = np.zeros((block_bottom - block_top, p, width))
-        for top in range(0, block_bottom - block_top, strip_rows):
-            strip_windows = block_windows[top : top + strip_rows]
+        for strip_top in range(0, block_bottom - block_top, strip_rows):
+            strip_windows = block_windows[strip_top : strip_top + strip_rows]
             n = len(strip_windows)
             strip_coeffs, strip_keep = coeffs[:n], keep[:n]
             np.matmul(basis, strip_windows, out=strip_coeffs[..., :cols])
@@ -273,7 +283,7 @@ def _add_blocks(z, out, tops, sigma, strip_rows, block_rows) -> list:
             strip_keep[:, 0, 0] = True
             strip_coeffs *= strip_keep
             np.matmul(basis.T, strip_coeffs[..., :cols], out=recon[:, :n, :, :cols].transpose(1, 2, 0, 3))
-            sums = column_sums[top : top + n].reshape(-1)
+            sums = column_sums[strip_top : strip_top + n].reshape(-1)
             for dj in range(p):
                 sums[dj:] += recon[dj, :n].reshape(-1)[: sums.size - dj]
         # a fresh array per block: the rows held back point into it
@@ -314,45 +324,6 @@ def _strip_workspace(strip_rows, width) -> tuple:
     return _strip_workspaces.arrays
 
 
-def _add_blocks_with_helper(z, out, tops, sigma) -> None:
-    """``_add_blocks`` over all of ``tops`` bottom-up, shared with the helper
-    process: the helper takes blocks from the bottom up, this process from
-    the top down, each claiming the next until they meet.
-
-    Bottom-up, the helper adds its blocks from zeros as the in-process pass
-    does.  Top-down, a block comes before the block below it, whose
-    patches a pixel must sum first: this process holds back each block's
-    additions to the rows of the block below, and makes them, in their
-    order, once that block is added.  The last block it takes holds back
-    its additions to the helper's first rows until the helper is done.
-    This needs blocks of at least p - 1 patch rows, so that a block's
-    patches reach no further than the block below.
-    """
-    held = []
-
-    def add_block(block):
-        nonlocal held
-        end = tops[block + 1] if block + 1 < len(tops) else len(z)
-        above, held = held, _add_blocks(z, out[:end], [tops[block]], sigma, _STRIP_ROWS, _BLOCK_ROWS)
-        _add_held(out, above)
-
-    _split_with_helper(z, out, tops, add_block, _add_block_from_zeros, sigma, list(tops), _STRIP_ROWS, _BLOCK_ROWS)
-    _add_held(out, held)
-
-
-def _add_block_from_zeros(z, out, block, sigma, tops, strip_rows, block_rows) -> None:
-    """The helper's DCT job: add the block at ``tops[block]`` into ``out``
-    over zeros."""
-    out[tops[block] : tops[block + 1] if block + 1 < len(tops) else len(z)] = 0.0
-    _add_blocks(z, out, [tops[block]], sigma, strip_rows, block_rows)
-
-
-def _add_held(out, held) -> None:
-    """Make the additions ``_add_blocks`` held back, in their order."""
-    for row, rows in held:
-        out[row : row + len(rows)] += rows
-
-
 # NlmDenoiser's patch side, search window side, and bandwidth per unit of sigma
 _NLM_PATCH = 7
 _NLM_SEARCH = 21
@@ -367,41 +338,30 @@ class NlmDenoiser:
     patches.  Each search offset costs a separable box sum, linear in the
     patch size, and the number of offsets is quadratic in the search radius.
 
-    Output rows depend on no other output row.  A call on an image at least
-    2 patches tall and 1 patch wide splits its rows in halves with the
-    helper process (see ``_split_with_helper``) when ``_may_split()``: this
-    process takes the top half and the helper the bottom one, or both if
-    the helper has not claimed it yet.  Each half is the same arithmetic on
-    the same values as the in-process pass, so the output is the same bytes.
+    Output rows depend on no other output row.  An image at least 2 patches
+    tall and 1 patch wide is two bands for ``_share_rows``, its top and
+    bottom halves of rows; a smaller one is one band.  Each half is the same
+    arithmetic on the same values as the whole image, so the output is the
+    same bytes.
     """
 
     kind = "nlm"
 
     def __call__(self, z, sigma: float) -> np.ndarray:
+        _check_sigma(sigma)
         z = as_grid(z)
         if sigma == 0:
             return z.copy()
         height, width = z.shape
         out = np.empty_like(z)
-        if height >= 2 * _NLM_PATCH and width >= _NLM_PATCH and _may_split():
-            bounds = (0, height // 2, height)
-
-            def own(half):
-                _nlm_band(z, out, half, sigma, bounds)
-
-            _split_with_helper(z, out, bounds[:2], own, _nlm_band, sigma, bounds)
-        else:
-            _nlm_rows(z, sigma, 0, height, out)
+        halves = height >= 2 * _NLM_PATCH and width >= _NLM_PATCH
+        _share_rows(z, out, (0, height // 2, height) if halves else (0, height), _nlm_rows, sigma)
         return out
 
 
-def _nlm_band(z, out, band, sigma, bounds) -> None:
-    """The NLM job: output rows ``bounds[band]`` to ``bounds[band + 1]``."""
-    _nlm_rows(z, sigma, bounds[band], bounds[band + 1], out)
-
-
-def _nlm_rows(z, sigma, top, bottom, out) -> None:
-    """Non-local means of rows ``top`` to ``bottom`` of z, into those rows of out.
+def _nlm_rows(z, out, top, bottom, sigma) -> list:
+    """The NLM job: non-local means of rows ``top`` to ``bottom`` of z, into
+    those rows of out.  It adds to no other row, so it returns no additions.
 
     Every per-offset array has the row pitch of the padded slab (width +
     26) and is worked through its flat view, where element (i, j) sits at
@@ -485,6 +445,7 @@ def _nlm_rows(z, sigma, top, bottom, out) -> None:
             w *= flat[shift : shift + span]
             numerator_span += w
     np.divide(numerator[:, :width], weight_sum[:, :width], out=out[top:bottom])
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -519,22 +480,35 @@ def _may_split() -> bool:
         return False
 
 
-def _split_with_helper(z, out, starts, own, job, *args) -> None:
-    """Work a denoiser call's units, whose first output rows are ``starts``,
-    in this process and the helper process at once.
+def _share_rows(z, out, bounds, job, *args) -> None:
+    """Work the bands of a denoiser call, the output rows between
+    consecutive ``bounds``, into ``out``.
 
-    The helper runs ``job(image, grid, unit, *args)``, a module-level
-    function, on units from the bottom up into its own output grid; this
-    process runs ``own(unit)`` on them from the top down; each claims the
-    next unit until they meet.  The helper's rows are then copied into
-    ``out``.  The helper is forked on the first call and serves every later
-    one in the process, of any denoiser kind; it is forked again only for a
-    larger image.  A run then uses two processes.  The helper's memory is
-    its own, in the process's ``RUSAGE_CHILDREN`` once it has exited (it
-    exits with the process), not in its ``RUSAGE_SELF``; only the mapping
-    that carries the pixels both ways is in both.
+    ``job(image, grid, top, bottom, *args)``, a module-level function,
+    writes rows ``top`` to ``bottom`` of ``grid``, whose row 0 is the
+    image's, and returns the additions it made past the end of ``grid`` as
+    ``(row, rows)`` pairs in their order.  With one band, or when not
+    ``_may_split()``, the job runs once over all rows: the in-process pass.
+
+    Otherwise the helper process claims bands from the bottom up into its
+    own output grid while this process claims them from the top down,
+    until they meet.  This process gives each band ``out[:bottom]`` and
+    makes the additions it returns once the band below is added: after its
+    next band, or after the helper's rows are copied in.  A pixel then gets
+    its additions in the in-process order, provided that a band's reach no
+    further than the band below.
+
+    The helper is forked on the first call that splits and serves every
+    later one in the process, of any kind; it is forked again only for a
+    larger image.  Its memory is its own, in the process's
+    ``RUSAGE_CHILDREN`` once it has exited (it exits with the process), not
+    in its ``RUSAGE_SELF``; only the mapping that carries the pixels both
+    ways is in both.
     """
     global _helper
+    if len(bounds) < 3 or not _may_split():
+        job(z, out, 0, len(z), *args)
+        return
     if _helper is None or _helper.owner != os.getpid() or _helper.pixels < z.size:
         # a helper forked by another process is that process's to stop
         if _helper is not None and _helper.owner == os.getpid():
@@ -542,12 +516,15 @@ def _split_with_helper(z, out, starts, own, job, *args) -> None:
         _helper = _Helper(z.size)
     helper = _helper
     image, helper_out = helper.grids(z.shape)
+    held = []
     try:
         image[...] = z
-        helper.claims[:] = (0, len(starts))
-        helper.connection.send((job, z.shape, args))
-        while (unit := helper.claim(from_top=True)) is not None:
-            own(unit)
+        helper.claims[:] = (0, len(bounds) - 1)
+        helper.connection.send((job, z.shape, bounds, args))
+        while (band := helper.claim(from_top=True)) is not None:
+            top, bottom = bounds[band], bounds[band + 1]
+            above, held = held, job(z, out[:bottom], top, bottom, *args)
+            _add_held(out, above)
         helper.connection.recv()
     except BaseException as exc:
         # the helper may have died, or may still owe this reply: never
@@ -557,9 +534,15 @@ def _split_with_helper(z, out, starts, own, job, *args) -> None:
         if isinstance(exc, (EOFError, OSError)):
             raise RuntimeError(f"the denoiser helper process {helper.process.pid} has died") from exc
         raise
-    met = helper.claims[0]
-    if met < len(starts):
-        out[starts[met] :] = helper_out[starts[met] :]
+    met = bounds[helper.claims[0]]
+    out[met:] = helper_out[met:]
+    _add_held(out, held)
+
+
+def _add_held(out, held) -> None:
+    """Make the additions a job held back, in their order."""
+    for row, rows in held:
+        out[row : row + len(rows)] += rows
 
 
 class _Helper:
@@ -567,7 +550,7 @@ class _Helper:
 
     The pixels pass through two grids of up to ``pixels`` float64 values in
     a memory mapping the two processes share, an image and an output grid,
-    with the next unit each side may claim, and each request and its reply
+    with the next band each side may claim, and each request and its reply
     through a pipe.  The helper closes its copy of this process's end of the
     pipe, so this process's death reaches it as end of file, and it exits.
     It is a daemon: multiprocessing stops and reaps it when this process
@@ -583,7 +566,7 @@ class _Helper:
         self.pixels = pixels
         shared = mmap.mmap(-1, 2 * pixels * 8 + 16)
         self.grid_values = np.frombuffer(shared, count=2 * pixels).reshape(2, pixels)
-        # the first unit the top side may claim, and one past the last the bottom side may
+        # the first band the top side may claim, and one past the last the bottom side may
         self.claims = np.frombuffer(shared, dtype=np.int64, count=2, offset=2 * pixels * 8)
         self.lock = context.Lock()
         self.connection, helper_end = context.Pipe()
@@ -599,7 +582,7 @@ class _Helper:
         return self.grid_values[0, :size].reshape(shape), self.grid_values[1, :size].reshape(shape)
 
     def claim(self, from_top: bool) -> int | None:
-        """The next unclaimed unit from the top or the bottom, if any."""
+        """The next unclaimed band from the top or the bottom, if any."""
         with self.lock:
             first, end = self.claims
             if first == end:
@@ -622,18 +605,18 @@ _helper: _Helper | None = None
 
 
 def _serve(helper: _Helper, connection) -> None:
-    """The helper's loop: for each request, claim units of the shared image
+    """The helper's loop: for each request, claim bands of the shared image
     from the bottom up and run the request's job on each into the shared
-    output grid, reply when no unit is left, and end at end of file."""
+    output grid, reply when no band is left, and end at end of file."""
     helper.connection.close()
     # an interrupt from the terminal reaches the parent too, which stops the helper
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         while True:
-            job, shape, args = connection.recv()
+            job, shape, bounds, args = connection.recv()
             image, out = helper.grids(shape)
-            while (unit := helper.claim(from_top=False)) is not None:
-                job(image, out, unit, *args)
+            while (band := helper.claim(from_top=False)) is not None:
+                job(image, out, bounds[band], bounds[band + 1], *args)
             connection.send(None)
     except (EOFError, BrokenPipeError, ConnectionResetError):
         return
@@ -673,6 +656,7 @@ class ExternalDenoiser:
         self.command = command
 
     def __call__(self, z, sigma: float) -> np.ndarray:
+        _check_sigma(sigma)
         z = as_grid(z)
         height, width = z.shape
         argv = shlex.split(self.command) if isinstance(self.command, str) else list(self.command)

@@ -193,6 +193,9 @@ def test_experiment_spec_validation():
     (dict(task="deblur", solver="pnp", scenario=4, mask_fraction=0.0), "deblurring does not read mask_fraction"),
     # nor is a command for a denoiser that runs none
     (dict(task="inpaint", denoiser="median", external_cmd="foo"), "the median denoiser does not read external_cmd"),
+    # the summary writes the command on one header line, which its parser reads back
+    (dict(task="inpaint", denoiser="external", external_cmd="cat\n--fake"), "external_cmd must be one line"),
+    (dict(task="inpaint", denoiser="external", external_cmd="cat\r--fake"), "external_cmd must be one line"),
     # NaN passes every `x < 0` and `x <= 0` test, and no setting may be infinite
     (dict(task="inpaint", sigma_n=NAN), "sigma_n must be finite"),
     (dict(task="deblur", scenario=1, sigma_n=INF), "sigma_n must be finite"),
@@ -535,11 +538,14 @@ def test_cli_rejects_a_setting_of_the_other_task(argv, scene_pgm, tmp_path, caps
     ["inpaint", "--sigma-n", "10", "--delta", "nan"],
     ["deblur", "--scenario", "1", "--sigma-n", "inf"],
     ["inpaint", "--denoiser", "external"],
-], ids=["inpaint-delta-nan", "deblur-sigma-n-inf", "inpaint-external-without-command"])
+    ["inpaint", "--denoiser", "external", "--external-cmd", "cat\n--fake"],
+], ids=["inpaint-delta-nan", "deblur-sigma-n-inf", "inpaint-external-without-command",
+        "inpaint-external-command-with-a-line-break"])
 def test_cli_rejects_a_non_finite_setting_before_restoring(argv, scene_pgm, tmp_path, monkeypatch, capsys):
     # a NaN delta used to run to NaN ratios in the trace; an infinite sigma_n
     # got as far as a divide-by-zero in the BSNR; an external denoiser with
-    # no command, from neither the flag nor the environment, is as unusable
+    # no command, from neither the flag nor the environment, is as unusable;
+    # a command with a line break used to write a summary its parser rejects
     monkeypatch.delenv("IDBP_EXTERNAL_DENOISER", raising=False)
     out, trace, report = tmp_path / "restored.pgm", tmp_path / "trace.csv", tmp_path / "report.csv"
     code = cli_main([*argv, "--input", str(scene_pgm), "--iters", "2",

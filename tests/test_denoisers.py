@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import signal
@@ -76,6 +77,21 @@ def test_denoisers_reject_non_finite_input():
     z[3, 3] = np.inf
     with pytest.raises(ValueError):
         DctDenoiser()(z, 5.0)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("kind", DENOISERS)
+def test_denoisers_reject_an_unusable_sigma_before_any_work(kind, sigma, monkeypatch):
+    # NaN used to give an all-NaN NLM grid or a DC-only DCT blur, the median
+    # ignored sigma, and every kind took a negative one; no image is read
+    # and no command spawned before the check
+    def no_work(z):
+        raise AssertionError("the image was read")
+
+    monkeypatch.setattr(denoisers, "as_grid", no_work)
+    denoiser = build_denoiser(kind, "/definitely/not/a/real/binary" if kind == "external" else None)
+    with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+        denoiser(np.zeros((32, 32)), sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +321,7 @@ def test_dct_split_with_the_helper_matches_the_in_process_pass_bytes(shape, sigm
     assert split.tobytes() == DctDenoiser()(z, sigma).tobytes()
 
 
-def _strided_add_blocks(z, out, tops, sigma, strip_rows, block_rows):
+def _strided_add_blocks(z, out, top, bottom, sigma, strip_rows, block_rows):
     """``_add_blocks`` with each strip's coefficients and inverse at the
     pitch of the patch columns, fresh arrays per strip, and one 2-D
     overlap-add per column offset; kept as the byte-equal oracle of the
@@ -316,18 +332,19 @@ def _strided_add_blocks(z, out, tops, sigma, strip_rows, block_rows):
     rows, cols = z.shape[0] - p + 1, z.shape[1] - p + 1
     held = []
     windows = sliding_window_view(z, p, axis=0)
-    for block_top in tops:
+    out[top:bottom] = 0.0
+    for block_top in reversed(range(top, min(bottom, rows), block_rows)):
         block_bottom = min(block_top + block_rows, rows)
         vertical = np.ascontiguousarray((windows[block_top:block_bottom] @ basis.T).transpose(0, 2, 1))
         column_sums = np.zeros((block_bottom - block_top, p, z.shape[1]))
-        for top in range(0, block_bottom - block_top, strip_rows):
-            strip_windows = sliding_window_view(vertical[top : top + strip_rows], p, axis=2)
+        for strip_top in range(0, block_bottom - block_top, strip_rows):
+            strip_windows = sliding_window_view(vertical[strip_top : strip_top + strip_rows], p, axis=2)
             coeffs = basis @ np.swapaxes(strip_windows, -1, -2)
             keep = np.abs(coeffs) > threshold
             keep[:, 0, 0, :] = True
             coeffs *= keep
             recon = basis.T @ coeffs
-            strip = column_sums[top : top + strip_rows]
+            strip = column_sums[strip_top : strip_top + strip_rows]
             for dj in range(p):
                 strip[:, :, dj : dj + cols] += recon[:, :, dj]
         recon = basis.T @ column_sums
@@ -425,6 +442,8 @@ def test_dct_split_matches_the_in_process_pass_bytes_wherever_the_sides_meet(slo
     blocks = len(range(0, 64 - 7, 16))
     process, add_blocks = os.getpid(), denoisers._add_blocks
 
+    # wrapped: the helper is sent the job by its module and name
+    @functools.wraps(add_blocks)
     def sleepy(*args):
         if (os.getpid() == process) == (slow == "process"):
             time.sleep(0.2)
@@ -599,7 +618,7 @@ class _Interrupted(Exception):
     pass
 
 
-# the function that works this process's share of a split call
+# each splitting kind's job
 _ROWS_OF = {"dct_threshold": "_add_blocks", "nlm": "_nlm_rows"}
 
 
@@ -614,6 +633,7 @@ def test_call_after_an_aborted_exchange_reads_no_stale_reply(kind, fresh_helper,
     process, rows = os.getpid(), getattr(denoisers, _ROWS_OF[kind])
     aborted = False
 
+    @functools.wraps(rows)
     def slow_helper(*args):
         if os.getpid() != process:
             time.sleep(0.2)
@@ -650,6 +670,64 @@ def test_dct_and_nlm_calls_share_one_helper(fresh_helper, monkeypatch):
     monkeypatch.setattr(denoisers, "_may_split", lambda: False)
     for (kind, z), out in zip(calls, outputs):
         assert out.tobytes() == build_denoiser(kind)(z, 10.0).tobytes(), kind
+
+
+@needs_fork
+@needs_proc
+def test_a_larger_image_stops_the_helper_and_forks_one_anew(fresh_helper, monkeypatch):
+    # the first helper's grids hold a 64^2 image; the 256^2 one needs more
+    monkeypatch.setattr(denoisers, "_may_split", lambda: True)
+    helper_class, forks = denoisers._Helper, []
+
+    def counted(pixels):
+        forks.append(pixels)
+        return helper_class(pixels)
+
+    monkeypatch.setattr(denoisers, "_Helper", counted)
+    denoiser = DctDenoiser()
+    small, large = _random_grid(47, 64, 64), _random_grid(48, 256, 256)
+    denoiser(small, 10.0)
+    first = denoisers._helper.process.pid
+    split = denoiser(large, 10.0)
+    second = denoisers._helper.process.pid
+    assert forks == [64 * 64, 256 * 256] and second != first
+    # stopped and reaped: not even a zombie is left
+    assert not Path(f"/proc/{first}").exists()
+    split_small = denoiser(small, 10.0)
+    assert denoisers._helper.process.pid == second and len(forks) == 2
+    monkeypatch.setattr(denoisers, "_may_split", lambda: False)
+    assert split.tobytes() == denoiser(large, 10.0).tobytes()
+    assert split_small.tobytes() == denoiser(small, 10.0).tobytes()
+
+
+@pytest.mark.parametrize("kind, shape", [("dct_threshold", (16, 40)), ("nlm", (13, 40))])
+def test_one_band_runs_its_job_once_over_all_rows_without_the_gate(kind, shape, monkeypatch):
+    # a DCT image of one block of patch rows, an NLM image too short to halve
+    def gate():
+        raise AssertionError("a call of one band asked whether it may split")
+
+    monkeypatch.setattr(denoisers, "_may_split", gate)
+    job, bands = getattr(denoisers, _ROWS_OF[kind]), []
+
+    def counted(z, out, top, bottom, *args):
+        bands.append((top, bottom))
+        return job(z, out, top, bottom, *args)
+
+    monkeypatch.setattr(denoisers, _ROWS_OF[kind], counted)
+    z = _random_grid(49, *shape)
+    out = build_denoiser(kind)(z, 10.0)
+    assert bands == [(0, shape[0])]
+    monkeypatch.setattr(denoisers, _ROWS_OF[kind], job)
+    assert out.tobytes() == build_denoiser(kind)(z, 10.0).tobytes()
+
+
+@pytest.mark.parametrize("layout", [pytest.param(None, id="module"), *_DCT_LAYOUTS])
+def test_dct_blocks_are_whole_strips_and_reach_no_further_than_the_block_below(layout):
+    # a block's patches add to p - 1 rows past its last patch row: the split
+    # holds those additions back only as far as the band below
+    strip_rows, block_rows = layout or (denoisers._STRIP_ROWS, denoisers._BLOCK_ROWS)
+    assert block_rows % strip_rows == 0
+    assert block_rows >= denoisers._DCT_PATCH - 1
 
 
 def test_dct_rejects_images_smaller_than_patch():
@@ -772,7 +850,7 @@ def test_nlm_rows_match_the_slab_pass_bytes(shape, kind, sigma):
         if top == bottom:
             continue
         out, ref = np.zeros(shape), np.zeros(shape)
-        denoisers._nlm_rows(z, sigma, top, bottom, out)
+        denoisers._nlm_rows(z, out, top, bottom, sigma)
         _slab_nlm_rows(z, sigma, top, bottom, ref)
         assert out.tobytes() == ref.tobytes(), (top, bottom)
 
@@ -817,13 +895,14 @@ def test_nlm_allocates_no_batch_of_offsets(monkeypatch):
 def test_nlm_split_with_the_helper_matches_the_in_process_pass_bytes(shape, kind, sigma, monkeypatch):
     z = add_gaussian_noise(_nlm_input(kind, shape), sigma, RngState(25))
     tiny = shape in _NLM_TINY_SHAPES
-    split_with_helper, splits = denoisers._split_with_helper, []
+    share_rows, splits = denoisers._share_rows, []
 
-    def counted(*args):
-        splits.append(args[0].shape)
-        split_with_helper(*args)
+    def counted(z, out, bounds, *args):
+        if len(bounds) == 3:
+            splits.append(z.shape)
+        share_rows(z, out, bounds, *args)
 
-    monkeypatch.setattr(denoisers, "_split_with_helper", counted)
+    monkeypatch.setattr(denoisers, "_share_rows", counted)
     if tiny:
         monkeypatch.setattr(denoisers, "_helper", None)
     monkeypatch.setattr(denoisers, "_may_split", lambda: True)
