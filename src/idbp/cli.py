@@ -6,7 +6,9 @@ ground truth; ``bench`` runs a whole corpus directory; ``verify`` runs the
 numerical verification battery.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure.  Settings resolve
-with precedence builtin defaults < ./idbp.cfg < command-line flags.
+with precedence builtin defaults < ./idbp.cfg < command-line flags: a file
+value fills only a flag left unset, and every file value is checked.
+``bench`` takes no ``--trace``; it writes ``<name>_trace.csv`` under ``--output``.
 """
 
 from __future__ import annotations
@@ -123,111 +125,91 @@ def _config_value(key: str, raw: str, action: argparse.Action):
         raise UsageError(f"bad config value {key}={raw!r}: {exc}") from exc
 
 
-class _Settings:
-    """Precedence-aware view over CLI args and the optional config file,
-    both by the flags' dest names.  Every config key must name a flag."""
-
-    def __init__(self, args: argparse.Namespace, file_cfg: dict[str, str], keys: dict[str, argparse.Action]):
-        self.args = args
-        self.file_values = {}
-        for key, raw in file_cfg.items():
-            if key not in keys:
-                raise UsageError(f"unknown config key {key!r} in {CONFIG_FILENAME}; "
-                                 f"keys are the flags' long names: {', '.join(sorted(keys))}")
-            self.file_values[keys[key].dest] = _config_value(key, raw, keys[key])
-
-    def get(self, dest: str, builtin=None):
-        value = getattr(self.args, dest, None)
-        if value is not None:
-            return value
-        return self.file_values.get(dest, builtin)
+def _fill_from_config(args: argparse.Namespace, file_cfg: dict[str, str],
+                      keys: dict[str, argparse.Action]) -> None:
+    """Set each flag left unset from ./idbp.cfg.  Every key must name a flag,
+    and every value must read as its flag reads it, even one a flag overrides."""
+    for key, raw in file_cfg.items():
+        action = keys.get(key)
+        if action is None:
+            raise UsageError(f"unknown config key {key!r} in {CONFIG_FILENAME}; "
+                             f"keys are the flags' long names: {', '.join(sorted(keys))}")
+        value = _config_value(key, raw, action)
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, value)
 
 
-def _spec_from_settings(settings: _Settings, task: str, solver: str | None) -> ExperimentSpec:
+def _spec_from_args(args: argparse.Namespace, solver: str | None) -> ExperimentSpec:
     """The spec of what a flag or ./idbp.cfg sets; the spec's defaults cover the rest.
 
-    A spec field is read by its name, the dest of the flag that sets it.
-    ``auto_tune`` turns idbp (or no solver) into idbp_auto, and is an error with pnp.
+    A spec field is read by its name, the dest of the flag that sets it.  A
+    scenario makes the task deblurring, except for ``inpaint``.  ``auto_tune``
+    turns idbp (or no solver) into idbp_auto, and is an error with pnp.
     """
-    if settings.get("auto_tune", False):
+    if args.auto_tune:
         if solver == "pnp":
             raise ValueError("--auto-tune selects the idbp_auto solver; it does not apply to pnp")
         solver = "idbp_auto"
-    fields = {field.name: settings.get(field.name) for field in dataclasses.fields(ExperimentSpec) if field.init}
+    fields = {field.name: getattr(args, field.name, None) for field in dataclasses.fields(ExperimentSpec) if field.init}
     if fields["denoiser"] == "external" and not fields["external_cmd"]:
         fields["external_cmd"] = os.environ.get("IDBP_EXTERNAL_DENOISER")
+    task = "deblur" if args.scenario is not None and args.command != "inpaint" else "inpaint"
     fields.update(task=task, solver=solver)
     return ExperimentSpec(**{name: value for name, value in fields.items() if value is not None})
 
 
-def _require_input(settings: _Settings) -> str:
-    path = settings.get("input")
-    if not path:
+def _require_input(args: argparse.Namespace) -> str:
+    if not args.input:
         raise UsageError("--input is required")
-    return path
+    return args.input
 
 
-def _single_image_command(settings: _Settings, task: str, solver: str) -> int:
-    path = _require_input(settings)
+def _single_image_command(args: argparse.Namespace) -> int:
+    """``inpaint``, ``deblur`` (which needs a scenario) and ``pnp``."""
+    if args.command == "deblur" and args.scenario is None:
+        raise UsageError("--scenario is required for deblur")
+    path = _require_input(args)
     image = load_pgm(path)
-    spec = _spec_from_settings(settings, task, solver)
+    spec = _spec_from_args(args, "pnp" if args.command == "pnp" else "idbp")
     result = run_single(spec, image, RngState(spec.seed))
     parts = [
         f"psnr_in={result.psnr_in_db:.2f} dB",
         f"psnr_out={result.psnr_out_db:.2f} dB",
         f"isnr={result.isnr_db:+.2f} dB",
     ]
-    if task == "deblur":
+    if spec.task == "deblur":
         parts.append(f"bsnr={result.bsnr_db:.2f} dB")
     if spec.solver == "idbp_auto":
         parts.append(f"restarts={result.trace.restart_count}")
-    print(f"{task} [{spec.solver}] {Path(path).name}: " + ", ".join(parts))
+    print(f"{spec.task} [{spec.solver}] {Path(path).name}: " + ", ".join(parts))
 
-    output = settings.get("output")
-    if output:
-        save_pgm(result.estimate, output)
-    trace_path = settings.get("trace")
-    if trace_path:
-        emit_trace_csv(result.trace, trace_path)
-    report_path = settings.get("report")
-    if report_path:
-        write_summary_csv(RunReport(rows=[result.row(Path(path).stem)], config=spec.resolved()), report_path)
+    if args.output:
+        save_pgm(result.estimate, args.output)
+    if args.trace:
+        emit_trace_csv(result.trace, args.trace)
+    if args.report:
+        write_summary_csv(RunReport(rows=[result.row(Path(path).stem)], config=spec.resolved()), args.report)
     return 0
 
 
-def _cmd_inpaint(settings: _Settings) -> int:
-    return _single_image_command(settings, "inpaint", "idbp")
-
-
-def _cmd_deblur(settings: _Settings) -> int:
-    if settings.get("scenario") is None:
-        raise UsageError("--scenario is required for deblur")
-    return _single_image_command(settings, "deblur", "idbp")
-
-
-def _cmd_pnp(settings: _Settings) -> int:
-    task = "deblur" if settings.get("scenario") is not None else "inpaint"
-    return _single_image_command(settings, task, "pnp")
-
-
-def _cmd_bench(settings: _Settings) -> int:
-    corpus_dir = Path(_require_input(settings))
+def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.trace:
+        raise UsageError("bench takes no --trace: it writes <name>_trace.csv for each image under --output")
+    corpus_dir = Path(_require_input(args))
     if not corpus_dir.is_dir():
         raise FileNotFoundError(f"corpus directory {corpus_dir} does not exist")
     paths = sorted(corpus_dir.glob("*.pgm"))
     if not paths:
         raise FileNotFoundError(f"no .pgm files in {corpus_dir}")
     corpus = [(p.stem, load_pgm(p)) for p in paths]
-
-    task = "deblur" if settings.get("scenario") is not None else "inpaint"
-    spec = _spec_from_settings(settings, task, settings.args.solver)
+    spec = _spec_from_args(args, args.solver)
 
     report = run_benchmark(spec, corpus)
-    out_dir = Path(settings.get("output", "."))
+    out_dir = Path(args.output or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, trace in report.traces.items():
         emit_trace_csv(trace, out_dir / f"{name}_trace.csv")
-    summary_path = Path(settings.get("report") or out_dir / "summary.csv")
+    summary_path = Path(args.report or out_dir / "summary.csv")
     write_summary_csv(report, summary_path)
 
     for row in report.rows:
@@ -257,14 +239,8 @@ def cli_main(argv) -> int:
         return 0 if verify_mod.run_all() else 2
     try:
         file_cfg = load_config_file(CONFIG_FILENAME) if Path(CONFIG_FILENAME).exists() else {}
-        settings = _Settings(args, file_cfg, keys)
-        handler = {
-            "inpaint": _cmd_inpaint,
-            "deblur": _cmd_deblur,
-            "pnp": _cmd_pnp,
-            "bench": _cmd_bench,
-        }[args.command]
-        return handler(settings)
+        _fill_from_config(args, file_cfg, keys)
+        return _cmd_bench(args) if args.command == "bench" else _single_image_command(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,6 +6,9 @@ Round trips of integer-valued grids are bit-exact.  Saving clamps to
 
 from __future__ import annotations
 
+import itertools
+import re
+
 import numpy as np
 
 from .grid import as_grid
@@ -15,30 +18,22 @@ class PgmFormatError(ValueError):
     """Malformed or unsupported PGM content."""
 
 
+# A header token, or a # comment that runs to the end of its line
+_HEADER_TOKEN = re.compile(rb"#[^\r\n]*|\S+")
+
+
 def _read_tokens(blob: bytes, count: int) -> tuple[list[bytes], int]:
     """First `count` whitespace-separated header tokens, skipping # comments.
 
     Returns the tokens and the offset just past the single whitespace byte
-    that terminates the last token.
+    that terminates the last token.  The scan stops there, so it never reads
+    the payload.
     """
-    tokens: list[bytes] = []
-    pos = 0
-    n = len(blob)
-    while len(tokens) < count:
-        while pos < n and blob[pos : pos + 1].isspace():
-            pos += 1
-        if pos < n and blob[pos : pos + 1] == b"#":
-            while pos < n and blob[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-            continue
-        start = pos
-        while pos < n and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if pos == start:
-            raise PgmFormatError("truncated header")
-        tokens.append(blob[start:pos])
-        pos += 1  # exactly one whitespace byte separates header from payload
-    return tokens, pos
+    found = (m for m in _HEADER_TOKEN.finditer(blob) if not m[0].startswith(b"#"))
+    matches = list(itertools.islice(found, count))
+    if len(matches) < count:
+        raise PgmFormatError("truncated header")
+    return [m[0] for m in matches], matches[-1].end() + 1
 
 
 def load_pgm(path) -> np.ndarray:

@@ -441,7 +441,7 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(print_fn=print) -> bool:
+def run_all() -> bool:
     all_ok = True
     for name, check in ALL_CHECKS:
         try:
@@ -449,5 +449,5 @@ def run_all(print_fn=print) -> bool:
         except Exception as exc:  # noqa: BLE001 - report, do not crash the battery
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         all_ok &= ok
-        print_fn(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return all_ok

@@ -752,3 +752,55 @@ def test_cli_verify_ignores_malformed_config_file(tmp_path, monkeypatch, capsys)
     assert cli_main(["inpaint", "--input", "x.pgm"]) == 1  # other commands read the file
     monkeypatch.setattr(verify, "ALL_CHECKS", _STUB_CHECKS)
     assert cli_main(["verify"]) == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+def test_cli_bench_rejects_trace_before_any_image(source, tmp_path, monkeypatch, capsys):
+    # bench writes one <name>_trace.csv per image under --output; a --trace
+    # path used to be dropped without a word
+    monkeypatch.chdir(tmp_path)
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    for name, img in _tiny_corpus(1):
+        save_pgm(img, corpus_dir / f"{name}.pgm")
+    out_dir, trace = tmp_path / "out", tmp_path / "t.csv"
+    argv = ["bench", "--input", str(corpus_dir), "--output", str(out_dir), "--iters", "2"]
+    if source == "flag":
+        argv += ["--trace", str(trace)]
+    else:
+        (tmp_path / "idbp.cfg").write_text(f"trace = {trace}\n")
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--trace" in err and "_trace.csv" in err
+    assert not out_dir.exists() and not trace.exists()
+
+
+def test_cli_config_file_value_is_checked_where_a_flag_sets_it(scene_pgm, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "idbp.cfg").write_text("iters = x\n")
+    out = tmp_path / "out.pgm"
+    assert cli_main(["inpaint", "--input", str(scene_pgm), "--iters", "2", "--output", str(out)]) == 1
+    assert "iters='x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line", [("deblur", "deblur [idbp]"), ("pnp", "deblur [pnp]")])
+def test_cli_config_file_scenario_selects_deblurring(command, line, scene_pgm, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "idbp.cfg").write_text("scenario = 1\n")
+    assert cli_main([command, "--input", str(scene_pgm), "--iters", "2", "--denoiser", "gaussian"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(line) and "bsnr=" in out
+
+
+def test_cli_config_file_output_is_where_bench_writes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    for name, img in _tiny_corpus(1):
+        save_pgm(img, corpus_dir / f"{name}.pgm")
+    (tmp_path / "idbp.cfg").write_text("output = results\n")
+    assert cli_main(["bench", "--input", str(corpus_dir), "--iters", "2", "--denoiser", "median"]) == 0
+    assert (tmp_path / "results" / "summary.csv").exists()
+    assert (tmp_path / "results" / "img0_trace.csv").exists()
+    assert not (tmp_path / "summary.csv").exists()

@@ -178,3 +178,24 @@ def test_pgm_rejects_unsupported_maxval(tmp_path):
     path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
     with pytest.raises(PgmFormatError, match="maxval"):
         load_pgm(path)
+
+
+@pytest.mark.parametrize("header, payload", [
+    (b"P5\n4", None),
+    (b"P5\t3\r1\t255\r", bytes([0, 1, 2])),
+    (b"P5 3 # width, then height\n1\n# maxval\n255\n", bytes([0, 1, 2])),
+    (b"P5\n3 1\n255\n", bytes([35, 1, 2])),
+    (b"P5\n3 1\n255\n", bytes([10, 1, 2])),
+    (b"P5\n3 1\n255\n", bytes([32, 1, 2])),
+], ids=["truncated-header", "tab-and-cr", "comments-between-tokens", "payload-starts-with-hash",
+        "payload-starts-with-newline", "payload-starts-with-space"])
+def test_pgm_header_tokens(header, payload, tmp_path):
+    # exactly one whitespace byte ends the header, so a payload may begin
+    # with a byte the header scan would otherwise read as a comment or a space
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header + (payload or b""))
+    if payload is None:
+        with pytest.raises(PgmFormatError, match="truncated header"):
+            load_pgm(path)
+    else:
+        assert load_pgm(path).tolist() == [list(payload)]
