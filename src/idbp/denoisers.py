@@ -15,6 +15,7 @@ checks in ``idbp.verify``.
 
 from __future__ import annotations
 
+import functools
 import mmap
 import os
 import shlex
@@ -172,26 +173,31 @@ _DCT_PATCH = 8
 _DCT_THRESHOLD_FACTOR = 3.0
 _DCT_BASIS = _dct_matrix(_DCT_PATCH)
 
-# Patch rows per strip of DctDenoiser's horizontal pass, the fastest with
-# one BLAS thread at 256^2.  Medians of interleaved calls at sigma 15, in
-# blocks of 16 rows, strips of 2, 4 and 8 rows, on the row-pitch strips:
-# in-process, 18.5/18.4, 18.9/18.5 and 20.4/19.9 ms at 256^2 (two runs of
-# 40 calls), 76.0/76.8, 78.3/82.5 and 87.5/91.1 ms at 512^2 (12 calls);
-# with the helper, 14.2/11.6, 14.7/10.9 and 15.4/11.4 ms at 256^2,
-# 42.5/42.7, 44.6/45.6 and 45.9/49.2 ms at 512^2.  Strips of 2 against 4,
-# three runs of 60 calls at 256^2 and 24 at 512^2: in-process 19.6/19.1/19.9
-# against 19.3/18.2/18.6 ms and 77.7/85.5/79.8 against 79.7/90.6/82.0 ms;
-# with the helper 13.3/13.0/15.7 against 11.6/11.1/13.8 ms and
-# 46.2/44.2/47.2 against 50.6/43.7/47.5 ms, no gain that holds.
-_STRIP_ROWS = 4
+# Patch rows per strip of DctDenoiser's horizontal pass.  Medians of
+# interleaved calls at sigma 15 with one BLAS thread, on the prebuilt strip
+# pass, in blocks of 16 rows, strips of 2, 4 and 8 rows, three runs of 60
+# calls at 256^2 and 18 at 512^2: in-process 20.4/20.3/21.2,
+# 22.3/21.8/22.1 and 25.3/24.0/24.7 ms at 256^2, 85.8/90.1/93.2,
+# 97.1/98.1/99.6 and 109.6/108.5/117.5 ms at 512^2; with the helper
+# 11.7/12.9/12.8, 13.7/13.7/12.9 and 15.8/15.1/14.2 ms at 256^2,
+# 47.4/46.1/50.0, 53.8/52.1/53.3 and 59.1/58.4/62.1 ms at 512^2.  Strips of
+# 2 against 4, three runs of 120 calls at 256^2 and 32 at 512^2: in-process
+# 18.6/16.7/17.7 against 23.3/19.0/19.5 ms and 71.0/79.5/67.7 against
+# 96.3/90.7/93.2 ms; with the helper 11.8/35.8/13.3 against 12.1/39.8/13.1
+# ms (the host busy in the second run) and 51.1/48.6/64.9 against
+# 56.8/56.1/74.8 ms.  Strips of 1 row held no gain over 2 (17.3/16.6/22.9
+# against 21.4/15.9/21.4 ms in-process at 256^2, 75.1/87.1/75.0 against
+# 73.4/70.2/69.3 ms at 512^2).
+_STRIP_ROWS = 2
 # Patch rows per block of its vertical pass, a multiple of _STRIP_ROWS and
 # at least _DCT_PATCH - 1, so that a block's patches reach no further than
-# the block below, as the hold-back of _share_rows needs.  In the runs
-# above, strips of 4 in blocks of 8 and 32 rows took 19.4/19.5 and
-# 19.9/20.2 ms in-process and 14.1/11.7 and 15.5/13.4 ms with the helper at
-# 256^2, 82.0/83.9 and 83.1/82.2 ms in-process and 47.7/47.0 and 44.6/52.2
-# ms with the helper at 512^2, none faster than blocks of 16, which also
-# allocated the fewest fresh pages per call when the strips were not reused.
+# the block below, as the hold-back of _share_rows needs.  Strips of 2 in
+# blocks of 8, 16 and 32 rows, three runs as above: in-process
+# 19.7/15.9/21.4, 21.4/15.9/21.4 and 20.1/16.9/21.7 ms at 256^2,
+# 79.2/75.7/78.5, 73.4/70.2/69.3 and 84.0/75.0/77.4 ms at 512^2; with the
+# helper 12.0/13.9/13.6, 11.8/12.2/13.0 and 12.7/13.4/12.4 ms at 256^2,
+# 48.0/54.3/46.6, 50.0/56.1/50.6 and 48.4/52.3/50.5 ms at 512^2.  Blocks of
+# 8 won only split at 512^2, and lost in-process there.
 _BLOCK_ROWS = 16
 
 
@@ -220,13 +226,23 @@ class DctDenoiser:
         p = _DCT_PATCH
         if z.shape[0] < p or z.shape[1] < p:
             raise ValueError(f"image {z.shape} smaller than patch {p}x{p}")
-        rows, cols = z.shape[0] - p + 1, z.shape[1] - p + 1
         out = np.empty_like(z)
-        bounds = [*range(0, rows, _BLOCK_ROWS), len(z)]
+        bounds = [*range(0, z.shape[0] - p + 1, _BLOCK_ROWS), len(z)]
         _share_rows(z, out, bounds, _add_blocks, sigma, _STRIP_ROWS, _BLOCK_ROWS)
-        # every pixel is covered by (row overlaps) x (column overlaps) patches
-        ones = np.ones(p)
-        return out / np.outer(np.convolve(np.ones(rows), ones), np.convolve(np.ones(cols), ones))
+        return np.divide(out, _overlap_counts(z.shape), out=out)
+
+
+@functools.lru_cache(maxsize=1)
+def _overlap_counts(shape) -> np.ndarray:
+    """The number of DCT patches that cover each pixel of an image of this
+    shape, (row overlaps) x (column overlaps), read-only; kept for the last
+    shape asked for."""
+    p = _DCT_PATCH
+    ones = np.ones(p)
+    rows, cols = shape[0] - p + 1, shape[1] - p + 1
+    counts = np.outer(np.convolve(np.ones(rows), ones), np.convolve(np.ones(cols), ones))
+    counts.flags.writeable = False
+    return counts
 
 
 def _add_blocks(z, out, top, bottom, sigma, strip_rows, block_rows) -> list:
@@ -240,88 +256,115 @@ def _add_blocks(z, out, top, bottom, sigma, strip_rows, block_rows) -> list:
     p = _DCT_PATCH
     basis = _DCT_BASIS
     threshold = _DCT_THRESHOLD_FACTOR * sigma
-    rows, width = z.shape[0] - p + 1, z.shape[1]
-    cols = width - p + 1
+    rows = z.shape[0] - p + 1
     # The 2-D patch DCT is separable.  A block of patch rows at a time:
-    # transform its vertical windows, stored as (patch row, vertical
-    # frequency, image column); finish the transform, threshold and
-    # invert horizontally a strip of patch rows at a time so the
-    # per-patch coefficients stay in cache; then invert vertically and
-    # add the block's patches into the output.  A strip's coefficients
-    # are stored (patch row, vertical frequency, horizontal frequency,
-    # column) and its inverse (column offset, patch row, vertical
-    # frequency, column), both at the image's row pitch, in a workspace
-    # that every strip reuses (see ``_strip_workspace``).  The products
-    # write only the first ``cols`` columns of each row and the threshold
-    # runs over whole rows, so the junk columns past ``cols`` keep the
-    # workspace's zeros.  The overlap-add of column offset dj is then one
-    # flat add of the inverse into the strip's column sums, dj places on,
-    # where each row's junk lands on its own last columns or on the next
-    # row's first dj.  That changes no bit: a column sum starts at +0.0,
-    # a round-to-nearest sum that starts at +0.0 is never -0.0, and any
-    # other s + 0.0 is s.  Each coefficient is the same p-term sum as in a
-    # (column, frequency) layout, and the output the same bit for bit.
-    # Temporaries are block-sized, never image-sized.  Blocks run
+    # transform its vertical windows into the workspace, stored as (patch
+    # row, vertical frequency, image column); finish the transform,
+    # threshold and invert horizontally a strip of patch rows at a time so
+    # the per-patch coefficients stay in cache, adding each strip into the
+    # block's column sums; then invert vertically and add the block's
+    # patches into the output.  Every array and view a strip works on is
+    # made once per layout and width (see ``_dct_workspace``).  Blocks run
     # bottom-up: each output pixel then sums its patches in order of
     # increasing row offset, as one pass over all patch rows does.
-    coeffs, magnitudes, keep, recon = _strip_workspace(strip_rows, width)
+    products, vertical, column_sums, plans = _dct_workspace(strip_rows, block_rows, z.shape[1])
     held = []
     windows = sliding_window_view(z, p, axis=0)
     out[top:bottom] = 0.0
     for block_top in reversed(range(top, min(bottom, rows), block_rows)):
         block_bottom = min(block_top + block_rows, rows)
-        vertical = np.ascontiguousarray((windows[block_top:block_bottom] @ basis.T).transpose(0, 2, 1))
-        # (patch row, vertical frequency, window element, patch column)
-        block_windows = np.swapaxes(sliding_window_view(vertical, p, axis=2), -1, -2)
-        column_sums = np.zeros((block_bottom - block_top, p, width))
-        for strip_top in range(0, block_bottom - block_top, strip_rows):
-            strip_windows = block_windows[strip_top : strip_top + strip_rows]
-            n = len(strip_windows)
-            strip_coeffs, strip_keep = coeffs[:n], keep[:n]
-            np.matmul(basis, strip_windows, out=strip_coeffs[..., :cols])
-            np.greater(np.abs(strip_coeffs, out=magnitudes[:n]), threshold, out=strip_keep)
-            strip_keep[:, 0, 0] = True
-            strip_coeffs *= strip_keep
-            np.matmul(basis.T, strip_coeffs[..., :cols], out=recon[:, :n, :, :cols].transpose(1, 2, 0, 3))
-            sums = column_sums[strip_top : strip_top + n].reshape(-1)
-            for dj in range(p):
-                sums[dj:] += recon[dj, :n].reshape(-1)[: sums.size - dj]
+        n = block_bottom - block_top
+        np.matmul(windows[block_top:block_bottom], basis.T, out=products[:n])
+        np.copyto(vertical[:n], products[:n].transpose(0, 2, 1))
+        column_sums[:n] = 0.0
+        for strip_windows, copy, coeffs, coeffs_cols, magnitudes, keep, dc_keep, recon_cols, adds in plans[n]:
+            # the forward product reads a contiguous copy of the windows,
+            # held in the magnitudes until the threshold overwrites them
+            np.copyto(copy, strip_windows)
+            np.matmul(basis, copy, out=coeffs_cols)
+            np.greater(np.abs(coeffs, out=magnitudes), threshold, out=keep)
+            dc_keep[...] = True
+            coeffs *= keep
+            np.matmul(basis.T, coeffs_cols, out=recon_cols)
+            for sums, recon in adds:
+                sums += recon
         # a fresh array per block: the rows held back point into it
-        block_recon = basis.T @ column_sums
+        block_recon = basis.T @ column_sums[:n]
         for di in range(p):
             target = out[block_top + di : block_bottom + di]
             target += block_recon[: len(target), di]
-            if len(target) < block_bottom - block_top:
+            if len(target) < n:
                 held.append((block_top + di + len(target), block_recon[len(target) :, di]))
     return held
 
 
-# Each thread's strip workspace for _add_blocks, with the (strip rows,
-# width) it was made for
-_strip_workspaces = threading.local()
+# Each thread's DCT workspace for _add_blocks, with the (strip rows, block
+# rows, width) it was made for
+_dct_workspaces = threading.local()
 
 
-def _strip_workspace(strip_rows, width) -> tuple:
-    """The calling thread's coefficient, magnitude, keep and inverse arrays
-    of an ``_add_blocks`` strip at this width, reused by every strip, block
-    and call.  The coefficients and the inverse start as zeros, which their
-    junk columns keep.
+def _dct_workspace(strip_rows, block_rows, width) -> tuple:
+    """The calling thread's ``_add_blocks`` workspace at this layout and
+    width, reused by every block and call: a block's vertical products,
+    its vertical coefficients and its column sums, and, for each block
+    height from 1 to ``block_rows``, the argument tuples of its strips.
 
-    A thread keeps one workspace, remade when the layout changes.  The
-    forked helper inherits the forking thread's and writes its own copy.
+    A strip's coefficients are stored (patch row, vertical frequency,
+    horizontal frequency, column), its magnitudes and keep flags alike, and
+    its horizontal inverse (column offset, patch row, vertical frequency,
+    column), all at the image's row pitch.  The products write only the
+    first ``cols`` columns of each row and the threshold runs over whole
+    rows, so the junk columns past ``cols`` keep the coefficients' and
+    the inverse's starting zeros.  The overlap-add of column offset dj is
+    then one flat add of the inverse into the strip's column sums, dj
+    places on, where each row's junk lands on its own last columns or on
+    the next row's first dj.  That changes no bit: a column sum starts at
+    +0.0, a round-to-nearest sum that starts at +0.0 is never -0.0, and
+    any other s + 0.0 is s.  Each coefficient is the same p-term sum as in
+    a (column, frequency) layout, and the output the same bit for bit.
+
+    A thread keeps one workspace, remade when the layout or the width
+    changes.  The forked helper inherits the forking thread's and writes
+    its own copy.
     """
-    key = (strip_rows, width)
-    if getattr(_strip_workspaces, "key", None) != key:
+    key = (strip_rows, block_rows, width)
+    if getattr(_dct_workspaces, "key", None) != key:
         p = _DCT_PATCH
+        cols = width - p + 1
+        products = np.empty((block_rows, width, p))
+        vertical = np.empty((block_rows, p, width))
+        column_sums = np.empty_like(vertical)
         coeffs = np.zeros((strip_rows, p, p, width))
-        _strip_workspaces.arrays = (
-            coeffs,
-            np.empty_like(coeffs),
-            np.empty(coeffs.shape, dtype=bool),
-            np.zeros((p, strip_rows, p, width)),
-        )
-        _strip_workspaces.key = key
-    return _strip_workspaces.arrays
+        magnitudes = np.empty_like(coeffs)
+        keep = np.empty(coeffs.shape, dtype=bool)
+        recon = np.zeros((p, strip_rows, p, width))
+        # (patch row, vertical frequency, window element, patch column)
+        block_windows = np.swapaxes(sliding_window_view(vertical, p, axis=2), -1, -2)
+
+        @functools.cache
+        def strip(start, stop):
+            n = stop - start
+            sums = column_sums[start:stop].reshape(-1)
+            return (
+                block_windows[start:stop],
+                magnitudes[:n, ..., :cols],
+                coeffs[:n],
+                coeffs[:n, ..., :cols],
+                magnitudes[:n],
+                keep[:n],
+                keep[:n, 0, 0],
+                recon[:, :n, :, :cols].transpose(1, 2, 0, 3),
+                [(sums[dj:], recon[dj, :n].reshape(-1)[: sums.size - dj]) for dj in range(p)],
+            )
+
+        # the strips of a block of each height, a partial last one included
+        plans = [
+            [strip(start, min(start + strip_rows, n)) for start in range(0, n, strip_rows)]
+            for n in range(block_rows + 1)
+        ]
+        _dct_workspaces.arrays = (products, vertical, column_sums, plans)
+        _dct_workspaces.key = key
+    return _dct_workspaces.arrays
 
 
 # NlmDenoiser's patch side, search window side, and bandwidth per unit of sigma

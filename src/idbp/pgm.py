@@ -39,7 +39,9 @@ def _read_tokens(blob: bytes, count: int) -> tuple[list[bytes], int]:
 def load_pgm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if not blob.startswith(b"P5"):
+    # the magic is the first header token, at the first byte
+    magic = _HEADER_TOKEN.match(blob)
+    if magic is None or magic[0] != b"P5":
         raise PgmFormatError("not a binary PGM (missing P5 magic)")
     tokens, offset = _read_tokens(blob, 4)
     try:

@@ -390,6 +390,85 @@ def test_dct_row_pitch_pass_matches_the_strided_pass_bytes(shape, sigma, layout,
         assert outputs[kind].tobytes() == DctDenoiser()(z, sigma).tobytes(), kind
 
 
+def _row_pitch_add_blocks(z, out, top, bottom, sigma, strip_rows, block_rows):
+    """``_add_blocks`` with the vertical coefficients and column sums fresh
+    per block, a strip workspace fresh per call, each strip's views made as
+    it runs, and its forward product on the overlapping window view; kept
+    as the byte-equal oracle of the pass over prebuilt strip arguments."""
+    p = 8
+    basis = _dct_matrix(p)
+    threshold = 3.0 * sigma
+    rows, width = z.shape[0] - p + 1, z.shape[1]
+    cols = width - p + 1
+    coeffs = np.zeros((strip_rows, p, p, width))
+    magnitudes = np.empty_like(coeffs)
+    keep = np.empty(coeffs.shape, dtype=bool)
+    recon = np.zeros((p, strip_rows, p, width))
+    held = []
+    windows = sliding_window_view(z, p, axis=0)
+    out[top:bottom] = 0.0
+    for block_top in reversed(range(top, min(bottom, rows), block_rows)):
+        block_bottom = min(block_top + block_rows, rows)
+        vertical = np.ascontiguousarray((windows[block_top:block_bottom] @ basis.T).transpose(0, 2, 1))
+        block_windows = np.swapaxes(sliding_window_view(vertical, p, axis=2), -1, -2)
+        column_sums = np.zeros((block_bottom - block_top, p, width))
+        for strip_top in range(0, block_bottom - block_top, strip_rows):
+            strip_windows = block_windows[strip_top : strip_top + strip_rows]
+            n = len(strip_windows)
+            strip_coeffs, strip_keep = coeffs[:n], keep[:n]
+            np.matmul(basis, strip_windows, out=strip_coeffs[..., :cols])
+            np.greater(np.abs(strip_coeffs, out=magnitudes[:n]), threshold, out=strip_keep)
+            strip_keep[:, 0, 0] = True
+            strip_coeffs *= strip_keep
+            np.matmul(basis.T, strip_coeffs[..., :cols], out=recon[:, :n, :, :cols].transpose(1, 2, 0, 3))
+            sums = column_sums[strip_top : strip_top + n].reshape(-1)
+            for dj in range(p):
+                sums[dj:] += recon[dj, :n].reshape(-1)[: sums.size - dj]
+        block_recon = basis.T @ column_sums
+        for di in range(p):
+            target = out[block_top + di : block_bottom + di]
+            target += block_recon[: len(target), di]
+            if len(target) < block_bottom - block_top:
+                held.append((block_top + di + len(target), block_recon[len(target) :, di]))
+    return held
+
+
+@pytest.mark.parametrize("shape", _ROW_PITCH_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("sigma", _DCT_SIGMAS)
+@pytest.mark.parametrize("layout", _DCT_LAYOUTS)
+@pytest.mark.parametrize("split", [pytest.param(False, id="in-process"), pytest.param(True, id="split", marks=needs_fork)])
+def test_dct_prebuilt_strip_pass_matches_the_row_pitch_pass_bytes(shape, sigma, layout, split, monkeypatch):
+    # the forward product now runs on a contiguous copy of the windows, and
+    # a partial last strip or block takes its own prebuilt views
+    _use_dct_layout(monkeypatch, layout)
+    inputs = _dct_inputs(shape, sigma)
+    monkeypatch.setattr(denoisers, "_may_split", lambda: split)
+    outputs = {kind: DctDenoiser()(z, sigma) for kind, z in inputs.items()}
+    monkeypatch.setattr(denoisers, "_may_split", lambda: False)
+    monkeypatch.setattr(denoisers, "_add_blocks", _row_pitch_add_blocks)
+    for kind, z in inputs.items():
+        assert outputs[kind].tobytes() == DctDenoiser()(z, sigma).tobytes(), kind
+
+
+def test_dct_workspace_is_remade_when_the_layout_or_the_width_changes(monkeypatch):
+    # each step changes one of strip rows, block rows and width, and the
+    # last goes back to the first: a workspace kept across a change of
+    # block rows or width would be too small or too narrow
+    monkeypatch.setattr(denoisers, "_may_split", lambda: False)
+    steps = [((2, 8), 40), ((4, 8), 40), ((4, 16), 40), ((4, 16), 57), ((2, 8), 40)]
+    made = []
+    for (strip_rows, block_rows), width in steps:
+        _use_dct_layout(monkeypatch, (strip_rows, block_rows))
+        z = add_gaussian_noise(_random_grid(50, 45, width), 10.0, RngState(51))
+        out = DctDenoiser()(z, 10.0)
+        assert denoisers._dct_workspaces.key == (strip_rows, block_rows, width)
+        made.append(denoisers._dct_workspaces.arrays)
+        expected = np.empty_like(z)
+        assert _row_pitch_add_blocks(z, expected, 0, len(z), 10.0, strip_rows, block_rows) == []
+        assert out.tobytes() == (expected / denoisers._overlap_counts(z.shape)).tobytes()
+    assert len({id(arrays) for arrays in made}) == len(steps)
+
+
 def test_dct_calls_from_two_threads_match_their_single_threaded_bytes(fresh_helper, monkeypatch):
     # Both images have one width, so a strip workspace the threads shared
     # would mix their coefficients.  The barrier starts the calls together,

@@ -180,22 +180,24 @@ def test_pgm_rejects_unsupported_maxval(tmp_path):
         load_pgm(path)
 
 
-@pytest.mark.parametrize("header, payload", [
-    (b"P5\n4", None),
-    (b"P5\t3\r1\t255\r", bytes([0, 1, 2])),
-    (b"P5 3 # width, then height\n1\n# maxval\n255\n", bytes([0, 1, 2])),
-    (b"P5\n3 1\n255\n", bytes([35, 1, 2])),
-    (b"P5\n3 1\n255\n", bytes([10, 1, 2])),
-    (b"P5\n3 1\n255\n", bytes([32, 1, 2])),
-], ids=["truncated-header", "tab-and-cr", "comments-between-tokens", "payload-starts-with-hash",
+@pytest.mark.parametrize("header, payload, error", [
+    (b"P5\n4", b"", "truncated header"),
+    (b"P5x\n2 1\n255\n", bytes([0, 1]), "P5 magic"),
+    (b"P5\t3\r1\t255\r", bytes([0, 1, 2]), None),
+    (b"P5 3 # width, then height\n1\n# maxval\n255\n", bytes([0, 1, 2]), None),
+    (b"P5\n3 1\n255\n", bytes([35, 1, 2]), None),
+    (b"P5\n3 1\n255\n", bytes([10, 1, 2]), None),
+    (b"P5\n3 1\n255\n", bytes([32, 1, 2]), None),
+], ids=["truncated-header", "magic-runs-on", "tab-and-cr", "comments-between-tokens", "payload-starts-with-hash",
         "payload-starts-with-newline", "payload-starts-with-space"])
-def test_pgm_header_tokens(header, payload, tmp_path):
+def test_pgm_header_tokens(header, payload, error, tmp_path):
     # exactly one whitespace byte ends the header, so a payload may begin
-    # with a byte the header scan would otherwise read as a comment or a space
+    # with a byte the header scan would otherwise read as a comment or a
+    # space; the magic is a whole token, not a prefix of one
     path = tmp_path / "h.pgm"
-    path.write_bytes(header + (payload or b""))
-    if payload is None:
-        with pytest.raises(PgmFormatError, match="truncated header"):
+    path.write_bytes(header + payload)
+    if error is not None:
+        with pytest.raises(PgmFormatError, match=error):
             load_pgm(path)
     else:
         assert load_pgm(path).tolist() == [list(payload)]
