@@ -410,7 +410,10 @@ def parse_trace_csv(path) -> IterationTrace:
     if not records or records[0] != TRACE_HEADER.split(","):
         raise ValueError("unexpected trace header")
     trace = IterationTrace()
-    for it, quality, ratio, eps, restarts in records[1:]:
+    for record in records[1:]:
+        if len(record) != 5:
+            raise ValueError(f"trace row has {len(record)} fields, expected 5: {record!r}")
+        it, quality, ratio, eps, restarts = record
         trace.append(TraceRecord(int(it), float(quality), float(ratio), float(eps), int(restarts)))
     return trace
 

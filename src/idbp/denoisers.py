@@ -209,6 +209,11 @@ class DctDenoiser:
     survives, which preserves flat regions and intensity shifts), and
     overlapping reconstructions are averaged.
 
+    The separable strip pass orders its floating-point operations unlike a
+    direct 2-D transform, so it agrees with one only to rounding, and a
+    coefficient within rounding of the threshold may fall on either side
+    of it; repeated calls give the same bytes.
+
     The patches are worked in blocks of ``_BLOCK_ROWS`` patch rows, and
     each block is a band of output rows for ``_share_rows``, from its first
     patch row to the next block's; the last band runs to the image's last
@@ -380,6 +385,9 @@ class NlmDenoiser:
     h = 0.6 sigma, where d2 is the mean squared difference of reflect-padded
     patches.  Each search offset costs a separable box sum, linear in the
     patch size, and the number of offsets is quadratic in the search radius.
+    The weights are continuous in the patch distance, so a reordered sum
+    only moves each weight by a few ulps, and repeated calls give the same
+    bytes.
 
     Output rows depend on no other output row.  An image at least 2 patches
     tall and 1 patch wide is two bands for ``_share_rows``, its top and
@@ -715,7 +723,8 @@ class ExternalDenoiser:
                 stderr=subprocess.PIPE,
                 timeout=_EXTERNAL_TIMEOUT_S,
             )
-        except FileNotFoundError as exc:
+        except OSError as exc:
+            # a missing command, a directory, a file without the execute bit, ...
             raise ExternalDenoiserError(f"cannot spawn {argv[0]!r}: {exc}") from exc
         except subprocess.TimeoutExpired as exc:
             raise ExternalDenoiserError(f"external denoiser timed out after {_EXTERNAL_TIMEOUT_S} s") from exc

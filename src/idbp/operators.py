@@ -89,7 +89,9 @@ class _Projecting:
         return self.backward_projection(y, weight)(np.zeros(self.shape))[0]
 
     def project_null(self, x, weight: float = 0.0) -> np.ndarray:
-        """Q x at `weight`: the step bound to zeros, applied to x."""
+        """Q x at `weight`: the step bound to zeros, applied to x.  A blur's
+        Q x therefore rounds as x + irfft2(F (0 - S X)), not as
+        x - irfft2(F S X)."""
         return self.backward_projection(np.zeros(self.shape), weight)(as_grid(x))[0]
 
 

@@ -157,6 +157,8 @@ def condition_ratio(operator, y, x_tilde, sigma_n: float, delta: float, epsilon:
     """
     if sigma_n <= 0:
         raise ValueError("sigma_n must be positive")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("delta must be finite and nonnegative")
     x_tilde = as_grid(x_tilde)
     y_tilde, residual_sq = operator.backward_projection(y, epsilon * sigma_n**2)(x_tilde)
     return _feasibility_ratio(math.sqrt(residual_sq), math.sqrt(sum_of_squares(y_tilde - x_tilde)),

@@ -401,6 +401,15 @@ def test_trace_csv_round_trip_bytes(tmp_path):
     assert "28.123457" in text  # fixed 6-decimal formatting
 
 
+@pytest.mark.parametrize("row", ["1,28.0,3.5,0.001", "1,28.0,3.5,0.001,0,7"])
+def test_trace_csv_names_a_malformed_row(row, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(f"iter,psnr_db,condition_ratio,epsilon,restarts\n{row}\n")
+    fields = len(row.split(","))
+    with pytest.raises(ValueError, match=rf"trace row has {fields} fields, expected 5: .*'0\.001'"):
+        parse_trace_csv(path)
+
+
 def test_trace_csv_line_count(tmp_path):
     trace = IterationTrace()
     for k in range(1, 31):

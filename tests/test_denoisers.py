@@ -174,6 +174,30 @@ def test_median_allocates_no_stack_of_windows(limit_mib):
     assert peak < limit_mib * 2**20
 
 
+def _reference_gaussian(z, sigma):
+    """GaussianDenoiser as one 2-D sum: the outer product of the normalised
+    taps over z reflect-padded on both axes, kept as the oracle."""
+    std = sigma / 20.0
+    radius = max(1, int(np.ceil(3.0 * std)))
+    taps = np.exp(-0.5 * (np.arange(-radius, radius + 1) / std) ** 2)
+    taps /= taps.sum()
+    padded = np.pad(z, radius, mode="reflect")
+    out = np.zeros_like(z)
+    for a, row_tap in enumerate(taps):
+        for b, col_tap in enumerate(taps):
+            out += row_tap * col_tap * padded[a : a + z.shape[0], b : b + z.shape[1]]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (37, 53), (5, 40), (40, 3)])
+@pytest.mark.parametrize("sigma", [5.0, 25.0, 60.0])
+def test_gaussian_matches_reference(shape, sigma):
+    # sigma 60 has a radius of 9 taps, more than the 5- and 3-pixel sides
+    z = _random_grid(29, *shape)
+    out = GaussianDenoiser()(z, sigma)
+    assert np.max(np.abs(out - _reference_gaussian(z, sigma))) <= 1e-12 * np.max(np.abs(z))
+
+
 def test_dct_suppresses_pure_noise():
     # Monte-Carlo noise-only oracle: thresholding at 3 sigma should kill
     # nearly all AC energy, leaving well under half the input deviation
@@ -241,21 +265,26 @@ def _whole_image_dct(z, sigma, strip_rows):
     """DctDenoiser with image-sized stacks: all vertical windows transformed
     at once, strips of patch rows top-down into one (rows, p, W) column-sum
     stack, then one vertical inverse and row overlap-add; kept as the
-    byte-equal oracle for the block-by-block pass."""
+    byte-equal oracle for the block-by-block pass.  Its horizontal products
+    have the denoiser's orientation, basis @ windows^T and basis^T @ coeffs:
+    on OpenBLAS's Haswell and Nehalem kernels, windows @ basis^T and
+    coeffs @ basis round differently."""
     p = 8
     basis = _dct_matrix(p)
     rows, cols = z.shape[0] - p + 1, z.shape[1] - p + 1
     vertical = np.ascontiguousarray((sliding_window_view(z, p, axis=0) @ basis.T).transpose(0, 2, 1))
     column_sums = np.zeros((rows, p, z.shape[1]))
     for top in range(0, rows, strip_rows):
-        coeffs = sliding_window_view(vertical[top : top + strip_rows], p, axis=2) @ basis.T
+        # (patch row, vertical frequency, window element, patch column)
+        windows = np.swapaxes(sliding_window_view(vertical[top : top + strip_rows], p, axis=2), -1, -2)
+        coeffs = basis @ windows
         keep = np.abs(coeffs) > 3.0 * sigma
-        keep[:, 0, :, 0] = True
+        keep[:, 0, 0, :] = True
         coeffs *= keep
-        recon = coeffs @ basis
+        recon = basis.T @ coeffs
         strip = column_sums[top : top + strip_rows]
         for dj in range(p):
-            strip[:, :, dj : dj + cols] += recon[..., dj]
+            strip[:, :, dj : dj + cols] += recon[:, :, dj]
     recon = basis.T @ column_sums
     out = np.zeros_like(z)
     for di in range(p):
@@ -1180,6 +1209,18 @@ def test_external_truncated_output_names_byte_counts():
 def test_external_spawn_failure():
     with pytest.raises(ExternalDenoiserError, match="cannot spawn"):
         ExternalDenoiser(["/definitely/not/a/real/binary"])(np.zeros((4, 4)), 1.0)
+
+
+@pytest.mark.parametrize("target", ["directory", "file without the execute bit"])
+def test_external_command_that_cannot_run_is_a_spawn_failure(target, tmp_path):
+    command = tmp_path / "denoiser"
+    if target == "directory":
+        command.mkdir()
+    else:
+        command.write_text("#!/bin/sh\n")
+        command.chmod(0o644)
+    with pytest.raises(ExternalDenoiserError, match="cannot spawn"):
+        ExternalDenoiser([str(command)])(np.zeros((4, 4)), 1.0)
 
 
 def test_external_timeout(monkeypatch):

@@ -349,6 +349,14 @@ def test_condition_ratio_requires_noise():
         condition_ratio(op, np.zeros((4, 4)), np.ones((4, 4)), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("delta", [-1.0, -0.5, float("nan"), float("inf"), -float("inf")])
+def test_condition_ratio_rejects_an_unusable_delta(delta):
+    # -1.0 is -sigma_n, where the ratio's denominator would divide by zero
+    op = InpaintingOperator(np.ones((4, 4), dtype=bool))
+    with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+        condition_ratio(op, np.zeros((4, 4)), np.ones((4, 4)), 1.0, delta)
+
+
 # ---------------------------------------------------------------------------
 # auto-tuned deblurring
 # ---------------------------------------------------------------------------
