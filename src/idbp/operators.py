@@ -33,9 +33,9 @@ transform pair (rfft2, irfft2) per call: it forms the residual spectrum,
 reads its norm off the half spectrum by Parseval, and filters it back.
 
 No operator changes once built.  A blur operator holds the half spectrum
-it multiplies by; its step builds the inverse filter each time it binds,
-at the weight it binds at, so a forward-only operator needs no invertible
-spectrum.
+it multiplies by, the kernel's rfft2; its step builds the inverse filter
+each time it binds, at the weight it binds at, so a forward-only operator
+needs no invertible spectrum.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .rng import RngState
 
 
 def kernel_spectrum(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """DFT of a small kernel zero-padded to `shape` and centred at index (0, 0).
+    """Half spectrum (rfft2) of a small kernel zero-padded to `shape`, centred at (0, 0).
 
     The circular shift puts the kernel origin at the top-left corner so a
     delta kernel maps to the all-ones spectrum.
@@ -63,7 +63,7 @@ def kernel_spectrum(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     padded = np.zeros(shape)
     padded[:kh, :kw] = kernel
     padded = np.roll(padded, shift=(-(kh // 2), -(kw // 2)), axis=(0, 1))
-    return np.fft.fft2(padded)
+    return np.fft.rfft2(padded)
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +175,14 @@ def generate_random_mask(
 class BlurOperator(_Projecting):
     """Circular shift-invariant blur on a fixed grid shape.
 
-    ``spectrum`` is the half spectrum of the kernel: columns 0..W//2 of
-    ``kernel_spectrum``, copied once at construction into a contiguous,
-    read-only array.  ``forward`` is irfft2(rfft2(x) * S, s=shape) (``s=``
-    keeps odd widths).  ``backward_projection`` is the one data step; it
-    builds the regularised inverse filter conj(S) / (|S|^2 + w) each time
-    it binds, at the weight w it is given, so a forward-only operator needs
-    no invertible spectrum.  ``pseudoinverse`` and ``project_null`` are
-    derived from the step, so each transforms its zero argument too and
-    computes a residual norm no one reads.  The operator never changes.
+    ``spectrum`` is the half spectrum S from ``kernel_spectrum``, read-only.
+    ``forward`` is irfft2(rfft2(x) * S, s=shape) (``s=`` keeps odd widths).
+    ``backward_projection`` is the one data step; it builds the regularised
+    inverse filter conj(S) / (|S|^2 + w) each time it binds, at the weight
+    w it is given, so a forward-only operator needs no invertible spectrum.
+    ``pseudoinverse`` and ``project_null`` are derived from the step, so
+    each transforms its zero argument too and computes a residual norm no
+    one reads.  The operator never changes.
     """
 
     def __init__(self, kernel, shape: tuple[int, int]) -> None:
@@ -198,7 +197,7 @@ class BlurOperator(_Projecting):
         self.kernel = kernel
         self.kernel.setflags(write=False)
         self.shape = (int(shape[0]), int(shape[1]))
-        self.spectrum = kernel_spectrum(kernel, self.shape)[:, : self.shape[1] // 2 + 1].copy()
+        self.spectrum = kernel_spectrum(kernel, self.shape)
         self.spectrum.setflags(write=False)
 
     def forward(self, x) -> np.ndarray:

@@ -463,7 +463,7 @@ def median_initialize(operator: InpaintingOperator, y) -> np.ndarray:
     pixel with the median of its neighbours that are observed or were
     filled earlier (including earlier in the same sweep), so values
     propagate until the grid is full.  Pixels with no filled neighbour wait
-    for the next sweep.
+    for the next sweep.  A grid with nothing missing comes back as a copy.
 
     A sweep runs one anti-diagonal 2i + j at a time.  Of the 8 neighbours
     of (i, j), the four the raster order visits first, (i-1, j-1..j+1) and
@@ -481,8 +481,6 @@ def median_initialize(operator: InpaintingOperator, y) -> np.ndarray:
         raise TypeError("median initialization is defined for inpainting only")
     y = as_grid(y)
     require_same_shape(y, operator.mask)
-    if operator.mask.all():
-        return y.copy()
     height, width = y.shape
     # flat grids with a one-pixel border that is never filled, so every
     # pixel has 8 neighbour slots at fixed offsets

@@ -32,6 +32,16 @@ def _delta_kernel(size=3):
 # ---------------------------------------------------------------------------
 
 
+def _complex_kernel_spectrum(kernel, shape):
+    """The kernel's full spectrum by complex fft2: the oracle of
+    ``kernel_spectrum``'s half spectrum and of the complex-transform
+    references."""
+    kh, kw = kernel.shape
+    padded = np.zeros(shape)
+    padded[:kh, :kw] = kernel
+    return np.fft.fft2(np.roll(padded, shift=(-(kh // 2), -(kw // 2)), axis=(0, 1)))
+
+
 def _direct_dft2(x):
     h, w = x.shape
     wh = np.exp(-2j * np.pi * np.outer(np.arange(h), np.arange(h)) / h)
@@ -83,10 +93,10 @@ def test_convolution_theorem_against_explicit_circular_sum():
                     acc += kernel[a, b] * x[(i - (a - kh // 2)) % h, (j - (b - kw // 2)) % w]
             want[i, j] = acc
     assert np.max(np.abs(got - want)) < 1e-10
-    # and in the frequency domain: F{h * x} = F{h} . F{x}
-    spectrum = np.fft.fft2(x)
+    # and in the frequency domain, on the half spectra: F{h * x} = F{h} . F{x}
+    spectrum = np.fft.rfft2(x)
     kernel_dft = kernel_spectrum(kernel, x.shape)
-    assert np.max(np.abs(np.fft.fft2(got) - kernel_dft * spectrum)) < 1e-9 * np.max(np.abs(spectrum))
+    assert np.max(np.abs(np.fft.rfft2(got) - kernel_dft * spectrum)) < 1e-9 * np.max(np.abs(spectrum))
 
 
 # ---------------------------------------------------------------------------
@@ -263,23 +273,28 @@ def test_one_blur_operator_steps_at_any_weight_as_a_fresh_one():
         assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
 
 
-def test_blur_spectrum_is_the_one_array_built_at_construction():
-    # the half spectrum every apply multiplies by, copied once at
+@pytest.mark.parametrize("shape", [(16, 16), (15, 16), (16, 15), (37, 53)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("kernel", ["scenario-1", "lopsided-3x5"])
+def test_blur_spectrum_is_the_one_array_built_at_construction(shape, kernel):
+    # the half spectrum every apply multiplies by, built once at
     # construction; steps at any weight read it and never replace it
-    kernel = generate_scenario_kernel(1)
-    op = BlurOperator(kernel, (16, 16))
+    kernel = _ORACLE_KERNELS[kernel]
+    op = BlurOperator(kernel, shape)
     spectrum = op.spectrum
     assert spectrum.flags.c_contiguous and not spectrum.flags.writeable
-    assert spectrum.shape == (16, 16 // 2 + 1)
-    assert spectrum.tobytes() == kernel_spectrum(kernel, (16, 16))[:, : 16 // 2 + 1].tobytes()
-    x = _random_grid(18, 16, 16)
+    assert spectrum.shape == (shape[0], shape[1] // 2 + 1)
+    assert spectrum.tobytes() == kernel_spectrum(kernel, shape).tobytes()
+    # rfft2 and fft2 round differently: a few ulps of |S| <= 1, as the kernel sums to 1
+    want = _complex_kernel_spectrum(kernel, shape)[:, : shape[1] // 2 + 1]
+    assert np.max(np.abs(spectrum - want)) <= 1e-15
+    x = _random_grid(18, *shape)
     for weight in _WEIGHTS:
         op.forward(x)
         op.backward_projection(x, weight)(x)
         op.pseudoinverse(x, weight)
         op.project_null(x, weight)
     assert op.spectrum is spectrum
-    assert spectrum.tobytes() == kernel_spectrum(kernel, (16, 16))[:, : 16 // 2 + 1].tobytes()
+    assert spectrum.tobytes() == kernel_spectrum(kernel, shape).tobytes()
 
 
 def test_operators_hold_no_regularisation_state():
@@ -304,7 +319,7 @@ def _reference_blur(op, x, weight):
     """The complex-FFT path the blur operators took before real transforms,
     real(ifft2(fft2(x) * filter)) with full-spectrum filters, kept as the
     oracle.  Returns (forward, pseudoinverse, project_null) of x at `weight`."""
-    spectrum = kernel_spectrum(op.kernel, op.shape)
+    spectrum = _complex_kernel_spectrum(op.kernel, op.shape)
     inverse = np.conj(spectrum) / (np.abs(spectrum) ** 2 + weight)
 
     def apply(spectral_filter):
@@ -490,7 +505,8 @@ def test_blur_operator_validates_kernel():
 
 def test_kernel_spectrum_centres_delta_at_ones():
     spec = kernel_spectrum(_delta_kernel(5), (12, 12))
-    assert np.max(np.abs(spec - 1.0)) < 1e-12
+    assert spec.shape == (12, 12 // 2 + 1)
+    assert np.all(spec == 1)
 
 
 # ---------------------------------------------------------------------------
