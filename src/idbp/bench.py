@@ -8,17 +8,20 @@ blurred input.  ``run_single`` composes one such restoration from two
 public steps: ``synthesize`` (the one branch on the task) returns the
 ``Problem``, and ``restore`` (the one solver dispatch) solves it with the
 spec's config.  Synthesis returns the plain operator H, and the solver
-passes its own regularisation weight to it.  All CSV output uses fixed
-6-decimal formatting with LF line endings and parses back losslessly at
-that precision; summary fields holding a comma, quote or line break are
-quoted.
+passes its own regularisation weight to it.  A CSV row is one record (a
+``TraceRecord`` or an ``ImageRow``), one column per field, floats at 6
+decimals, LF line endings; it parses back losslessly at that precision, and
+summary fields holding a comma, quote or line break are quoted.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field
+import typing
+from dataclasses import dataclass, field as dataclass_field, fields, replace
 
 import numpy as np
 
@@ -46,6 +49,7 @@ from .solvers import (
 
 TASKS = ("inpaint", "deblur")
 SOLVERS = ("idbp", "idbp_auto", "pnp")
+DEFAULT_MASK_FRACTION = 0.8  # missing pixels when an inpainting spec leaves it unset
 
 # Manual per-scenario inverse-filter weights that pair well with delta = 5.
 DEFAULT_SCENARIO_EPSILON = {1: 7e-3, 2: 4e-3, 3: 8e-3, 4: 2e-3}
@@ -93,9 +97,7 @@ class ExperimentSpec:
     cannot go stale.  ``resolved()`` echoes the final values; setting a
     solver field it would not echo, one the run never reads, is an error.
     So is a task field of the other task: a ``scenario`` for inpainting, or
-    a ``mask_fraction`` for deblurring other than its default 0.8.  That
-    field keeps a float default, so an explicit 0.8 on a deblurring spec
-    cannot be told from an unset one and passes.  An ``external_cmd`` is an
+    a ``mask_fraction`` for deblurring.  An ``external_cmd`` is an
     error too unless the denoiser is ``external``, the one kind that runs it,
     and so is one with a line break, which the summary's header cannot hold.
     """
@@ -105,7 +107,7 @@ class ExperimentSpec:
     denoiser: str = "dct_threshold"
     external_cmd: str | None = None
     seed: int = 0
-    mask_fraction: float = 0.8
+    mask_fraction: float | None = None
     sigma_n: float | None = None
     scenario: int | None = None
     delta: float | None = None
@@ -137,14 +139,14 @@ class ExperimentSpec:
                 raise ValueError("deblur requires scenario in 1..4")
             if self.solver == "idbp_auto" and self.sigma_n == 0:
                 raise ValueError("auto-tuning requires noise")
-            if self.mask_fraction != 0.8:
+            if self.mask_fraction is not None:
                 raise ValueError("deblurring does not read mask_fraction; leave it unset")
         else:
             if self.solver == "idbp_auto":
                 raise ValueError("auto-tuning applies to deblurring only; it needs a scenario")
             if self.scenario is not None:
                 raise ValueError("inpainting does not read scenario; leave it unset")
-            if not 0.0 <= self.mask_fraction < 1.0:
+            if self.mask_fraction is not None and not 0.0 <= self.mask_fraction < 1.0:
                 raise ValueError("mask_fraction must lie in [0, 1)")
         if self.solver == "pnp":
             if self.task == "deblur":
@@ -187,7 +189,7 @@ class ExperimentSpec:
         if self.external_cmd:
             items["external_cmd"] = self.external_cmd
         if self.task == "inpaint":
-            items["mask_fraction"] = repr(self.mask_fraction)
+            items["mask_fraction"] = repr(DEFAULT_MASK_FRACTION if self.mask_fraction is None else self.mask_fraction)
             default = "0.0"
         else:
             items["scenario"] = str(self.scenario)
@@ -208,15 +210,16 @@ class ExperimentSpec:
 
 
 # ---------------------------------------------------------------------------
-# Degradation synthesis and single-image runs
+# Degradation synthesis, single-image runs and batch reports
 # ---------------------------------------------------------------------------
 
 
 def synthesize_inpainting(
-    x: np.ndarray, mask_fraction: float, sigma_n: float, rng: RngState
+    x: np.ndarray, mask_fraction: float | None, sigma_n: float, rng: RngState
 ) -> tuple[InpaintingOperator, np.ndarray]:
-    """Seeded mask plus masked noisy observations (unobserved entries zero)."""
-    operator = generate_random_mask(x.shape[0], x.shape[1], mask_fraction, rng)
+    """Seeded mask plus masked noisy observations (unobserved entries zero); None takes the default."""
+    fraction = DEFAULT_MASK_FRACTION if mask_fraction is None else mask_fraction
+    operator = generate_random_mask(x.shape[0], x.shape[1], fraction, rng)
     noisy = add_gaussian_noise(x, sigma_n, rng)
     return operator, operator.forward(noisy)
 
@@ -292,16 +295,22 @@ def restore(
 
 
 @dataclass
+class ImageRow:
+    """One line of ``summary.csv``: a failed image keeps NaN qualities."""
+
+    name: str
+    psnr_in_db: float = float("nan")
+    psnr_out_db: float = float("nan")
+    isnr_db: float = float("nan")
+    bsnr_db: float = float("nan")
+    error: str = ""
+
+
+@dataclass
 class SingleRunResult:
     estimate: np.ndarray
     trace: IterationTrace
-    psnr_in_db: float
-    psnr_out_db: float
-    isnr_db: float
-    bsnr_db: float
-
-    def row(self, name: str) -> ImageRow:
-        return ImageRow(name, self.psnr_in_db, self.psnr_out_db, self.isnr_db, self.bsnr_db)
+    row: ImageRow  # named "": the caller knows the image's name
 
 
 def run_single(spec: ExperimentSpec, image, rng: RngState) -> SingleRunResult:
@@ -310,31 +319,8 @@ def run_single(spec: ExperimentSpec, image, rng: RngState) -> SingleRunResult:
     x = as_grid(image)
     problem = synthesize(spec, x, rng)
     estimate, trace = restore(spec, problem, spec.build_denoiser(), ground_truth=x)
-    psnr_in = psnr(x, problem.baseline)
-    psnr_out = psnr(x, estimate)
-    return SingleRunResult(
-        estimate=estimate,
-        trace=trace,
-        psnr_in_db=psnr_in,
-        psnr_out_db=psnr_out,
-        isnr_db=psnr_out - psnr_in,
-        bsnr_db=problem.bsnr_db,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Batch reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ImageRow:
-    name: str
-    psnr_in_db: float = float("nan")
-    psnr_out_db: float = float("nan")
-    isnr_db: float = float("nan")
-    bsnr_db: float = float("nan")
-    error: str = ""
+    psnr_in, psnr_out = psnr(x, problem.baseline), psnr(x, estimate)
+    return SingleRunResult(estimate, trace, ImageRow("", psnr_in, psnr_out, psnr_out - psnr_in, problem.bsnr_db))
 
 
 @dataclass
@@ -347,20 +333,12 @@ class RunReport:
         return [r for r in self.rows if not r.error]
 
     def averages(self) -> ImageRow:
+        """The mean of every float field over the successful rows."""
         rows = self.successful_rows()
         if not rows:
             return ImageRow(name="average")
-
-        def mean(values: list[float]) -> float:
-            return float(np.mean(values))
-
-        return ImageRow(
-            name="average",
-            psnr_in_db=mean([r.psnr_in_db for r in rows]),
-            psnr_out_db=mean([r.psnr_out_db for r in rows]),
-            isnr_db=mean([r.isnr_db for r in rows]),
-            bsnr_db=mean([r.bsnr_db for r in rows]),
-        )
+        return ImageRow("average", **{name: float(np.mean([getattr(r, name) for r in rows]))
+                                      for name, kind in _field_types(ImageRow) if kind is float})
 
 
 def run_benchmark(spec: ExperimentSpec, corpus: list[tuple[str, np.ndarray]]) -> RunReport:
@@ -381,7 +359,7 @@ def run_benchmark(spec: ExperimentSpec, corpus: list[tuple[str, np.ndarray]]) ->
         except Exception as exc:  # noqa: BLE001 - batch isolation is the point
             rows.append(ImageRow(name=name, error=f"{type(exc).__name__}: {exc}"))
             continue
-        rows.append(result.row(name))
+        rows.append(replace(result.row, name=name))
         traces[name] = result.trace
     return RunReport(rows=rows, config=spec.resolved(), traces=traces)
 
@@ -394,80 +372,69 @@ TRACE_HEADER = "iter,psnr_db,condition_ratio,epsilon,restarts"
 SUMMARY_HEADER = "image,psnr_in_db,psnr_out_db,isnr_db,bsnr_db,error"
 
 
-def emit_trace_csv(trace: IterationTrace, path) -> None:
+@functools.cache
+def _field_types(record_type: type) -> tuple[tuple[str, type], ...]:
+    """(name, declared type) of each field of a record, in column order."""
+    hints = typing.get_type_hints(record_type)
+    return tuple((f.name, hints[f.name]) for f in fields(record_type))
+
+
+def _cells(record) -> list:
+    """A record's CSV row: float fields at 6 decimals, the others as they are."""
+    return [f"{getattr(record, name):.6f}" if kind is float else getattr(record, name)
+            for name, kind in _field_types(type(record))]
+
+
+def _records(lines, header: str, record_type: type, what: str) -> list:
+    """Parse CSV ``lines`` that start with ``header`` into one ``record_type``
+    per row, each cell converted by its field's declared type."""
+    rows = [row for row in csv.reader(lines) if row]
+    if not rows or rows[0] != header.split(","):
+        raise ValueError(f"unexpected {what} header: expected {header!r}")
+    types = [kind for _, kind in _field_types(record_type)]
+    records = []
+    for row in rows[1:]:
+        if len(row) != len(types):
+            raise ValueError(f"{what} row has {len(row)} fields, expected {len(types)}: {row!r}")
+        try:
+            records.append(record_type(*(kind(cell) for kind, cell in zip(types, row))))
+        except ValueError as exc:
+            raise ValueError(f"{what} row {row!r}: {exc}") from None
+    return records
+
+
+def _write(path, header: str, records, comments=()) -> None:
     with open(path, "w", newline="") as fh:
+        fh.writelines(comments)
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER.split(","))
-        writer.writerows(
-            [r.iteration, f"{r.psnr_db:.6f}", f"{r.condition_ratio:.6f}", f"{r.epsilon:.6f}", r.restarts]
-            for r in trace.records
-        )
+        writer.writerow(header.split(","))
+        writer.writerows(_cells(record) for record in records)
+
+
+def emit_trace_csv(trace: IterationTrace, path) -> None:
+    _write(path, TRACE_HEADER, trace.records)
 
 
 def parse_trace_csv(path) -> IterationTrace:
     with open(path, "r", newline="") as fh:
-        records = [record for record in csv.reader(fh) if record]
-    if not records or records[0] != TRACE_HEADER.split(","):
-        raise ValueError("unexpected trace header")
-    trace = IterationTrace()
-    for record in records[1:]:
-        if len(record) != 5:
-            raise ValueError(f"trace row has {len(record)} fields, expected 5: {record!r}")
-        it, quality, ratio, eps, restarts = record
-        trace.append(TraceRecord(int(it), float(quality), float(ratio), float(eps), int(restarts)))
-    return trace
-
-
-def _format_row(row: ImageRow) -> list[str]:
-    return [
-        row.name,
-        f"{row.psnr_in_db:.6f}",
-        f"{row.psnr_out_db:.6f}",
-        f"{row.isnr_db:.6f}",
-        f"{row.bsnr_db:.6f}",
-        row.error,
-    ]
+        return IterationTrace(_records(fh.readlines(), TRACE_HEADER, TraceRecord, "trace"))
 
 
 def write_summary_csv(report: RunReport, path) -> None:
-    """Write ``# key=value`` config lines, then the rows as minimally quoted CSV."""
-    with open(path, "w", newline="") as fh:
-        fh.writelines(f"# {key}={value}\n" for key, value in sorted(report.config.items()))
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER.split(","))
-        writer.writerows(_format_row(row) for row in report.rows)
-        writer.writerow(_format_row(report.averages()))
+    """Write ``# key=value`` config lines, then the rows and their average as
+    minimally quoted CSV."""
+    _write(path, SUMMARY_HEADER, [*report.rows, report.averages()],
+           (f"# {key}={value}\n" for key, value in sorted(report.config.items())))
 
 
 def parse_summary_csv(path) -> RunReport:
-    config: dict[str, str] = {}
-    rows: list[ImageRow] = []
+    """Read back ``write_summary_csv``'s config lines and rows, without the average."""
     with open(path, "r", newline="") as fh:
         lines = fh.readlines()
-    start = 0
-    for start, line in enumerate(lines):
-        if line.startswith("# "):
-            key, _, value = line[2:].rstrip("\r\n").partition("=")
-            config[key] = value
-        elif line.strip():
-            break
-    records = [record for record in csv.reader(lines[start:]) if record]
-    if not records or records[0] != SUMMARY_HEADER.split(","):
-        raise ValueError("unexpected summary header")
-    for record in records[1:]:
-        if len(record) != 6:
-            raise ValueError(f"summary row has {len(record)} fields, expected 6: {record!r}")
-        name, psnr_in, psnr_out, isnr, bsnr_value, error = record
-        rows.append(
-            ImageRow(
-                name=name,
-                psnr_in_db=float(psnr_in),
-                psnr_out_db=float(psnr_out),
-                isnr_db=float(isnr),
-                bsnr_db=float(bsnr_value),
-                error=error,
-            )
-        )
+    head = list(itertools.takewhile(lambda line: line.startswith("# ") or not line.strip(), lines))
+    settings = (line[2:].rstrip("\r\n").partition("=") for line in head if line.strip())
+    config = {key: value for key, _, value in settings}
+    rows = _records(lines[len(head):], SUMMARY_HEADER, ImageRow, "summary")
     if rows and rows[-1].name == "average":
         rows.pop()
     return RunReport(rows=rows, config=config)

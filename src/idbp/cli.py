@@ -172,13 +172,14 @@ def _single_image_command(args: argparse.Namespace) -> int:
     image = load_pgm(path)
     spec = _spec_from_args(args, "pnp" if args.command == "pnp" else "idbp")
     result = run_single(spec, image, RngState(spec.seed))
+    row = dataclasses.replace(result.row, name=Path(path).stem)
     parts = [
-        f"psnr_in={result.psnr_in_db:.2f} dB",
-        f"psnr_out={result.psnr_out_db:.2f} dB",
-        f"isnr={result.isnr_db:+.2f} dB",
+        f"psnr_in={row.psnr_in_db:.2f} dB",
+        f"psnr_out={row.psnr_out_db:.2f} dB",
+        f"isnr={row.isnr_db:+.2f} dB",
     ]
     if spec.task == "deblur":
-        parts.append(f"bsnr={result.bsnr_db:.2f} dB")
+        parts.append(f"bsnr={row.bsnr_db:.2f} dB")
     if spec.solver == "idbp_auto":
         parts.append(f"restarts={result.trace.restart_count}")
     print(f"{spec.task} [{spec.solver}] {Path(path).name}: " + ", ".join(parts))
@@ -188,7 +189,7 @@ def _single_image_command(args: argparse.Namespace) -> int:
     if args.trace:
         emit_trace_csv(result.trace, args.trace)
     if args.report:
-        write_summary_csv(RunReport(rows=[result.row(Path(path).stem)], config=spec.resolved()), args.report)
+        write_summary_csv(RunReport(rows=[row], config=spec.resolved()), args.report)
     return 0
 
 

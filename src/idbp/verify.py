@@ -391,9 +391,9 @@ def check_noisy_inpainting() -> tuple[bool, str]:
     """7a. The 256^2 noisy inpainting protocol beats median fill by 1.5 dB."""
     spec = ExperimentSpec(task="inpaint", solver="idbp", denoiser="dct_threshold",
                           seed=707, mask_fraction=0.8, sigma_n=10.0)
-    result = run_single(spec, synthetic_scene(256, 256), RngState(spec.seed))
-    gain = result.psnr_out_db - result.psnr_in_db
-    return gain >= 1.5, (f"median fill {result.psnr_in_db:.2f} dB -> {result.psnr_out_db:.2f} dB, "
+    row = run_single(spec, synthetic_scene(256, 256), RngState(spec.seed)).row
+    gain = row.psnr_out_db - row.psnr_in_db
+    return gain >= 1.5, (f"median fill {row.psnr_in_db:.2f} dB -> {row.psnr_out_db:.2f} dB, "
                          f"gain {gain:+.2f} dB (>= 1.5)")
 
 
@@ -401,10 +401,10 @@ def check_scenario3_deblurring() -> tuple[bool, str]:
     """7b. Scenario-3 deblurring at 256^2 gains over 4 dB ISNR at 40 dB BSNR (to 1e-9)."""
     spec = ExperimentSpec(task="deblur", solver="idbp", denoiser="dct_threshold",
                           seed=708, scenario=3)
-    result = run_single(spec, synthetic_scene(256, 256), RngState(spec.seed))
-    bsnr_dev = abs(result.bsnr_db - 40.0)
-    ok = result.isnr_db > 4.0 and bsnr_dev <= 1e-9
-    return ok, f"ISNR {result.isnr_db:+.2f} dB (> 4), BSNR off 40 dB by {bsnr_dev:.1e} (<= 1e-9)"
+    row = run_single(spec, synthetic_scene(256, 256), RngState(spec.seed)).row
+    bsnr_dev = abs(row.bsnr_db - 40.0)
+    ok = row.isnr_db > 4.0 and bsnr_dev <= 1e-9
+    return ok, f"ISNR {row.isnr_db:+.2f} dB (> 4), BSNR off 40 dB by {bsnr_dev:.1e} (<= 1e-9)"
 
 
 def check_auto_tuning() -> tuple[bool, str]:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from idbp import verify
 from idbp.bench import (
+    SUMMARY_HEADER,
+    TRACE_HEADER,
     ExperimentSpec,
     ImageRow,
     RunReport,
@@ -190,6 +193,7 @@ def test_experiment_spec_validation():
     (dict(task="inpaint", scenario=3), "inpainting does not read scenario"),
     (dict(task="inpaint", solver="pnp", scenario=1), "inpainting does not read scenario"),
     (dict(task="deblur", scenario=1, mask_fraction=0.5), "deblurring does not read mask_fraction"),
+    (dict(task="deblur", scenario=1, mask_fraction=0.8), "deblurring does not read mask_fraction"),
     (dict(task="deblur", solver="pnp", scenario=4, mask_fraction=0.0), "deblurring does not read mask_fraction"),
     # nor is a command for a denoiser that runs none
     (dict(task="inpaint", denoiser="median", external_cmd="foo"), "the median denoiser does not read external_cmd"),
@@ -332,8 +336,8 @@ def test_run_single_restores_noiseless_deblurring(solver):
     # no noise means no noise power: the BSNR is +inf, not an error
     spec = ExperimentSpec(task="deblur", solver=solver, scenario=1, sigma_n=0, iterations=3)
     result = run_single(spec, synthetic_scene(64, 64), RngState(0))
-    assert result.bsnr_db == float("inf")
-    assert result.isnr_db > 0
+    assert result.row.bsnr_db == float("inf")
+    assert result.row.isnr_db > 0
 
 
 def test_noiseless_idbp_deblurring_needs_a_kernel_without_spectral_zeros():
@@ -365,8 +369,8 @@ def test_benchmark_isolates_per_image_failures():
 def test_run_single_uses_median_fill_baseline_for_inpainting():
     scene = _tiny_corpus(1)[0][1]
     result = run_single(_fast_inpaint_spec(), scene, RngState(11))
-    assert result.psnr_in_db == pytest.approx(psnr(scene, result.estimate) - result.isnr_db, abs=1e-9)
-    assert np.isnan(result.bsnr_db)
+    assert result.row.psnr_in_db == pytest.approx(psnr(scene, result.estimate) - result.row.isnr_db, abs=1e-9)
+    assert np.isnan(result.row.bsnr_db)
 
 
 def test_per_image_seeds_differ_but_reproduce():
@@ -401,13 +405,36 @@ def test_trace_csv_round_trip_bytes(tmp_path):
     assert "28.123457" in text  # fixed 6-decimal formatting
 
 
-@pytest.mark.parametrize("row", ["1,28.0,3.5,0.001", "1,28.0,3.5,0.001,0,7"])
-def test_trace_csv_names_a_malformed_row(row, tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text(f"iter,psnr_db,condition_ratio,epsilon,restarts\n{row}\n")
-    fields = len(row.split(","))
-    with pytest.raises(ValueError, match=rf"trace row has {fields} fields, expected 5: .*'0\.001'"):
-        parse_trace_csv(path)
+def test_each_csv_header_has_one_column_per_record_field():
+    assert len(TRACE_HEADER.split(",")) == len(dataclasses.fields(TraceRecord))
+    assert len(SUMMARY_HEADER.split(",")) == len(dataclasses.fields(ImageRow))
+
+
+# (parser, a file's lines before its rows, a well-formed row, that row's number of fields)
+_CSV_FORMATS = {
+    "trace": (parse_trace_csv, "iter,psnr_db,condition_ratio,epsilon,restarts\n", "1,28.0,3.5,0.001,0", 5),
+    "summary": (parse_summary_csv, "# task=inpaint\nimage,psnr_in_db,psnr_out_db,isnr_db,bsnr_db,error\n",
+                "a,20.0,25.5,5.5,nan,", 6),
+}
+
+
+@pytest.mark.parametrize("fault", ["header", "one field too few", "one field too many", "not a number"])
+@pytest.mark.parametrize("fmt", _CSV_FORMATS)
+def test_csv_parsers_name_a_malformed_row(fmt, fault, tmp_path):
+    parse, head, row, fields = _CSV_FORMATS[fmt]
+    cells = row.split(",")
+    if fault == "header":
+        head, message = head.replace("psnr_", "quality_"), rf"unexpected {fmt} header"
+    elif fault == "not a number":
+        cells[1] = "abc"  # the PSNR of both formats
+        message = rf"{fmt} row {re.escape(repr(cells))}: could not convert string to float: 'abc'"
+    else:
+        cells = cells[:-1] if fault == "one field too few" else [*cells, "7"]
+        message = rf"{fmt} row has {len(cells)} fields, expected {fields}: {re.escape(repr(cells))}"
+    path = tmp_path / f"{fmt}.csv"
+    path.write_text(head + ",".join(cells) + "\n")
+    with pytest.raises(ValueError, match=message):
+        parse(path)
 
 
 def test_trace_csv_line_count(tmp_path):
@@ -635,6 +662,7 @@ def test_cli_bench_deblur_scenario(tmp_path, capsys):
     ["--denoiser", "shrink"],  # so would a kind that needs constructor arguments
     ["pnp", "--scenario", "1", "--delta", "3", "--tau", "9"],  # settings PnP never reads
     ["--scenario", "1", "--mask-frac", "0.5"],  # deblurring never reads the mask fraction
+    ["--scenario", "1", "--mask-frac", "0.8"],  # not even the inpainting default
     ["--denoiser", "median", "--external-cmd", "foo"],  # nor does a native denoiser read a command
 ])
 def test_cli_bench_rejects_a_bad_spec_before_any_image(flags, tmp_path, capsys):

@@ -683,7 +683,7 @@ def test_first_clearing_finds_the_first_step_that_clears_tau(ratio, first):
 
 def _deblur_isnr(solver, scenario):
     spec = ExperimentSpec(task="deblur", solver=solver, denoiser="dct_threshold", scenario=scenario, seed=0)
-    return run_single(spec, synthetic_scene(128, 128), RngState(spec.seed)).isnr_db
+    return run_single(spec, synthetic_scene(128, 128), RngState(spec.seed)).row.isnr_db
 
 
 @pytest.mark.parametrize("scenario", [1, 3])
