@@ -40,12 +40,22 @@ def _check_sigma(sigma) -> None:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
 
 
+class _NativeDenoiser:
+    """A native kind.  Its call checks sigma and z and returns a copy of z
+    at sigma == 0; the kind's ``_denoise`` handles a positive sigma."""
+
+    def __call__(self, z, sigma: float) -> np.ndarray:
+        _check_sigma(sigma)
+        z = as_grid(z)
+        return z.copy() if sigma == 0 else self._denoise(z, sigma)
+
+
 # Pixels per row strip of MedianDenoiser: a strip's temporaries stay in
 # cache (32 rows at 256^2, 16 at 512^2).
 _MEDIAN_STRIP_PIXELS = 8192
 
 
-class MedianDenoiser:
+class MedianDenoiser(_NativeDenoiser):
     """3x3 median with edge-replicated borders.
 
     The edge-padded image is processed in row strips of about
@@ -66,11 +76,7 @@ class MedianDenoiser:
 
     kind = "median"
 
-    def __call__(self, z, sigma: float) -> np.ndarray:
-        _check_sigma(sigma)
-        z = as_grid(z)
-        if sigma == 0:
-            return z.copy()
+    def _denoise(self, z: np.ndarray, sigma: float) -> np.ndarray:
         height, width = z.shape
         padded = np.pad(z, 1, mode="edge")
         out = np.empty_like(z)
@@ -131,7 +137,7 @@ def _med3(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray | None = 
 _WIDTH_FACTOR = 1.0 / 20.0
 
 
-class GaussianDenoiser:
+class GaussianDenoiser(_NativeDenoiser):
     """Separable Gaussian smoothing with kernel std sigma * ``_WIDTH_FACTOR``
     (sigma / 20), truncated at 3 std, with reflected borders.
 
@@ -145,11 +151,7 @@ class GaussianDenoiser:
 
     kind = "gaussian"
 
-    def __call__(self, z, sigma: float) -> np.ndarray:
-        _check_sigma(sigma)
-        z = as_grid(z)
-        if sigma == 0:
-            return z.copy()
+    def _denoise(self, z: np.ndarray, sigma: float) -> np.ndarray:
         std = sigma * _WIDTH_FACTOR
         radius = max(1, int(np.ceil(3.0 * std)))
         taps = np.exp(-0.5 * (np.arange(-radius, radius + 1) / std) ** 2)
@@ -201,7 +203,7 @@ _STRIP_ROWS = 2
 _BLOCK_ROWS = 16
 
 
-class DctDenoiser:
+class DctDenoiser(_NativeDenoiser):
     """Sliding-patch DCT hard thresholding with full-overlap uniform aggregation.
 
     Every 8x8 patch is transformed by the orthonormal 2-D DCT, AC
@@ -223,11 +225,7 @@ class DctDenoiser:
 
     kind = "dct_threshold"
 
-    def __call__(self, z, sigma: float) -> np.ndarray:
-        _check_sigma(sigma)
-        z = as_grid(z)
-        if sigma == 0:
-            return z.copy()
+    def _denoise(self, z: np.ndarray, sigma: float) -> np.ndarray:
         p = _DCT_PATCH
         if z.shape[0] < p or z.shape[1] < p:
             raise ValueError(f"image {z.shape} smaller than patch {p}x{p}")
@@ -378,7 +376,7 @@ _NLM_SEARCH = 21
 _NLM_H_FACTOR = 0.6
 
 
-class NlmDenoiser:
+class NlmDenoiser(_NativeDenoiser):
     """Non-local means: 7x7 patches compared over a 21x21 search window.
 
     Weights follow exp(-max(d2 - 2 sigma^2, 0) / h^2) with bandwidth
@@ -398,11 +396,7 @@ class NlmDenoiser:
 
     kind = "nlm"
 
-    def __call__(self, z, sigma: float) -> np.ndarray:
-        _check_sigma(sigma)
-        z = as_grid(z)
-        if sigma == 0:
-            return z.copy()
+    def _denoise(self, z: np.ndarray, sigma: float) -> np.ndarray:
         height, width = z.shape
         out = np.empty_like(z)
         halves = height >= 2 * _NLM_PATCH and width >= _NLM_PATCH

@@ -73,8 +73,8 @@ def bsnr(blurred_clean, sigma_n: float) -> float:
     A constant image has zero variance and yields -inf.
     """
     b = as_grid(blurred_clean)
-    if sigma_n <= 0:
-        raise ValueError("sigma_n must be positive")
+    if not 0.0 < sigma_n < np.inf:
+        raise ValueError(f"sigma_n must be finite and positive, got {sigma_n!r}")
     variance = float(np.mean((b - b.mean()) ** 2))
     if variance == 0.0:
         return float("-inf")
@@ -96,8 +96,8 @@ def add_gaussian_noise(x, sigma_n: float, rng: RngState) -> np.ndarray:
     sigma_n == 0 returns the input unchanged without consuming randomness.
     """
     arr = as_grid(x)
-    if sigma_n < 0:
-        raise ValueError("sigma_n must be nonnegative")
+    if not 0.0 <= sigma_n < np.inf:
+        raise ValueError(f"sigma_n must be finite and nonnegative, got {sigma_n!r}")
     if sigma_n == 0:
         return arr.copy()
     noise = rng.gaussians(arr.size).reshape(arr.shape)

@@ -155,8 +155,8 @@ def condition_ratio(operator, y, x_tilde, sigma_n: float, delta: float, epsilon:
     operator's backward projection, as in IDBP's own monitor, so at the
     epsilon a pass ran at the two agree bit for bit.
     """
-    if sigma_n <= 0:
-        raise ValueError("sigma_n must be positive")
+    if not 0.0 < sigma_n < math.inf:
+        raise ValueError(f"sigma_n must be finite and positive, got {sigma_n!r}")
     if not 0.0 <= delta < math.inf:
         raise ValueError("delta must be finite and nonnegative")
     x_tilde = as_grid(x_tilde)
@@ -188,23 +188,29 @@ def _require_finite(arr, what: str, iteration: int) -> np.ndarray:
     return arr
 
 
-def _quality(ground_truth, y: np.ndarray):
-    """x -> PSNR of a checked iterate x against the ground truth, which is
-    scanned once here instead of on every iteration; NaN without one."""
+def _inputs(y, init, sigma_n: float, ground_truth):
+    """A solver's checked inputs: y and init as grids of one shape, and x ->
+    PSNR of a checked iterate x against the ground truth, which is scanned
+    once here instead of on every iteration; NaN without one.  Rejects a
+    sigma_n that is not finite and nonnegative."""
+    if not 0.0 <= sigma_n < math.inf:
+        raise ValueError(f"sigma_n must be finite and nonnegative, got {sigma_n!r}")
+    y, init = as_grid(y), as_grid(init)
+    require_same_shape(y, init)
     if ground_truth is None:
-        return lambda x: float("nan")
+        return y, init, lambda x: float("nan")
     truth = as_grid(ground_truth)
     require_same_shape(truth, y)
-    return lambda x: psnr_of_grids(truth, x)
+    return y, init, lambda x: psnr_of_grids(truth, x)
 
 
 def _idbp(
     operator,
-    y: np.ndarray,
+    y,
     sigma_n: float,
     denoiser,
     config: IdbpConfig,
-    init: np.ndarray,
+    init,
     ground_truth,
     observer,
     margin_tau: float | None,
@@ -226,8 +232,8 @@ def _idbp(
     as ``idbp_auto_tuned`` describes.  Returns the last x_tilde, or the
     last y_tilde when ``config.output_mode == "last_y"``, and the trace.
     """
+    y, init, quality = _inputs(y, init, sigma_n, ground_truth)
     sigma = sigma_n + config.delta
-    quality = _quality(ground_truth, y)
     trace = IterationTrace()
     x_first = denoiser(init, sigma)
     passes = 0
@@ -339,13 +345,8 @@ def idbp_run(
     ``output_mode == "last_y"`` -- the latter matches one final denoise at
     delta = 0 and suits noiseless inpainting.
     """
-    if sigma_n < 0:
-        raise ValueError("sigma_n must be nonnegative")
     if sigma_n + config.delta <= 0:
         raise ValueError("sigma_n + delta must be positive, otherwise the denoiser is a no-op")
-    y = as_grid(y)
-    init = as_grid(init)
-    require_same_shape(y, init)
     return _idbp(operator, y, sigma_n, denoiser, config, init, ground_truth, observer, None)
 
 
@@ -395,9 +396,6 @@ def idbp_auto_tuned(
         raise TypeError("auto-tuning applies to blur operators only")
     if sigma_n <= 0:
         raise ValueError("auto-tuning evaluates the feasibility condition, which needs sigma_n > 0")
-    y = as_grid(y)
-    init = as_grid(init)
-    require_same_shape(y, init)
     return _idbp(operator, y, sigma_n, denoiser, config, init, ground_truth, observer,
                  config.condition_margin_tau)
 
@@ -426,14 +424,9 @@ def pnp_run(
     step at noise level sqrt(beta / lambda); and the dual update.
     Returns the last least-squares iterate.
     """
-    if sigma_n < 0:
-        raise ValueError("sigma_n must be nonnegative")
-    y = as_grid(y)
-    init = as_grid(init)
-    require_same_shape(y, init)
+    y, init, quality = _inputs(y, init, sigma_n, ground_truth)
     sigma_eff = sigma_n if sigma_n > 0 else _SIGMA_FLOOR
     sigma_denoise = config.denoiser_sigma
-    quality = _quality(ground_truth, y)
     project = operator.backward_projection(y, config.lam * sigma_eff**2)
     v = init.copy()
     u = np.zeros_like(init)

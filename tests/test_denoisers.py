@@ -72,11 +72,13 @@ def test_native_translation_equivariance(denoiser):
     assert np.max(np.abs(a - b)) < 1e-8
 
 
-def test_denoisers_reject_non_finite_input():
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("denoiser", NATIVE, ids=lambda d: d.kind)
+def test_denoisers_reject_non_finite_input(denoiser, value):
     z = np.ones((16, 16))
-    z[3, 3] = np.inf
-    with pytest.raises(ValueError):
-        DctDenoiser()(z, 5.0)
+    z[3, 3] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        denoiser(z, 5.0)
 
 
 @pytest.mark.parametrize("sigma", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])

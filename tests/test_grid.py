@@ -68,6 +68,13 @@ def test_bsnr_rejects_nonpositive_sigma():
         bsnr(np.zeros((4, 4)), 0.0)
 
 
+@pytest.mark.parametrize("sigma_n", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_bsnr_rejects_a_non_finite_sigma(sigma_n):
+    # NaN used to give NaN dB, and +inf -inf dB with a RuntimeWarning
+    with pytest.raises(ValueError, match="sigma_n must be finite and positive"):
+        bsnr(_random_grid(4, (8, 8)), sigma_n)
+
+
 def test_sigma_for_bsnr_inverts_bsnr():
     x = _random_grid(5, (64, 64))
     for target in (0.0, 17.5, 40.0):
@@ -116,6 +123,13 @@ def test_noise_empirical_standard_deviation():
 def test_noise_rejects_negative_sigma():
     with pytest.raises(ValueError):
         add_gaussian_noise(np.zeros((4, 4)), -1.0, RngState(0))
+
+
+@pytest.mark.parametrize("sigma_n", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_noise_rejects_a_non_finite_sigma(sigma_n):
+    # NaN used to give an all-NaN grid, and +inf a grid with no finite pixel
+    with pytest.raises(ValueError, match="sigma_n must be finite and nonnegative"):
+        add_gaussian_noise(np.zeros((4, 4)), sigma_n, RngState(0))
 
 
 def test_as_grid_rejects_non_finite():

@@ -100,6 +100,22 @@ def test_idbp_rejects_stuck_configuration():
         idbp_run(op, y, 0.0, MedianDenoiser(), IdbpConfig(delta=0.0, iterations=3), y)
 
 
+@pytest.mark.parametrize("sigma_n", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("solve, config", [
+    (pnp_run, PnpConfig(beta=1.0, lam=0.1, iterations=2)),
+    (idbp_run, IdbpConfig(iterations=2)),
+    (idbp_auto_tuned, IdbpConfig(iterations=2)),
+], ids=["pnp", "idbp", "idbp_auto"])
+def test_solvers_reject_an_unusable_sigma_n(solve, config, sigma_n):
+    # PnP used to run a NaN sigma_n at its 0.001 floor and a +inf one at an
+    # infinite data weight that never read y; IDBP rejected both only in a
+    # later check that named the denoiser's sigma or the operator's weight
+    y = _random_grid(26, 16, 16)
+    op = BlurOperator(generate_scenario_kernel(4), y.shape)
+    with pytest.raises(ValueError, match="sigma_n"):
+        solve(op, y, sigma_n, MedianDenoiser(), config, y)
+
+
 # ---------------------------------------------------------------------------
 # IDBP behaviour
 # ---------------------------------------------------------------------------
@@ -347,6 +363,13 @@ def test_condition_ratio_requires_noise():
     op = InpaintingOperator(np.ones((4, 4), dtype=bool))
     with pytest.raises(ValueError):
         condition_ratio(op, np.zeros((4, 4)), np.ones((4, 4)), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("sigma_n", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_condition_ratio_rejects_a_non_finite_sigma_n(sigma_n):
+    op = InpaintingOperator(np.ones((4, 4), dtype=bool))
+    with pytest.raises(ValueError, match="sigma_n must be finite and positive"):
+        condition_ratio(op, np.zeros((4, 4)), np.ones((4, 4)), sigma_n, 1.0)
 
 
 @pytest.mark.parametrize("delta", [-1.0, -0.5, float("nan"), float("inf"), -float("inf")])
