@@ -36,7 +36,6 @@ from .operators import (
 )
 from .rng import RngState
 from .solvers import (
-    EPSILON0,
     IdbpConfig,
     IterationTrace,
     PnpConfig,
@@ -54,34 +53,33 @@ DEFAULT_MASK_FRACTION = 0.8  # missing pixels when an inpainting spec leaves it 
 # Manual per-scenario inverse-filter weights that pair well with delta = 5.
 DEFAULT_SCENARIO_EPSILON = {1: 7e-3, 2: 4e-3, 3: 8e-3, 4: 2e-3}
 
-# ADMM tunings: (beta, lambda, iterations) per deblurring scenario, plus the
-# two inpainting regimes.
+# ADMM tunings: (beta, lambda, iterations) per deblurring scenario, and per
+# inpainting regime, keyed by whether the run is noisy (sigma_n > 0).
 DEFAULT_PNP_DEBLUR = {
     1: (0.85, 2.0 / 255.0, 50),
     2: (0.85, 1.0 / 255.0, 50),
     3: (0.9, 3.0 / 255.0, 50),
     4: (0.8, 1.0 / 255.0, 50),
 }
-DEFAULT_PNP_INPAINT_NOISELESS = (1.0, 10.0 / 255.0, 150)
-DEFAULT_PNP_INPAINT_NOISY = (0.8, 5.0 / 255.0, 150)
+DEFAULT_PNP_INPAINT = {False: (1.0, 10.0 / 255.0, 150), True: (0.8, 5.0 / 255.0, 150)}
+
+
+def _with_set(config, **settings):
+    """``config`` with each of ``settings`` that is not None."""
+    return replace(config, **{name: value for name, value in settings.items() if value is not None})
 
 
 def default_inpaint_idbp_config(sigma_n: float, **overrides) -> IdbpConfig:
-    """Protocol defaults: noiseless runs use delta=5 and keep the projected
-    iterate; noisy runs need no tuning at all (delta=0)."""
+    """``IdbpConfig()`` but noisy runs need no tuning at all (delta=0, 75
+    iterations) and noiseless ones take 150 and keep the projected iterate."""
     if sigma_n > 0:
-        base = dict(delta=0.0, iterations=75, output_mode="last_x")
-    else:
-        base = dict(delta=5.0, iterations=150, output_mode="last_y")
-    base.update({k: v for k, v in overrides.items() if v is not None})
-    return IdbpConfig(**base)
+        return _with_set(IdbpConfig(delta=0.0, iterations=75), **overrides)
+    return _with_set(IdbpConfig(iterations=150, output_mode="last_y"), **overrides)
 
 
 def default_deblur_idbp_config(scenario: int, **overrides) -> IdbpConfig:
-    base = dict(delta=5.0, iterations=30, output_mode="last_x",
-                epsilon=DEFAULT_SCENARIO_EPSILON[scenario])
-    base.update({k: v for k, v in overrides.items() if v is not None})
-    return IdbpConfig(**base)
+    """``IdbpConfig()`` with the scenario's manual weight for epsilon."""
+    return _with_set(IdbpConfig(epsilon=DEFAULT_SCENARIO_EPSILON[scenario]), **overrides)
 
 
 @dataclass(frozen=True)
@@ -89,8 +87,10 @@ class ExperimentSpec:
     """Fully deterministic description of one experiment.
 
     Building a spec validates it and resolves its solver settings once, into
-    ``config``: fields left as None take the task's protocol defaults (the
-    default_* helpers and DEFAULT_PNP_* tables).  A ``sigma_n`` of None
+    ``config``: the regime's base config plus the fields the spec sets.  The
+    IDBP bases are ``IdbpConfig()``, the auto-tuned deblurring protocol, and
+    the default_* helpers' changes to it; a PnP base is the regime's row of
+    DEFAULT_PNP_DEBLUR or DEFAULT_PNP_INPAINT.  A ``sigma_n`` of None
     means noiseless (0.0) for inpainting and the scenario's noise level for
     deblurring; the field keeps None either way, so a ``replace`` that
     changes the task resolves it afresh.  Specs are frozen, so ``config``
@@ -148,27 +148,17 @@ class ExperimentSpec:
                 raise ValueError("inpainting does not read scenario; leave it unset")
             if self.mask_fraction is not None and not 0.0 <= self.mask_fraction < 1.0:
                 raise ValueError("mask_fraction must lie in [0, 1)")
-        if self.solver == "pnp":
-            if self.task == "deblur":
-                beta, lam, iterations = DEFAULT_PNP_DEBLUR[self.scenario]
-            elif self.sigma_n:  # None and 0.0 both mean noiseless
-                beta, lam, iterations = DEFAULT_PNP_INPAINT_NOISY
-            else:
-                beta, lam, iterations = DEFAULT_PNP_INPAINT_NOISELESS
-            config = PnpConfig(
-                beta=beta if self.beta is None else self.beta,
-                lam=lam if self.lam is None else self.lam,
-                iterations=iterations if self.iterations is None else self.iterations,
-            )
-        else:
-            overrides = dict(delta=self.delta, iterations=self.iterations, epsilon=self.epsilon,
+        idbp_settings = dict(delta=self.delta, iterations=self.iterations, epsilon=self.epsilon,
                              condition_margin_tau=self.tau, epsilon_increment=self.eps_increment)
-            if self.solver == "idbp_auto" and self.epsilon is None:
-                overrides["epsilon"] = EPSILON0  # auto-tune starts small and grows
-            if self.task == "inpaint":
-                config = default_inpaint_idbp_config(self.sigma_n or 0.0, **overrides)
-            else:
-                config = default_deblur_idbp_config(self.scenario, **overrides)
+        if self.solver == "pnp":
+            tuning = DEFAULT_PNP_DEBLUR[self.scenario] if self.task == "deblur" else DEFAULT_PNP_INPAINT[bool(self.sigma_n)]
+            config = _with_set(PnpConfig(*tuning), beta=self.beta, lam=self.lam, iterations=self.iterations)
+        elif self.task == "inpaint":
+            config = default_inpaint_idbp_config(self.sigma_n or 0.0, **idbp_settings)
+        elif self.solver == "idbp_auto":
+            config = _with_set(IdbpConfig(), **idbp_settings)
+        else:
+            config = default_deblur_idbp_config(self.scenario, **idbp_settings)
         object.__setattr__(self, "config", config)
         echoed = self.resolved()
         for name in ("delta", "epsilon", "tau", "eps_increment", "beta", "lam"):

@@ -14,6 +14,7 @@ value fills only a flag left unset, and every file value is checked.
 from __future__ import annotations
 
 import argparse
+import configparser
 import dataclasses
 import os
 import sys
@@ -106,19 +107,14 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.Action]]:
     return parser, keys
 
 
-# The values a switch such as auto_tune may take in ./idbp.cfg
-_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
-                  "0": False, "false": False, "no": False, "off": False}
-
-
 def _config_value(key: str, raw: str, action: argparse.Action):
     """A ./idbp.cfg value read as its flag reads it."""
-    if action.nargs == 0:  # a switch
+    if action.nargs == 0:  # a switch, read as configparser reads a boolean
+        states = configparser.ConfigParser.BOOLEAN_STATES
         try:
-            return _SWITCH_VALUES[raw.lower()]
+            return states[raw.lower()]
         except KeyError:
-            raise UsageError(f"bad config value {key}={raw!r}: a switch takes one of "
-                             f"{'/'.join(_SWITCH_VALUES)}") from None
+            raise UsageError(f"bad config value {key}={raw!r}: a switch takes one of {'/'.join(states)}") from None
     try:
         return raw if action.type is None else action.type(raw)
     except ValueError as exc:

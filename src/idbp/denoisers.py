@@ -40,9 +40,11 @@ def _check_sigma(sigma) -> None:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
 
 
-class _NativeDenoiser:
-    """A native kind.  Its call checks sigma and z and returns a copy of z
-    at sigma == 0; the kind's ``_denoise`` handles a positive sigma."""
+class CheckedDenoiser:
+    """A denoiser that keeps the input contract: its call checks sigma and
+    z and returns a copy of z at sigma == 0, and the kind's ``_denoise``
+    handles a positive sigma.  The native kinds and ``verify``'s shrink
+    oracle derive from it."""
 
     def __call__(self, z, sigma: float) -> np.ndarray:
         _check_sigma(sigma)
@@ -55,7 +57,7 @@ class _NativeDenoiser:
 _MEDIAN_STRIP_PIXELS = 8192
 
 
-class MedianDenoiser(_NativeDenoiser):
+class MedianDenoiser(CheckedDenoiser):
     """3x3 median with edge-replicated borders.
 
     The edge-padded image is processed in row strips of about
@@ -137,7 +139,7 @@ def _med3(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray | None = 
 _WIDTH_FACTOR = 1.0 / 20.0
 
 
-class GaussianDenoiser(_NativeDenoiser):
+class GaussianDenoiser(CheckedDenoiser):
     """Separable Gaussian smoothing with kernel std sigma * ``_WIDTH_FACTOR``
     (sigma / 20), truncated at 3 std, with reflected borders.
 
@@ -203,7 +205,7 @@ _STRIP_ROWS = 2
 _BLOCK_ROWS = 16
 
 
-class DctDenoiser(_NativeDenoiser):
+class DctDenoiser(CheckedDenoiser):
     """Sliding-patch DCT hard thresholding with full-overlap uniform aggregation.
 
     Every 8x8 patch is transformed by the orthonormal 2-D DCT, AC
@@ -376,7 +378,7 @@ _NLM_SEARCH = 21
 _NLM_H_FACTOR = 0.6
 
 
-class NlmDenoiser(_NativeDenoiser):
+class NlmDenoiser(CheckedDenoiser):
     """Non-local means: 7x7 patches compared over a 21x21 search window.
 
     Weights follow exp(-max(d2 - 2 sigma^2, 0) / h^2) with bandwidth

@@ -49,9 +49,10 @@ class IdbpConfig:
     ``delta`` inflates the denoiser noise level above sigma_n.  ``epsilon``
     sets the blur step's weight epsilon * sigma_n^2 (the auto-tuned start);
     masks project at weight 0.  ``condition_margin_tau`` and
-    ``epsilon_increment`` drive the auto-tuned variant, whose defaults
-    mirror the recommended settings delta=5, epsilon=1e-3, increment=1e-4,
-    tau=3.
+    ``epsilon_increment`` drive the auto-tuned variant.  The defaults are
+    the auto-tuned deblurring protocol: delta=5, 30 iterations, last_x,
+    epsilon_0=1e-3, tau=3, increment=1e-4.  Every other regime of
+    ``bench`` states only how it differs from them.
     """
 
     delta: float = 5.0

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bench import ExperimentSpec, run_single
+from .denoisers import CheckedDenoiser
 from .grid import add_gaussian_noise, as_grid
 from .operators import BlurOperator, generate_random_mask
 from .rng import RngState
@@ -39,21 +40,18 @@ from .solvers import (
 # ---------------------------------------------------------------------------
 
 
-class ShrinkDenoiser:
+class ShrinkDenoiser(CheckedDenoiser):
     """Linear shrink z / (1 + gamma * sigma^2): the proximal map of the
     quadratic prior (gamma / 2) ||x||^2.  Mainly a convex test oracle."""
 
     kind = "shrink"
 
     def __init__(self, gamma: float) -> None:
-        if gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not 0.0 <= gamma < np.inf:
+            raise ValueError(f"gamma must be finite and nonnegative, got {gamma!r}")
         self.gamma = gamma
 
-    def __call__(self, z, sigma: float) -> np.ndarray:
-        z = as_grid(z)
-        if sigma == 0:
-            return z.copy()
+    def _denoise(self, z: np.ndarray, sigma: float) -> np.ndarray:
         return z / (1.0 + self.gamma * sigma * sigma)
 
 

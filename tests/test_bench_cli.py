@@ -9,6 +9,7 @@ from idbp import verify
 from idbp.bench import (
     SUMMARY_HEADER,
     TRACE_HEADER,
+    DEFAULT_PNP_DEBLUR,
     ExperimentSpec,
     ImageRow,
     RunReport,
@@ -228,18 +229,38 @@ def test_experiment_spec_is_frozen():
     assert spec.config.iterations == 3
 
 
-def test_experiment_spec_resolves_its_solver_config():
-    assert ExperimentSpec(task="deblur", solver="pnp", scenario=2, iterations=7).config == PnpConfig(
-        beta=0.85, lam=1.0 / 255.0, iterations=7)
-    assert ExperimentSpec(task="inpaint", sigma_n=10.0).config == default_inpaint_idbp_config(10.0)
-    auto = ExperimentSpec(task="deblur", solver="idbp_auto", scenario=3, tau=4.0)
-    assert auto.config == default_deblur_idbp_config(3, epsilon=1e-3, condition_margin_tau=4.0)
-    assert ExperimentSpec(task="inpaint").sigma_n is None  # noiseless
-    assert ExperimentSpec(task="inpaint").resolved()["sigma_n"] == "0.0"
-    assert ExperimentSpec(task="deblur", scenario=3).sigma_n is None  # calibrated per image
+# every regime's protocol config as perfbench/workloads.py's prepare builds
+# it from the public helpers, then settings on top of a regime's defaults
+@pytest.mark.parametrize("fields, expected", [
+    *[pytest.param(dict(task="inpaint", solver=solver, sigma_n=sigma), config, id=f"inpaint-{solver}-{sigma}")
+      for sigma, solver, config in [
+          (10.0, "idbp", default_inpaint_idbp_config(10.0)),
+          (0.0, "idbp", default_inpaint_idbp_config(0.0)),
+          (None, "idbp", default_inpaint_idbp_config(0.0)),
+          (10.0, "pnp", PnpConfig(beta=0.8, lam=5.0 / 255.0, iterations=150)),
+          (0.0, "pnp", PnpConfig(beta=1.0, lam=10.0 / 255.0, iterations=150)),
+          (None, "pnp", PnpConfig(beta=1.0, lam=10.0 / 255.0, iterations=150)),
+      ]],
+    *[pytest.param(dict(task="deblur", solver=solver, scenario=s), config, id=f"deblur-{solver}-{s}")
+      for s in (1, 2, 3, 4)
+      for solver, config in [
+          ("idbp", default_deblur_idbp_config(s)),
+          ("idbp_auto", default_deblur_idbp_config(s, epsilon=1e-3)),
+          ("pnp", PnpConfig(*DEFAULT_PNP_DEBLUR[s])),
+      ]],
+    pytest.param(dict(task="deblur", solver="pnp", scenario=2, iterations=7),
+                 PnpConfig(beta=0.85, lam=1.0 / 255.0, iterations=7), id="pnp-iterations"),
+    pytest.param(dict(task="deblur", solver="idbp_auto", scenario=3, tau=4.0),
+                 default_deblur_idbp_config(3, epsilon=1e-3, condition_margin_tau=4.0), id="auto-tau"),
+])
+def test_experiment_spec_resolves_its_solver_config(fields, expected):
+    assert ExperimentSpec(**fields).config == expected
 
 
 def test_experiment_spec_replace_resolves_an_unset_sigma_n_for_the_new_task():
+    assert ExperimentSpec(task="inpaint").sigma_n is None  # noiseless
+    assert ExperimentSpec(task="inpaint").resolved()["sigma_n"] == "0.0"
+    assert ExperimentSpec(task="deblur", scenario=3).sigma_n is None  # calibrated per image
     spec = dataclasses.replace(ExperimentSpec(task="inpaint"), task="deblur", scenario=3)
     assert spec.resolved()["sigma_n"] == "bsnr40"
 

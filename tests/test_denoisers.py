@@ -82,16 +82,19 @@ def test_denoisers_reject_non_finite_input(denoiser, value):
 
 
 @pytest.mark.parametrize("sigma", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])
-@pytest.mark.parametrize("kind", DENOISERS)
+@pytest.mark.parametrize("kind", [*DENOISERS, "shrink"])
 def test_denoisers_reject_an_unusable_sigma_before_any_work(kind, sigma, monkeypatch):
     # NaN used to give an all-NaN NLM grid or a DC-only DCT blur, the median
-    # ignored sigma, and every kind took a negative one; no image is read
-    # and no command spawned before the check
+    # ignored sigma, and every kind took a negative one (the shrink its
+    # square); no image is read and no command spawned before the check
     def no_work(z):
         raise AssertionError("the image was read")
 
     monkeypatch.setattr(denoisers, "as_grid", no_work)
-    denoiser = build_denoiser(kind, "/definitely/not/a/real/binary" if kind == "external" else None)
+    if kind == "shrink":
+        denoiser = ShrinkDenoiser(0.01)
+    else:
+        denoiser = build_denoiser(kind, "/definitely/not/a/real/binary" if kind == "external" else None)
     with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
         denoiser(np.zeros((32, 32)), sigma)
 
@@ -1052,6 +1055,13 @@ def test_shrink_formula():
     z = _random_grid(6, 8, 8)
     out = ShrinkDenoiser(0.02)(z, 10.0)
     assert np.allclose(out, z / 3.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])
+def test_shrink_rejects_an_unusable_gamma(gamma):
+    # a NaN gamma gave an all-NaN grid and an infinite one zeros
+    with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
+        ShrinkDenoiser(gamma)
 
 
 def test_oracle_linear_definition():
