@@ -61,7 +61,9 @@ def psnr(reference, estimate) -> float:
 def psnr_of_grids(ref: np.ndarray, est: np.ndarray) -> float:
     """``psnr`` of two same-shape grids that the caller has already checked,
     without scanning them again: the solvers' per-iteration quality."""
-    mse = float(np.mean((ref - est) ** 2))
+    diff = ref - est
+    np.square(diff, out=diff)
+    mse = float(np.mean(diff))
     if mse == 0.0:
         return float("inf")
     return 10.0 * np.log10(PEAK * PEAK / mse)

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -876,6 +877,185 @@ def test_pnp_mask_step_matches_reference_solve(sigma_n, beta, lam):
     want = _reference_pnp_mask_solve(op, y, sigma_n, MedianDenoiser(), config, init)
     assert np.max(np.abs(est - want)) < 1e-9
     assert est.tobytes() == _projection_pnp_solve(op, y, sigma_n, MedianDenoiser(), config, init).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# heap pages: glibc's malloc thresholds and the loops' temporaries
+# ---------------------------------------------------------------------------
+
+_THRESHOLD_SETTINGS = [("MALLOC_MMAP_THRESHOLD_", "1048576"), ("MALLOC_TRIM_THRESHOLD_", "4000000"),
+                       ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=4000000"),
+                       ("GLIBC_TUNABLES", "glibc.malloc.arena_max=2:glibc.malloc.mmap_threshold=540672")]
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _environment_sets_thresholds() -> bool:
+    return ("MALLOC_MMAP_THRESHOLD_" in os.environ or "MALLOC_TRIM_THRESHOLD_" in os.environ
+            or "_threshold" in os.environ.get("GLIBC_TUNABLES", ""))
+
+
+class _RecordingLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+@pytest.fixture
+def recording_libc(monkeypatch):
+    """A libc handle that records mallopt calls, on glibc, with no threshold set by the environment."""
+    libc = _RecordingLibc()
+    monkeypatch.setattr(solvers, "_libc", lambda: libc)
+    monkeypatch.setattr(solvers, "_malloc_fitted_bytes", 64 * 1024)  # as at import
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+    for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"):
+        monkeypatch.delenv(name, raising=False)
+    return libc
+
+
+def test_malloc_thresholds_only_rise(recording_libc):
+    mib = 1024 * 1024
+    sizes_and_calls = [
+        (512 * 512 * 8, [(-3, 4 * mib), (-1, 32 * mib)]),
+        (256 * 256 * 8, []),  # smaller than the grid fitted before
+        (512 * 512 * 8, []),
+        (1024 * 1024 * 8, [(-3, 16 * mib), (-1, 128 * mib)]),
+        (4096 * 4096 * 8, [(-3, 32 * mib), (-1, 2**31 - 1)]),  # glibc's mmap maximum; a C int
+    ]
+    for grid_bytes, calls in sizes_and_calls:
+        recording_libc.calls.clear()
+        solvers._fit_malloc_thresholds(grid_bytes)
+        assert recording_libc.calls == calls
+
+
+def test_small_grids_leave_glibcs_malloc_thresholds_alone(recording_libc):
+    # up to half the 128 KiB default mmap threshold, which setting it to
+    # twice the grid's bytes would lower
+    solvers._fit_malloc_thresholds(64 * 1024)
+    assert recording_libc.calls == []
+    solvers._fit_malloc_thresholds(64 * 1024 + 8)
+    assert recording_libc.calls == [(-3, 128 * 1024 + 16), (-1, 1024 * 1024 + 128)]
+
+
+@pytest.mark.parametrize("name, value", _THRESHOLD_SETTINGS)
+def test_malloc_thresholds_left_to_the_environment(recording_libc, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    solvers._fit_malloc_thresholds(512 * 512 * 8)
+    assert recording_libc.calls == []
+
+
+def test_malloc_thresholds_set_beside_other_glibc_tunables(recording_libc, monkeypatch):
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.malloc.arena_max=2")
+    solvers._fit_malloc_thresholds(512 * 512 * 8)
+    assert len(recording_libc.calls) == 2
+
+
+@pytest.mark.parametrize("confstr", ["raises", "absent"])
+def test_malloc_thresholds_left_alone_off_glibc(recording_libc, monkeypatch, confstr):
+    if confstr == "raises":
+        def unknown(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(os, "confstr", unknown)
+    else:
+        monkeypatch.delattr(os, "confstr")
+    solvers._fit_malloc_thresholds(512 * 512 * 8)
+    assert recording_libc.calls == []
+
+
+@pytest.mark.parametrize("solve", ["idbp", "idbp_auto", "pnp"])
+def test_every_solve_fits_the_malloc_thresholds_to_its_grid(monkeypatch, solve):
+    fitted = []
+    monkeypatch.setattr(solvers, "_fit_malloc_thresholds", fitted.append)
+    truth = _random_grid(50, 24, 40)
+    op = BlurOperator(generate_scenario_kernel(1), truth.shape)
+    y = add_gaussian_noise(op.forward(truth), 2.0, RngState(51))
+    if solve == "pnp":
+        pnp_run(op, y, 2.0, MedianDenoiser(), PnpConfig(beta=1.0, lam=0.1, iterations=2), y)
+    else:
+        (idbp_run if solve == "idbp" else idbp_auto_tuned)(op, y, 2.0, MedianDenoiser(), IdbpConfig(iterations=2), y)
+    assert fitted == [24 * 40 * 8]
+
+
+def _blur_solve(size, solve, iterations):
+    """A size^2 scenario-1 deblurring as a call that takes the observer:
+    IDBP with the median or PnP with the Gaussian."""
+    truth = synthetic_scene(size, size)
+    op = BlurOperator(generate_scenario_kernel(1), truth.shape)
+    y = add_gaussian_noise(op.forward(truth), 2.0, RngState(52))
+    if solve == "idbp_median":
+        return lambda observer=None: idbp_run(op, y, 2.0, MedianDenoiser(), IdbpConfig(iterations=iterations), y,
+                                              ground_truth=truth, observer=observer)
+    return lambda observer=None: pnp_run(op, y, 2.0, GaussianDenoiser(),
+                                         PnpConfig(beta=1.0, lam=0.1, iterations=iterations), y,
+                                         ground_truth=truth, observer=observer)
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the malloc thresholds are set on glibc only")
+@pytest.mark.skipif(_environment_sets_thresholds(), reason="the environment sets glibc's malloc thresholds")
+@pytest.mark.parametrize("solve", ["idbp_median", "pnp_gaussian"])
+def test_a_second_solve_keeps_its_heap_pages(solve):
+    # at glibc's default thresholds each iteration hands its freed
+    # image-sized temporaries back to the kernel and faults them in again:
+    # 760-2300 minor faults per iteration at 512^2, one BLAS thread or more
+    import resource
+
+    iterations = 6
+    run = _blur_solve(512, solve, iterations)
+    run()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < iterations
+
+
+def _churn_in_image_sizes(run, image_bytes):
+    """Per iteration, how far the tracemalloc peak rose above the memory live at its end, in image sizes."""
+    rises = []
+
+    def observe(k, *iterates):
+        current, peak = tracemalloc.get_traced_memory()
+        rises.append((peak - current) / image_bytes)
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        run(observe)
+    finally:
+        tracemalloc.stop()
+    return rises
+
+
+@pytest.mark.parametrize("solve", ["idbp_median", "pnp_gaussian", "idbp_dct_inpainting"])
+def test_solve_loops_churn_few_image_sized_temporaries(solve, monkeypatch):
+    # far below the trim threshold of 16 image sizes that keeps the heap's
+    # pages; at 128^2 the median, the Gaussian and the DCT read about 6, 4
+    # and 3 image sizes.  The DCT runs in this process, where tracemalloc
+    # sees its blocks
+    from idbp import denoisers
+
+    monkeypatch.setattr(denoisers, "_may_split", lambda: False)
+    size, iterations = 128, 4
+    if solve == "idbp_dct_inpainting":
+        truth, op, _, y = _noisy_inpainting_instance(53, h=size, w=size)
+        init = median_initialize(op, y)
+
+        def run(observer):
+            return idbp_run(op, y, 10.0, DctDenoiser(), IdbpConfig(iterations=iterations), init,
+                            ground_truth=truth, observer=observer)
+    else:
+        run = _blur_solve(size, solve, iterations)
+    rises = _churn_in_image_sizes(run, size * size * 8)
+    assert len(rises) == iterations
+    assert max(rises) < 8
 
 
 # ---------------------------------------------------------------------------
