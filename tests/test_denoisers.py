@@ -219,6 +219,59 @@ def test_gaussian_matches_reference(shape, sigma):
     assert np.max(np.abs(out - _two_pass_gaussian(z, sigma))) <= 1e-12 * np.max(np.abs(z))
 
 
+def _transposed_pad_gaussian(z, sigma):
+    """GaussianDenoiser's pass on ``np.pad(z.T, ...)``, which keeps the
+    transpose's column order.  Kept as the oracle of the row-major pad."""
+    std = sigma / 20.0
+    radius = max(1, int(np.ceil(3.0 * std)))
+    taps = np.exp(-0.5 * (np.arange(-radius, radius + 1) / std) ** 2)
+    taps /= taps.sum()
+    for _ in range(2):
+        padded = np.pad(z.T, ((radius, radius), (0, 0)), mode="reflect")
+        z = sliding_window_view(padded, taps.size, axis=0) @ taps
+    return z
+
+
+# the PnP deblurring noise levels sqrt(beta / lambda), radii 2, 3, 2 and 3
+_PNP_DEBLUR_SIGMAS = [float(np.sqrt(beta / lam)) for beta, lam, _ in bench.DEFAULT_PNP_DEBLUR.values()]
+# sigma 14 has radius 3, 25 radius 4 and 60 radius 9: sides from one less
+# than the radius, which np.pad reflects more than once, to radius + 2
+_SIDES_AROUND_THE_RADIUS = [
+    (shape, sigma)
+    for sigma, radius in [(14.0, 3), (25.0, 4), (60.0, 9)]
+    for side in range(radius - 1, radius + 3)
+    for shape in [(side, 11), (11, side)]
+]
+
+
+@pytest.mark.parametrize(
+    "shape, sigma",
+    [(shape, sigma) for shape in [(32, 32), (37, 53), (5, 40), (40, 3)] for sigma in [5.0, 25.0, 60.0]]
+    + [((256, 256), sigma) for sigma in _PNP_DEBLUR_SIGMAS]
+    + _SIDES_AROUND_THE_RADIUS,
+)
+def test_gaussian_row_major_pad_matches_the_transposed_pad(shape, sigma):
+    z = _random_grid(31, *shape)
+    out = GaussianDenoiser()(z, sigma)
+    bound = 1e-12 * np.max(np.abs(z))
+    assert np.max(np.abs(out - _transposed_pad_gaussian(z, sigma))) <= bound
+    assert np.max(np.abs(out - _two_pass_gaussian(z, sigma))) <= bound
+
+
+@pytest.mark.parametrize("shape, sigma", [((37, 53), 14.0), ((40, 3), 60.0)])
+def test_gaussian_pads_are_row_major(monkeypatch, shape, sigma):
+    # the oracle's bound cannot see the layout: both orders meet it
+    operands = []
+
+    def spy(padded, *args, **kwargs):
+        operands.append(padded)
+        return sliding_window_view(padded, *args, **kwargs)
+
+    monkeypatch.setattr(denoisers, "sliding_window_view", spy)
+    GaussianDenoiser()(_random_grid(32, *shape), sigma)
+    assert len(operands) == 2 and all(padded.flags.c_contiguous for padded in operands)
+
+
 def test_dct_suppresses_pure_noise():
     # Monte-Carlo noise-only oracle: thresholding at 3 sigma should kill
     # nearly all AC energy, leaving well under half the input deviation
