@@ -175,10 +175,11 @@ def _padded_transpose(z: np.ndarray, radius: int) -> np.ndarray:
     """``np.pad(z.T, ((radius, radius), (0, 0)), mode="reflect")``, in C order.
 
     One copy of the transpose fills the middle rows, and each border row
-    copies the row it mirrors.  np.pad reflects again once the radius
-    reaches the side, so the mirror is periodic: row i of the side
-    reflects to i mod 2 (side - 1), folded back past side - 1.  A side of
-    one row reflects to itself.
+    copies the row it mirrors.  np.pad of a C-order copy of z.T gives the
+    same bytes, but copies the image twice.  np.pad reflects again once
+    the radius reaches the side, so the mirror is periodic: row i of the
+    side reflects to i mod 2 (side - 1), folded back past side - 1.  A
+    side of one row reflects to itself.
     """
     side = z.shape[1]
     padded = np.empty((side + 2 * radius, z.shape[0]))

@@ -31,8 +31,6 @@ only to rounding; its inverse filter conj(S) / (|S|^2 + w) is only
 approximate.  The bound step transforms y once, then makes one real
 transform pair (rfft2, irfft2) per call: it forms the residual spectrum,
 reads its norm off the half spectrum by Parseval, and filters it back.
-It forms that spectrum in one buffer the binding holds, so a bound blur
-step must not be called from two threads at once.
 
 No operator changes once built.  A blur operator holds the half spectrum
 it multiplies by, the kernel's rfft2; its step builds the inverse filter
@@ -213,12 +211,6 @@ class BlurOperator(_Projecting):
         on the half spectrum (weight 1 on column 0 and, for even widths,
         column W/2, weight 2 on the others, over H * W), and the projected
         iterate is x + irfft2(R F, s=shape) with F the inverse filter.
-
-        The bound step holds one half-spectrum buffer: each call writes
-        rfft2(x) into it and works on it in place, and only the iterate it
-        returns is new.  So one bound step must not be called from two
-        threads at once; no solver does, and separate bindings share
-        nothing.
         """
         weight = _check_weight(weight)
         y_spectrum = np.fft.rfft2(self._grid(y))
@@ -232,10 +224,9 @@ class BlurOperator(_Projecting):
         size = self.shape[0] * self.shape[1]
         width = self.shape[1]
         edges = [0, width // 2] if width % 2 == 0 else [0]  # columns without a mirror image
-        held = np.empty_like(y_spectrum)
 
         def project(x):
-            spectrum = np.fft.rfft2(self._same_shape(x), out=held)
+            spectrum = np.fft.rfft2(self._same_shape(x))
             spectrum *= self.spectrum
             np.subtract(y_spectrum, spectrum, out=spectrum)
             residual_sq = (2.0 * sum_of_squares(spectrum) - sum_of_squares(spectrum[:, edges])) / size

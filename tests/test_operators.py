@@ -273,27 +273,6 @@ def test_one_blur_operator_steps_at_any_weight_as_a_fresh_one():
         assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
 
 
-@pytest.mark.parametrize("shape", [(16, 16), (16, 15)], ids=lambda s: f"{s[0]}x{s[1]}")
-@pytest.mark.parametrize("weight", [_WEIGHTS[0], 0.0])
-def test_blur_step_with_a_held_buffer_matches_fresh_bindings_bytes(shape, weight):
-    # each bound step writes rfft2(x) into a buffer of its own; calls of one
-    # step, interleaved with another binding's, return what fresh bindings
-    # do, in arrays of their own
-    op = BlurOperator(generate_scenario_kernel(1), shape)
-    ys = [_random_grid(24, *shape), _random_grid(25, *shape)]
-    steps = [op.backward_projection(y, weight) for y in ys]
-    results = []
-    for seed in (26, 27, 28):
-        x = _random_grid(seed, *shape)
-        for y, step in zip(ys, steps):
-            got, want = step(x), op.backward_projection(y, weight)(x)
-            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
-            assert not np.shares_memory(got[0], x)
-            results.append(got[0])
-    for i, result in enumerate(results):
-        assert not any(np.shares_memory(result, other) for other in results[:i])
-
-
 @pytest.mark.parametrize("shape", [(16, 16), (15, 16), (16, 15), (37, 53)], ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("kernel", ["scenario-1", "lopsided-3x5"])
 def test_blur_spectrum_is_the_one_array_built_at_construction(shape, kernel):
