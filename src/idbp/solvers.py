@@ -20,21 +20,19 @@ Inpainting observations are full grids whose unobserved entries are zero;
 at weight zero the mask projection is an exact element copy, so IDBP keeps
 the measurement constraint bitwise at every iteration.
 
-Every solve fits glibc's malloc thresholds to its grid, a process-wide
-setting (``_fit_malloc_thresholds``): the mmap threshold goes to twice the
-grid's bytes, at most 32 MiB, and the trim threshold to 16 times them, so
-that the image-sized temporaries each iteration frees keep their heap
-pages instead of going back to the kernel and faulting in again.  The
-values only rise, and nothing is set off glibc or when the environment
-sets either threshold itself.
+Every solve allocates and frees one block of 8 times its grid's bytes,
+at most just under 32 MiB (``_fit_malloc_thresholds``).  By glibc's
+documented dynamic threshold (mallopt(3) NOTES) that raises the process's
+mmap threshold to 8 grids and its trim threshold to 16, so the
+image-sized temporaries each iteration frees keep their heap pages
+instead of faulting in again.  The thresholds only rise, an environment
+setting of M_TRIM_THRESHOLD, M_TOP_PAD, M_MMAP_THRESHOLD or M_MMAP_MAX
+turns the rule off, and off glibc the block is an unused allocation.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,77 +198,33 @@ def _require_finite(arr, what: str, iteration: int) -> np.ndarray:
     return arr
 
 
-# glibc's mallopt parameter numbers, its default mmap threshold, and the
-# largest mmap threshold it accepts on a 64-bit build.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_GLIBC_DEFAULT_MMAP_THRESHOLD = 128 * 1024
-_GLIBC_MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
-_C_INT_MAX = 2**31 - 1
-
-# Environment settings through which glibc reads its malloc thresholds.
-_MALLOC_THRESHOLD_VARIABLES = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
-_MALLOC_THRESHOLD_TUNABLE = re.compile(r"glibc\.malloc\.\w*_threshold")
-
-# Byte size of the largest grid that the malloc thresholds were fitted to;
-# a smaller grid's temporaries already stay below glibc's mmap threshold.
-_malloc_fitted_bytes = _GLIBC_DEFAULT_MMAP_THRESHOLD // 2
-
-
-def _libc():
-    """The process's C library as a ctypes handle with ``mallopt`` declared."""
-    libc = ctypes.CDLL(None)
-    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    libc.mallopt.restype = ctypes.c_int
-    return libc
+# The largest freed block that still raises glibc's mmap threshold: 32 MiB
+# less the chunk header, which glibc rounds up to a page.
+_DYNAMIC_THRESHOLD_MAX = 32 * 1024 * 1024 - 8192
 
 
 def _fit_malloc_thresholds(grid_bytes: int) -> None:
-    """Raise glibc's malloc thresholds so that a solve on a grid of
-    `grid_bytes` bytes keeps its heap pages: a process-wide setting.
+    """Keep the heap pages of a solve on a grid of `grid_bytes` bytes.
 
     Each solver iteration frees two to four image-sized temporaries in a
     row (the step's spectra, a denoiser's pad, PnP's v - u).  At glibc's
-    defaults the heap top then passes the trim threshold, glibc hands the
-    pages back to the kernel, and the next iteration faults them in again:
-    about 60k minor faults and a tenth of the wall time over the
-    benchmark's cheap-denoiser deblurring at 256^2.  So the mmap threshold
-    goes to 2 * `grid_bytes` (at most glibc's 32 MiB maximum), which keeps
-    image-sized arrays on the heap, and the trim threshold to 16 *
-    `grid_bytes`, which keeps their pages mapped after free.  The call
-    fixes both values, turning off glibc's own adjustment of them.  The
-    thresholds only rise: a grid no larger than one fitted before, or than
-    half glibc's 128 KiB default mmap threshold, changes nothing.  A
-    denoiser helper forked later inherits them.
-
-    Nothing is set off glibc, where ``os.confstr`` knows no glibc version,
-    or when the environment sets either threshold itself
-    (``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` or a
-    ``glibc.malloc.*_threshold`` entry in ``GLIBC_TUNABLES``).
+    default thresholds the heap top then passes the trim threshold, glibc
+    hands the pages back to the kernel, and the next iteration faults them
+    in again: about 60k minor faults and a tenth of the wall time over the
+    benchmark's cheap-denoiser deblurring at 256^2.  A denoiser helper
+    forked later inherits the raised thresholds.
     """
-    global _malloc_fitted_bytes
-    if grid_bytes <= _malloc_fitted_bytes:
-        return
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
-    except (AttributeError, ValueError, OSError):
-        return
-    tunables = os.environ.get("GLIBC_TUNABLES", "")
-    if any(name in os.environ for name in _MALLOC_THRESHOLD_VARIABLES) or _MALLOC_THRESHOLD_TUNABLE.search(tunables):
-        return
-    libc = _libc()
-    libc.mallopt(_M_MMAP_THRESHOLD, min(2 * grid_bytes, _GLIBC_MMAP_THRESHOLD_MAX))
-    libc.mallopt(_M_TRIM_THRESHOLD, min(16 * grid_bytes, _C_INT_MAX))
-    _malloc_fitted_bytes = grid_bytes
+    # mallopt(3) NOTES: freeing an mmapped block of at most 32 MiB raises the
+    # mmap threshold to its size and the trim threshold to twice that
+    np.empty(min(8 * grid_bytes, _DYNAMIC_THRESHOLD_MAX), dtype=np.uint8)
 
 
 def _inputs(y, init, sigma_n: float, ground_truth):
     """A solver's checked inputs: y and init as grids of one shape, and x ->
     PSNR of a checked iterate x against the ground truth, which is scanned
     once here instead of on every iteration; NaN without one.  Rejects a
-    sigma_n that is not finite and nonnegative.  Fits glibc's malloc
-    thresholds to the grid (``_fit_malloc_thresholds``)."""
+    sigma_n that is not finite and nonnegative.  Lifts glibc's malloc
+    thresholds for the grid (``_fit_malloc_thresholds``)."""
     if not 0.0 <= sigma_n < math.inf:
         raise ValueError(f"sigma_n must be finite and nonnegative, got {sigma_n!r}")
     y, init = as_grid(y), as_grid(init)

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -883,11 +884,6 @@ def test_pnp_mask_step_matches_reference_solve(sigma_n, beta, lam):
 # heap pages: glibc's malloc thresholds and the loops' temporaries
 # ---------------------------------------------------------------------------
 
-_THRESHOLD_SETTINGS = [("MALLOC_MMAP_THRESHOLD_", "1048576"), ("MALLOC_TRIM_THRESHOLD_", "4000000"),
-                       ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=4000000"),
-                       ("GLIBC_TUNABLES", "glibc.malloc.arena_max=2:glibc.malloc.mmap_threshold=540672")]
-
-
 def _on_glibc() -> bool:
     try:
         return bool(os.confstr("CS_GNU_LIBC_VERSION"))
@@ -895,80 +891,19 @@ def _on_glibc() -> bool:
         return False
 
 
+# The settings that turn glibc's dynamic mmap threshold off (mallopt(3) NOTES),
+# as environment variables and as GLIBC_TUNABLES entries.
+_DYNAMIC_THRESHOLD_VARIABLES = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_",
+                                "MALLOC_MMAP_MAX_")
+_DYNAMIC_THRESHOLD_TUNABLE = re.compile(r"glibc\.malloc\.(top_pad|mmap_max|\w*_threshold)=")
+
+
 def _environment_sets_thresholds() -> bool:
-    return ("MALLOC_MMAP_THRESHOLD_" in os.environ or "MALLOC_TRIM_THRESHOLD_" in os.environ
-            or "_threshold" in os.environ.get("GLIBC_TUNABLES", ""))
+    return (any(name in os.environ for name in _DYNAMIC_THRESHOLD_VARIABLES)
+            or _DYNAMIC_THRESHOLD_TUNABLE.search(os.environ.get("GLIBC_TUNABLES", "")) is not None)
 
 
-class _RecordingLibc:
-    def __init__(self):
-        self.calls = []
-
-    def mallopt(self, param, value):
-        self.calls.append((param, value))
-        return 1
-
-
-@pytest.fixture
-def recording_libc(monkeypatch):
-    """A libc handle that records mallopt calls, on glibc, with no threshold set by the environment."""
-    libc = _RecordingLibc()
-    monkeypatch.setattr(solvers, "_libc", lambda: libc)
-    monkeypatch.setattr(solvers, "_malloc_fitted_bytes", 64 * 1024)  # as at import
-    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
-    for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"):
-        monkeypatch.delenv(name, raising=False)
-    return libc
-
-
-def test_malloc_thresholds_only_rise(recording_libc):
-    mib = 1024 * 1024
-    sizes_and_calls = [
-        (512 * 512 * 8, [(-3, 4 * mib), (-1, 32 * mib)]),
-        (256 * 256 * 8, []),  # smaller than the grid fitted before
-        (512 * 512 * 8, []),
-        (1024 * 1024 * 8, [(-3, 16 * mib), (-1, 128 * mib)]),
-        (4096 * 4096 * 8, [(-3, 32 * mib), (-1, 2**31 - 1)]),  # glibc's mmap maximum; a C int
-    ]
-    for grid_bytes, calls in sizes_and_calls:
-        recording_libc.calls.clear()
-        solvers._fit_malloc_thresholds(grid_bytes)
-        assert recording_libc.calls == calls
-
-
-def test_small_grids_leave_glibcs_malloc_thresholds_alone(recording_libc):
-    # up to half the 128 KiB default mmap threshold, which setting it to
-    # twice the grid's bytes would lower
-    solvers._fit_malloc_thresholds(64 * 1024)
-    assert recording_libc.calls == []
-    solvers._fit_malloc_thresholds(64 * 1024 + 8)
-    assert recording_libc.calls == [(-3, 128 * 1024 + 16), (-1, 1024 * 1024 + 128)]
-
-
-@pytest.mark.parametrize("name, value", _THRESHOLD_SETTINGS)
-def test_malloc_thresholds_left_to_the_environment(recording_libc, monkeypatch, name, value):
-    monkeypatch.setenv(name, value)
-    solvers._fit_malloc_thresholds(512 * 512 * 8)
-    assert recording_libc.calls == []
-
-
-def test_malloc_thresholds_set_beside_other_glibc_tunables(recording_libc, monkeypatch):
-    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.malloc.arena_max=2")
-    solvers._fit_malloc_thresholds(512 * 512 * 8)
-    assert len(recording_libc.calls) == 2
-
-
-@pytest.mark.parametrize("confstr", ["raises", "absent"])
-def test_malloc_thresholds_left_alone_off_glibc(recording_libc, monkeypatch, confstr):
-    if confstr == "raises":
-        def unknown(name):
-            raise ValueError(f"unrecognized configuration name {name!r}")
-
-        monkeypatch.setattr(os, "confstr", unknown)
-    else:
-        monkeypatch.delattr(os, "confstr")
-    solvers._fit_malloc_thresholds(512 * 512 * 8)
-    assert recording_libc.calls == []
+_glibc_only = pytest.mark.skipif(not _on_glibc(), reason="glibc's dynamic malloc thresholds exist on glibc only")
 
 
 @pytest.mark.parametrize("solve", ["idbp", "idbp_auto", "pnp"])
@@ -999,8 +934,8 @@ def _blur_solve(size, solve, iterations):
                                          ground_truth=truth, observer=observer)
 
 
-@pytest.mark.skipif(not _on_glibc(), reason="the malloc thresholds are set on glibc only")
-@pytest.mark.skipif(_environment_sets_thresholds(), reason="the environment sets glibc's malloc thresholds")
+@_glibc_only
+@pytest.mark.skipif(_environment_sets_thresholds(), reason="the environment turns glibc's dynamic malloc thresholds off")
 @pytest.mark.parametrize("solve", ["idbp_median", "pnp_gaussian"])
 def test_a_second_solve_keeps_its_heap_pages(solve):
     # at glibc's default thresholds each iteration hands its freed
@@ -1015,6 +950,61 @@ def test_a_second_solve_keeps_its_heap_pages(solve):
     run()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < iterations
+
+
+_FAULT_PROBE = """
+import resource, sys
+from test_solvers import _blur_solve
+solve, iterations, *sizes = sys.argv[1:]
+runs = {size: _blur_solve(int(size), solve, int(iterations)) for size in sizes}
+for size in sizes[:-1]:
+    runs[size]()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+runs[sizes[-1]]()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _last_solve_faults(solve, iterations, sizes, **malloc_settings):
+    """Minor faults of the last of `sizes`^2 solves in a fresh process whose only
+    malloc settings are `malloc_settings`."""
+    env = {name: value for name, value in os.environ.items()
+           if name != "GLIBC_TUNABLES" and name not in _DYNAMIC_THRESHOLD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), str(Path(__file__).parent),
+                                                      os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, solve, str(iterations), *map(str, sizes)],
+                          capture_output=True, text=True, check=True, env={**env, **malloc_settings})
+    return int(proc.stdout)
+
+
+@_glibc_only
+@pytest.mark.parametrize("setting", [{"MALLOC_TRIM_THRESHOLD_": "131072"},
+                                     {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}],
+                         ids=["variable", "tunable"])
+def test_a_threshold_set_by_the_environment_wins(setting):
+    # it turns glibc's dynamic thresholds off, so the freed block raises
+    # nothing and every iteration faults its temporaries in again
+    iterations = 6
+    assert _last_solve_faults("idbp_median", iterations, [512, 512], **setting) >= iterations
+
+
+@_glibc_only
+@pytest.mark.parametrize("solve", ["idbp_median", "pnp_gaussian"])
+@pytest.mark.parametrize("sizes", [[256, 256], [512, 128, 512]], ids=["256", "512_128_512"])
+def test_a_later_solve_keeps_its_heap_pages_in_a_fresh_process(solve, sizes):
+    # a smaller grid between two larger ones lowers no threshold
+    iterations = 6
+    assert _last_solve_faults(solve, iterations, sizes) < iterations
+
+
+@_glibc_only
+def test_second_solve_faults_at_1024_do_not_grow_with_the_iterations():
+    # 8 grids pass glibc's 32 MiB cap here, so the freed block raises the
+    # thresholds to just under 32 and 64 MiB, 4 and 8 grids: a solve may
+    # fault some pages in once, but not once per iteration.  A block one
+    # page larger raises nothing, and every iteration faults again
+    few, many = (_last_solve_faults("pnp_gaussian", n, [1024, 1024]) for n in (3, 9))
+    assert many - few < 9 - 3
 
 
 def _churn_in_image_sizes(run, image_bytes):
