@@ -979,13 +979,26 @@ def _last_solve_faults(solve, iterations, sizes, **malloc_settings):
 
 @_glibc_only
 @pytest.mark.parametrize("setting", [{"MALLOC_TRIM_THRESHOLD_": "131072"},
-                                     {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}],
-                         ids=["variable", "tunable"])
+                                     {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"},
+                                     {"MALLOC_MMAP_THRESHOLD_": "131072"},
+                                     {"GLIBC_TUNABLES": "glibc.malloc.arena_max=2:glibc.malloc.mmap_threshold=131072"},
+                                     {"MALLOC_TOP_PAD_": "131072"},
+                                     {"MALLOC_MMAP_MAX_": "0"}],
+                         ids=["variable", "tunable", "mmap_variable", "mmap_tunable_beside_arena_max",
+                              "top_pad_variable", "mmap_max_variable"])
 def test_a_threshold_set_by_the_environment_wins(setting):
-    # it turns glibc's dynamic thresholds off, so the freed block raises
-    # nothing and every iteration faults its temporaries in again
+    # any of these turns glibc's dynamic thresholds off, so the freed block
+    # raises nothing and every iteration faults its temporaries in again
     iterations = 6
     assert _last_solve_faults("idbp_median", iterations, [512, 512], **setting) >= iterations
+
+
+@_glibc_only
+def test_other_glibc_tunables_leave_the_dynamic_thresholds_on():
+    assert not _DYNAMIC_THRESHOLD_TUNABLE.search("glibc.malloc.arena_max=2")
+    iterations = 6
+    assert _last_solve_faults("idbp_median", iterations, [512, 512],
+                              GLIBC_TUNABLES="glibc.malloc.arena_max=2") < iterations
 
 
 @_glibc_only
