@@ -156,14 +156,19 @@ def generate_random_mask(
     height: int, width: int, missing_fraction: float, rng: RngState
 ) -> InpaintingOperator:
     """Mask with exactly round(fraction * n) missing pixels, chosen by a
-    seeded partial Fisher-Yates shuffle."""
+    seeded partial Fisher-Yates shuffle of the raster indices.
+
+    The first k = round(fraction * n) swap steps leave the missing pixels in
+    positions 0..k-1 and the observed ones in k..n-1.  The mask observes the
+    latter, which ``RngState.shuffled_tail`` returns without running the
+    swaps, so it draws k uniforms and no more.
+    """
     if not 0.0 <= missing_fraction < 1.0:
         raise ValueError("missing_fraction must lie in [0, 1)")
     n = height * width
     k = int(missing_fraction * n + 0.5)
-    missing = rng.shuffled_prefix(n, k)
-    mask = np.ones(n, dtype=bool)
-    mask[missing] = False
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.shuffled_tail(n, k)] = True
     return InpaintingOperator(mask.reshape(height, width))
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -15,6 +16,7 @@ from idbp.operators import (
 )
 from idbp.rng import RngState
 from idbp.solvers import IdbpConfig, PnpConfig, idbp_run, pnp_run
+from test_rng import _reference_shuffle
 
 
 def _random_grid(seed, h, w, scale=40.0, offset=128.0):
@@ -143,6 +145,38 @@ def test_mask_generation_counts_and_determinism():
     assert int(a.mask.sum()) == 20
     assert np.array_equal(a.mask, b.mask)
     assert not np.array_equal(a.mask, c.mask)
+
+
+def test_mask_generation_with_nothing_missing_observes_every_pixel():
+    rng = RngState(4, counter=3)
+    op = generate_random_mask(7, 9, 0.0, rng)
+    assert op.mask.all() and op.mask.shape == (7, 9)
+    assert rng.counter == 3
+
+
+def test_mask_generation_with_one_pixel_left_observes_the_oracles_pixel():
+    rng, ref = RngState(5), RngState(5)
+    op = generate_random_mask(10, 10, 0.99, rng)
+    kept = _reference_shuffle(ref, 100, 99)[99:]
+    assert np.flatnonzero(op.mask).tolist() == kept.tolist()
+    assert rng.counter == ref.counter == 99
+
+
+def test_mask_generation_that_rounds_to_every_pixel_missing_is_rejected():
+    with pytest.raises(ValueError, match="mask observes no pixels"):
+        generate_random_mask(10, 10, 0.996, RngState(6))
+
+
+def test_mask_generation_allocates_under_six_grids():
+    # the swap loop on a list of Python ints peaked at 9.8 grids
+    grid_bytes = 256 * 256 * 8
+    tracemalloc.start()
+    try:
+        generate_random_mask(256, 256, 0.8, RngState(7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * grid_bytes
 
 
 def test_mask_generation_rejects_bad_fraction():

@@ -60,37 +60,39 @@ def test_gaussians_odd_count_prefix_of_even():
     assert np.array_equal(odd, even[:7])
 
 
-def test_shuffled_prefix_is_permutation_prefix():
+def test_shuffled_tail_is_a_permutation_tail():
     rng = RngState(9)
-    pick = rng.shuffled_prefix(100, 40)
-    assert len(set(int(i) for i in pick)) == 40
+    pick = rng.shuffled_tail(100, 40)
+    assert len(set(int(i) for i in pick)) == 60
     assert all(0 <= int(i) < 100 for i in pick)
 
 
-def _reference_shuffled_prefix(rng, n, k):
-    """The swap loop on a numpy int64 array, one numpy float64 draw per step,
-    kept as the oracle for the precomputed targets and list swaps."""
+def _reference_shuffle(rng, n, k):
+    """range(n) after the first `k` Fisher-Yates swap steps, run one by one
+    on a numpy int64 array with one numpy float64 draw per step: the oracle
+    for the tail that ``shuffled_tail`` builds without swapping."""
     idx = np.arange(n, dtype=np.int64)
-    if k == 0:
-        return idx[:0]
     u = rng.uniforms(k)
     for i in range(k):
         j = i + int(u[i] * (n - i))
         idx[i], idx[j] = idx[j], idx[i]
-    return idx[:k]
+    return idx
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
-@pytest.mark.parametrize("n, k", [(65536, 52429), (100, 40), (10, 10), (1, 1), (100, 0)])
-def test_shuffled_prefix_matches_reference(n, k, seed):
+@pytest.mark.parametrize(
+    "n, k", [(65536, 52429), (262144, 209715), (100, 40), (10, 10), (1, 1), (100, 0), (100, 99)]
+)
+def test_shuffled_tail_matches_reference(n, k, seed):
     rng, ref = RngState(seed, counter=3), RngState(seed, counter=3)
-    got = rng.shuffled_prefix(n, k)
-    want = _reference_shuffled_prefix(ref, n, k)
-    assert got.dtype == np.int64 and got.shape == (k,)
+    got = rng.shuffled_tail(n, k)
+    want = _reference_shuffle(ref, n, k)[k:]
+    assert got.dtype == want.dtype == np.int64 and got.shape == (n - k,)
     assert got.tobytes() == want.tobytes()
     assert rng.counter == ref.counter
 
 
-def test_shuffled_prefix_bounds():
-    with pytest.raises(ValueError):
-        RngState(0).shuffled_prefix(10, 11)
+def test_shuffled_tail_bounds():
+    for n, k in [(10, 11), (10, -1)]:
+        with pytest.raises(ValueError):
+            RngState(0).shuffled_tail(n, k)

@@ -1143,8 +1143,8 @@ _FILL_SHAPES = [(1, 64), (64, 1), (2, 2), (37, 53), (64, 64), (256, 256)]
 def _missing_mask(shape, fraction, seed):
     """Random mask missing round(fraction * n) pixels, but observing at least one."""
     n = shape[0] * shape[1]
-    mask = np.ones(n, dtype=bool)
-    mask[RngState(seed).shuffled_prefix(n, min(int(fraction * n + 0.5), n - 1))] = False
+    mask = np.zeros(n, dtype=bool)
+    mask[RngState(seed).shuffled_tail(n, min(int(fraction * n + 0.5), n - 1))] = True
     return mask.reshape(shape)
 
 
@@ -1184,7 +1184,7 @@ def test_median_initialize_matches_reference_from_one_corner(shape, corner):
 def test_median_initialize_matches_reference_on_signed_zeros(fraction):
     # -0.0 == 0.0, so only a stable sort picks the same zero as the loop
     shape = (37, 53)
-    y = np.array([-1.0, -0.0, 0.0, 1.0])[RngState(9).shuffled_prefix(4 * 37 * 53, 37 * 53) % 4]
+    y = np.array([-1.0, -0.0, 0.0, 1.0])[(RngState(9).uniforms(37 * 53) * 4).astype(np.int64)]
     mask = _missing_mask(shape, fraction, seed=10)
     _assert_fill_matches_reference(mask, y.reshape(shape))
 
